@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .configs import density, is_admissible_config, is_perfect, shift_count
 from .excitations import (
@@ -35,11 +35,9 @@ from .families import (
 )
 from .forces import UnsupportedThresholdError, verify_forces
 from .reporting import (
-    COMPUTED,
     ReportEnvelope,
     config_payload,
     frac_str,
-    jsonable,
     load_config_file,
     load_site_file,
     sublattice_csv_rows,
@@ -257,6 +255,10 @@ def _require(cond: bool, message: str) -> None:
 
 def _cmd_pc_build(args: argparse.Namespace, argv: Sequence[str]) -> int:
     pc = _build_family(args)
+    _require(
+        pc.context_d2 in (None, args.d2),
+        f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}",
+    )
     results = config_payload(pc, args.d2)
     inputs = {"d2": args.d2, "family": args.family, "i": args.i, "seq": args.seq, "l": args.l}
     _emit(ReportEnvelope(tuple(argv), inputs, results), args.json)

@@ -170,19 +170,6 @@ class PeriodicConfiguration:
     def canonical_key(self) -> tuple:
         return (self.basis, self.offsets)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": [list(r) for r in self.basis],
-            "offsets": [list(o) for o in self.offsets],
-            "d2": self.context_d2,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "PeriodicConfiguration":
-        return make_config(
-            d["basis"], [tuple(o) for o in d["offsets"]], d.get("d2")
-        )
-
 
 def make_config(
     basis_rows: Iterable[Sequence[int]],
@@ -289,15 +276,6 @@ def is_saturated(pc: PeriodicConfiguration, d2: int) -> bool:
     return True
 
 
-FAMILY_TAGS = (
-    "d5-triangular",
-    "d6-triangular",
-    "d6-rhombic",
-    "d9-square",
-    "d10-triangular",
-    "2l2-triangular",
-)
-
 _FAMILY_ALPHABETS: dict[str, tuple[int, ...]] = {
     "d5-triangular": (0, 1, 2),
     "d6-triangular": (0, 1, 2, 3, 4, 5, 6),
@@ -338,33 +316,3 @@ class LayerSequence:
     @staticmethod
     def parse(family: str, diagonal: int, word: str, periodic: bool = True) -> "LayerSequence":
         return LayerSequence(family, diagonal, tuple(int(c) for c in word), periodic)
-
-
-@dataclass(frozen=True)
-class MeshSpec:
-    """One planar mesh: an affine 2D sublattice with a rational offset.
-
-    Sites are offset_num/offset_den + m*g1 + n*g2; the offset must be
-    integral for the mesh to live in Z^3 (checked on construction).
-    """
-
-    kind: str  # "main" | "non-main" | "axis"
-    index: int
-    level: int
-    label: int
-    generators: tuple[Site, Site]
-    offset_num: Site
-    offset_den: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("main", "non-main", "axis"):
-            raise ValueError(f"unknown mesh kind {self.kind!r}")
-        if any(c % self.offset_den for c in self.offset_num):
-            raise ValueError(
-                f"mesh offset {self.offset_num}/{self.offset_den} is not an integer site"
-            )
-
-    @property
-    def offset(self) -> Site:
-        d = self.offset_den
-        return (self.offset_num[0] // d, self.offset_num[1] // d, self.offset_num[2] // d)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, is_perfect
-from .forces import force_table, normalization_constant, peierls_gap, verify_forces
-from .lattice import Site, ball_sites, is_admissible, sq_dist
+from .forces import force_table, normalization_constant, peierls_gap
+from .lattice import Site, ball_sites, conflict_masks, independent_sets, is_admissible, sq_dist
 
 
 def _dot(a: Site, b: Site) -> int:
@@ -371,50 +371,41 @@ def window_census(
     background is that each survivor is a single lowest-type in-plane
     insertion.
     """
+    if layers < 1:
+        raise ValueError(f"a window census needs at least one layer, got {layers}")
     e, h, _ = _detect_layering(pc, d2)
-    lo, hi = 0, h * (layers - 1)
+    hi = h * (layers - 1)
     window = [
         x
         for x in ball_sites(radius_sq + 1, center)
-        if lo <= _dot(x, e) <= hi and not pc.contains(x)
+        if 0 <= _dot(x, e) <= hi and not pc.contains(x)
     ]
-    window.sort()
-    n = len(window)
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq_dist(window[i], window[j]) < d2:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    repelled_by = [frozenset(pc.occupied_near(x, d2)) for x in window]
+    # each window site's repelled set, as a bitmask over the nearby particles
+    near = [pc.occupied_near(x, d2) for x in window]
+    index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
+    cover = [sum(1 << index[y] for y in ys) for ys in near]
 
-    survivors: list[tuple[Site, ...]] = []
+    survivors: set[tuple[Site, ...]] = set()
     scanned = 0
 
-    def rec(start: int, avail: int, chosen: list[int], eta: frozenset) -> None:
+    def visit(chosen: list[int], total: int, covered: int) -> None:
         nonlocal scanned
-        for i in range(start, n):
-            if not (avail >> i) & 1:
-                continue
-            chosen.append(i)
-            eta2 = eta | repelled_by[i]
-            scanned += 1
-            energy = len(eta2) - len(chosen)
-            if energy <= 2:
-                ins = InsertionSet(pc, d2, tuple(window[k] for k in chosen))
-                red = reduce_insertions(pc, ins, d2)
-                if red.sites:
-                    survivors.append(red.sites)
-            rec(i + 1, avail & ~conflict[i], chosen, eta2)
-            chosen.pop()
+        if not chosen:
+            return
+        scanned += 1
+        if covered.bit_count() - len(chosen) <= 2:  # the energy |eta| - |xi|
+            ins = InsertionSet(pc, d2, tuple(window[k] for k in chosen))
+            red = reduce_insertions(pc, ins, d2)
+            if red.sites:
+                survivors.add(red.sites)
 
-    rec(0, (1 << n) - 1, [], frozenset())
-    uniq = sorted(set(survivors))
+    independent_sets(conflict_masks(window, d2), [0] * len(window), cover, visit)
+    uniq = sorted(survivors)
     all_iia = all(
         len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in uniq
     )
     return WindowCensus(
-        window_sites=n,
+        window_sites=len(window),
         sets_scanned=scanned,
         low_energy_terminal=tuple(uniq),
         all_terminal_iia=all_iia,

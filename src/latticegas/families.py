@@ -17,11 +17,8 @@ from .configs import (
     MAIN_DIAGONALS,
     NON_MAIN_DIAGONALS,
     LayerSequence,
-    MeshSpec,
     PeriodicConfiguration,
     canonicalize,
-    configs_equal,
-    is_admissible_config,
     is_perfect,
     make_config,
 )

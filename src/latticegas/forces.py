@@ -6,17 +6,27 @@ checked exhaustively here, is that the maximum total force collected at the
 ball center over ALL admissible occupancy patterns of the ball is exactly 1,
 and the patterns achieving 1 are the locally densest ones.
 
-All arithmetic is fractions.Fraction; nothing here is floating point.
+All arithmetic is exact (fractions.Fraction, and integers inside the
+search); nothing here is floating point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .lattice import ORIGIN, Site, ball_sites, is_admissible, sq_dist
+from .lattice import (
+    ORIGIN,
+    Site,
+    ball_sites,
+    conflict_masks,
+    independent_sets,
+    is_admissible,
+    sq_dist,
+)
 
 # Squared ball radius (strict bound) per exclusion threshold. A force table
 # is supported on squared distances 0 .. radius-1.
@@ -112,37 +122,18 @@ def enumerate_ball_acs(
     squared distances are all >= d2. The visitor, if given, is called once
     per pattern with the sites in lexicographic order. Returns the count.
     """
-    ft = force_table(d2)
-    sites = ball_sites(ft.ball_radius_sq)
-    n = len(sites)
-    conflict = _conflict_masks(sites, d2)
+    sites = ball_sites(force_table(d2).ball_radius_sq)
+    zeros = [0] * len(sites)
     count = 0
 
-    def rec(avail: int, chosen: tuple[Site, ...]) -> None:
+    def visit(chosen: list[int], total: int, covered: int) -> None:
         nonlocal count
         count += 1
         if visitor is not None:
-            visitor(chosen)
-        m = avail
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            rec(m & ~conflict[i], chosen + (sites[i],))
+            visitor(tuple(sites[i] for i in chosen))
 
-    rec((1 << n) - 1, ())
+    independent_sets(conflict_masks(sites, d2), zeros, zeros, visit)
     return count
-
-
-def _conflict_masks(sites: list[Site], d2: int) -> list[int]:
-    n = len(sites)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq_dist(sites[i], sites[j]) < d2:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
 
 
 @dataclass(frozen=True)
@@ -165,51 +156,37 @@ def verify_forces(d2: int) -> BallSearchReport:
     second_max the largest strictly smaller total, max_occupancy the largest
     pattern size, and signatures the sorted squared-distance multisets of
     the patterns whose total force equals 1 exactly.
+
+    The search runs on integers: every force is scaled by the least common
+    denominator of the table, so a total of exactly 1 reads as `den`.
     """
     ft = force_table(d2)
     sites = ball_sites(ft.ball_radius_sq)
-    n = len(sites)
-    conflict = _conflict_masks(sites, d2)
     dists = [sq_dist(s, ORIGIN) for s in sites]
-    fvals = [ft.force(q) for q in dists]
-    one = Fraction(1)
+    den = math.lcm(*(f.denominator for _, f in ft.values))
+    weights = [int(ft.force(q) * den) for q in dists]
 
     count = 0
-    best = Fraction(0)  # force of the empty pattern
-    second = None
     max_occ = 0
+    totals: set[int] = set()
     sigs: set[tuple[int, ...]] = set()
 
-    def note(total: Fraction) -> None:
-        nonlocal best, second
-        if total > best:
-            second = best
-            best = total
-        elif total != best and (second is None or total > second):
-            second = total
-
-    def rec(avail: int, depth: int, total: Fraction, sig: tuple[int, ...]) -> None:
+    def visit(chosen: list[int], total: int, covered: int) -> None:
         nonlocal count, max_occ
         count += 1
-        if depth > max_occ:
-            max_occ = depth
-        note(total)
-        if total == one:
-            sigs.add(tuple(sorted(sig)))
-        m = avail
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            rec(m & ~conflict[i], depth + 1, total + fvals[i], sig + (dists[i],))
+        totals.add(total)
+        if len(chosen) > max_occ:
+            max_occ = len(chosen)
+        if total == den:
+            sigs.add(tuple(sorted(dists[i] for i in chosen)))
 
-    rec((1 << n) - 1, 0, Fraction(0), ())
-    assert second is not None  # the empty pattern guarantees at least two totals
+    independent_sets(conflict_masks(sites, d2), weights, [0] * len(sites), visit)
+    best = max(totals)
     return BallSearchReport(
         d2=d2,
         config_count=count,
-        fstar=best,
-        second_max=second,
+        fstar=Fraction(best, den),
+        second_max=Fraction(max(totals - {best}), den),
         max_occupancy=max_occ,
         signatures=tuple(sorted(sigs)),
     )

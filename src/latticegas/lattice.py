@@ -1,4 +1,4 @@
-"""Integer lattice geometry: sites, balls, admissibility, signed permutations.
+"""Integer lattice geometry: sites, balls, admissible sets, signed permutations.
 
 Everything here is exact integer arithmetic on Z^3. A "ball" is the set of
 lattice sites strictly closer (in squared Euclidean distance) to its center
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Site = tuple[int, int, int]
 
@@ -49,6 +49,48 @@ def is_admissible(sites: Iterable[Site], d2: int) -> bool:
             if sq_dist(pts[i], pts[j]) < d2:
                 return False
     return True
+
+
+def conflict_masks(sites: Sequence[Site], d2: int) -> list[int]:
+    """Bit j of entry i is set iff sites i and j are closer than the hard-core distance."""
+    n = len(sites)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sq_dist(sites[i], sites[j]) < d2:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def independent_sets(
+    conflict: Sequence[int],
+    weight: Sequence[int],
+    cover: Sequence[int],
+    visit: Callable[[list[int], int, int], None],
+) -> None:
+    """Visit every index set with no two members in conflict, the empty set first.
+
+    Depth-first, lowest index first, so the sets arrive in lexicographic
+    order of their sorted index tuples. visit(chosen, total, covered) gets
+    the chosen indices in increasing order (a list reused between calls),
+    the integer sum of weight over them and the OR of cover over them.
+    Nothing is pruned: the callers' energies are not monotone under adding
+    sites, so no partial total can rule out its extensions.
+    """
+    chosen: list[int] = []
+
+    def rec(avail: int, total: int, covered: int) -> None:
+        visit(chosen, total, covered)
+        while avail:
+            low = avail & -avail
+            i = low.bit_length() - 1
+            avail ^= low
+            chosen.append(i)
+            rec(avail & ~conflict[i], total + weight[i], covered | cover[i])
+            chosen.pop()
+
+    rec((1 << len(conflict)) - 1, 0, 0)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from . import __version__
 from .configs import PeriodicConfiguration, make_config
 
-# Provenance tags: a figure either comes straight out of a built-in
-# reference table or is computed on the spot by enumeration/algebra.
-TABULATED = "tabulated"
+# Provenance tag: every figure is computed on the spot by enumeration or
+# algebra; none is read off a frozen table.
 COMPUTED = "computed"
 
 
@@ -51,9 +50,8 @@ class ReportEnvelope:
     """Wrapper around one command's results.
 
     command echoes the argv that produced the report, inputs the parsed
-    parameters, results the module-specific payload. provenance says
-    whether the headline figures were computed here or read off a
-    built-in table.
+    parameters, results the module-specific payload. provenance is
+    always "computed": every figure is evaluated on the spot.
     """
 
     command: tuple[str, ...]
@@ -124,17 +122,34 @@ def parse_config(data: Mapping[str, Any], d2: Optional[int] = None) -> PeriodicC
         if not isinstance(inner, Mapping) or "basis" not in inner:
             raise ValueError("envelope results do not contain a configuration")
         data = inner
-    try:
-        basis = [tuple(int(c) for c in row) for row in data["basis"]]
-        offsets = [tuple(int(c) for c in o) for o in data["offsets"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed configuration payload: {exc}") from None
-    if len(basis) != 3 or any(len(r) != 3 for r in basis):
+    if "basis" not in data or "offsets" not in data:
+        raise ValueError("malformed configuration payload: needs basis and offsets")
+    basis, offsets, ctx = data["basis"], data["offsets"], data.get("d2")
+    if not isinstance(basis, (list, tuple)) or len(basis) != 3:
         raise ValueError("basis must be three rows of three integers")
-    if any(len(o) != 3 for o in offsets):
-        raise ValueError("offsets must be triples of integers")
-    ctx = d2 if d2 is not None else data.get("d2")
-    return make_config(basis, offsets, None if ctx is None else int(ctx))
+    if not isinstance(offsets, (list, tuple)):
+        raise ValueError("offsets must be an array of integer triples")
+    if ctx is not None:
+        _json_int(ctx, "d2")
+    return make_config(
+        [_int_triple(row, "basis row") for row in basis],
+        [_int_triple(o, "offset") for o in offsets],
+        ctx if d2 is None else d2,
+    )
+
+
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer taken as is; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _int_triple(entry: Any, what: str) -> tuple[int, int, int]:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise ValueError(f"each {what} must be a 3-element integer array, got {entry!r}")
+    x, y, z = (_json_int(c, f"{what} entry") for c in entry)
+    return (x, y, z)
 
 
 def load_config_file(path: str, d2: Optional[int] = None) -> PeriodicConfiguration:
@@ -151,12 +166,7 @@ def parse_site_list(data: Any) -> list[tuple[int, int, int]]:
         data = data.get("sites")
     if not isinstance(data, (list, tuple)):
         raise ValueError('expected a JSON array of sites or {"sites": [...]}')
-    sites = []
-    for entry in data:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError("each site must be a 3-element integer array")
-        sites.append((int(entry[0]), int(entry[1]), int(entry[2])))
-    return sites
+    return [_int_triple(entry, "site") for entry in data]
 
 
 def load_site_file(path: str) -> list[tuple[int, int, int]]:

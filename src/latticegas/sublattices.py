@@ -10,12 +10,12 @@ are reported as flags, never silently patched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .configs import Matrix, det3, hnf
+from .configs import Matrix, hnf
 from .lattice import Site, SignedPermutation, oh_elements
 
 

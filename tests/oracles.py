@@ -2,8 +2,8 @@
 the library and to freeze golden expectations.
 
 Nothing here shares search machinery with the package. Balls come from a
-cube scan, admissible patterns from a plain-list DFS, densities from
-counting occupied sites in an exact box.
+cube scan, admissible patterns and window insertion sets from plain-list
+DFSs, densities from counting occupied sites in an exact box.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from latticegas.configs import PeriodicConfiguration
+from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration
+from latticegas.excitations import InsertionType, classify_insertion, make_insertion, reduce_insertions
 from latticegas.forces import force_table
 
 Site = tuple[int, int, int]
@@ -85,6 +86,58 @@ def force_extremes(d2: int):
 
     rec(0, [], Fraction(0))
     return count, best, second, max_occ, tuple(sorted(sigs))
+
+
+def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
+    """Plain-list DFS over the insertion sets of a window around the origin.
+
+    The window holds the vacant sites of the radius_sq ball whose level
+    along the layering diagonal lies in the first `layers` layers. Every
+    nonempty admissible subset is scanned; its repelled set is a frozenset
+    union and its energy |repelled| - |inserted|. Sets of energy <= 2 are
+    reduced. Returns (window_sites, sets_scanned, survivors, all_iia) with
+    the survivors sorted, like the library's WindowCensus.
+    """
+    def level(x: Site, e: Site) -> int:
+        return x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
+
+    h = 3 if d2 == 5 else 2 * math.isqrt(d2 // 2)
+    e = next(
+        e for e in MAIN_DIAGONALS
+        if all(level(v, e) % h == 0 for v in pc.basis + pc.offsets)
+    )
+    window = [
+        x for x in brute_ball(radius_sq + 1)
+        if 0 <= level(x, e) <= h * (layers - 1) and not pc.contains(x)
+    ]
+    repelled = [
+        frozenset(y for y in brute_ball(d2, x) if pc.contains(y)) for x in window
+    ]
+    scanned = 0
+    survivors: set = set()
+
+    def rec(start: int, chosen: list[int], eta: frozenset) -> None:
+        nonlocal scanned
+        for i in range(start, len(window)):
+            if not pairwise_admissible([window[j] for j in chosen] + [window[i]], d2):
+                continue
+            chosen.append(i)
+            eta2 = eta | repelled[i]
+            scanned += 1
+            if len(eta2) - len(chosen) <= 2:
+                ins = make_insertion(pc, d2, [window[j] for j in chosen])
+                red = reduce_insertions(pc, ins, d2)
+                if red.sites:
+                    survivors.add(red.sites)
+            rec(i + 1, chosen, eta2)
+            chosen.pop()
+
+    rec(0, [], frozenset())
+    uniq = tuple(sorted(survivors))
+    all_iia = all(
+        len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in uniq
+    )
+    return len(window), scanned, uniq, all_iia
 
 
 def box_side(pc: PeriodicConfiguration) -> int:

@@ -189,3 +189,51 @@ def test_slide_subcommand(capsys):
     code, body = run_json(capsys, ["pc", "slide", "--l", "2", "--n", "9"])
     assert code == 0
     assert body["results"] == {"removed": 4, "bound": 8, "within_bound": True}
+
+
+def _build_hcp(capsys):
+    code, out, _ = run_capture(
+        capsys, ["pc", "build", "--d2", "5", "--family", "d5", "--seq", "01"]
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def test_check_rejects_a_fractional_basis_entry(tmp_path, capsys):
+    envelope = _build_hcp(capsys)
+    assert envelope["results"]["basis"][2] == [0, 0, 6]
+    envelope["results"]["basis"][2][2] = 6.9
+    cfg = tmp_path / "hcp.json"
+    cfg.write_text(json.dumps(envelope), encoding="utf-8")
+    code, out, err = run_capture(capsys, ["pc", "check", "--d2", "5", "--in", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "6.9" in err
+
+
+def test_report_rejects_a_fractional_insertion_site(tmp_path, capsys):
+    cfg = tmp_path / "hcp.json"
+    cfg.write_text(json.dumps(_build_hcp(capsys)), encoding="utf-8")
+    ins = tmp_path / "ins.json"
+    ins.write_text(json.dumps([[0.5, 2, 1]]), encoding="utf-8")
+    code, out, err = run_capture(
+        capsys, ["exc", "report", "--d2", "5", "--pc", str(cfg), "--insert", str(ins)]
+    )
+    assert code == 2
+    assert out == ""
+    assert "0.5" in err
+
+
+def test_window_census_needs_a_layer(capsys):
+    code, out, _ = run_capture(capsys, ["exc", "window-census", "--layers", "0"])
+    assert code == 2
+    assert out == ""
+
+
+def test_build_refuses_a_threshold_the_family_does_not_have(capsys):
+    code, out, err = run_capture(capsys, ["pc", "build", "--d2", "4", "--family", "fcc", "--l", "1"])
+    assert code == 2
+    assert out == ""
+    assert "d2=2" in err
+    code, _, _ = run_capture(capsys, ["pc", "build", "--d2", "2", "--family", "fcc", "--l", "1"])
+    assert code == 0

@@ -31,6 +31,7 @@ from latticegas.families import (
 )
 from latticegas.forces import peierls_gap
 from latticegas.lattice import ball_sites, sq_dist
+import oracles
 from reference_data import CONSTRUCTORS
 
 HCP = build_layered_d5(0, "01")
@@ -171,6 +172,22 @@ def test_window_census_small():
     for survivor in census.low_energy_terminal:
         assert len(survivor) == 1
         assert classify_insertion(HCP, survivor[0], 5) == InsertionType.IIA
+
+
+@pytest.mark.parametrize("layers,radius_sq", [(2, 6), (2, 8), (1, 12)])
+def test_window_census_matches_oracle(layers, radius_sq):
+    census = window_census(HCP, 5, layers, radius_sq)
+    window_sites, scanned, survivors, all_iia = oracles.window_census(HCP, 5, layers, radius_sq)
+    assert census.window_sites == window_sites
+    assert census.sets_scanned == scanned
+    assert census.low_energy_terminal == survivors
+    assert census.all_terminal_iia == all_iia
+
+
+def test_window_census_needs_a_layer():
+    for layers in (0, -1):
+        with pytest.raises(ValueError):
+            window_census(HCP, 5, layers=layers, radius_sq=6)
 
 
 def test_insertion_near_the_seam_still_accounts():

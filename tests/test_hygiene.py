@@ -1,0 +1,59 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+`__init__.py` is exempt, since its imports are the public re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticegas"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Every name an import statement binds, with its line number."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, string annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                inner = ast.parse(const.value, mode="eval")
+                used |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = sorted(
+        f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used
+    )
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_checker_catches_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import Any, Optional\nx: 'Optional[int]' = None\n")
+    assert set(imported_names(tree)) - used_names(tree) == {"os", "Any"}

@@ -1,5 +1,9 @@
 """Geometry primitives: balls, distances, the cube symmetry group."""
 
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,6 +12,8 @@ from latticegas.lattice import (
     SignedPermutation,
     apply_to_sites,
     ball_sites,
+    conflict_masks,
+    independent_sets,
     is_admissible,
     oh_elements,
     rotation_elements,
@@ -87,3 +93,29 @@ def test_is_admissible_matches_pairwise_oracle(pts, d2):
 def test_origin_is_origin():
     assert ORIGIN == (0, 0, 0)
     assert ORIGIN in ball_sites(1)
+
+
+@given(
+    pts=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+                 max_size=12, unique=True),
+    d2=st.integers(1, 12),
+    data=st.data(),
+)
+def test_independent_sets_matches_filtered_combinations(pts, d2, data):
+    n = len(pts)
+    weight = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    cover = data.draw(st.lists(st.integers(0, 2 ** 16 - 1), min_size=n, max_size=n))
+    seen = []
+    independent_sets(
+        conflict_masks(pts, d2), weight, cover,
+        lambda chosen, total, covered: seen.append((tuple(chosen), total, covered)),
+    )
+    # lexicographic order of the index tuples is the depth-first visiting order
+    expected = sorted(
+        c for r in range(n + 1) for c in combinations(range(n), r)
+        if pairwise_admissible([pts[i] for i in c], d2)
+    )
+    assert [c for c, _, _ in seen] == expected
+    for c, total, covered in seen:
+        assert total == sum(weight[i] for i in c)
+        assert covered == reduce(or_, (cover[i] for i in c), 0)

@@ -92,6 +92,21 @@ def test_parse_config_rejects_malformed_payloads():
         parse_config({"results": {"census": 4}})
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.9, True, "2", None])
+def test_parse_config_accepts_only_json_integers(bad):
+    good = {"basis": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "offsets": [[0, 0, 0]], "d2": 2}
+    assert parse_config(good).basis == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    with pytest.raises(ValueError):
+        parse_config({**good, "basis": [[bad, 0, 0], [0, 2, 0], [0, 0, 2]]})
+    with pytest.raises(ValueError):
+        parse_config({**good, "offsets": [[0, bad, 0]]})
+    if bad is not None:  # a null d2 means "no threshold attached"
+        with pytest.raises(ValueError):
+            parse_config({**good, "d2": bad})
+    with pytest.raises(ValueError):
+        parse_site_list([[0, 2, bad]])
+
+
 def test_parse_site_list_forms():
     assert parse_site_list([[0, 1, 2]]) == [(0, 1, 2)]
     assert parse_site_list({"sites": [[0, 1, 2], [3, 4, 5]]}) == [(0, 1, 2), (3, 4, 5)]
