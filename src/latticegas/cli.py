@@ -266,7 +266,7 @@ def _cmd_pc_build(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_pc_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    pc = load_config_file(args.infile, args.d2)
+    pc = load_config_file(args.infile, hard_core=False)
     admissible = is_admissible_config(pc, args.d2)
     perfect = admissible and is_perfect(pc, args.d2)
     results = {

@@ -291,9 +291,7 @@ class LayerSequence:
     """A periodic word of layer labels for one of the layered families."""
 
     family: str
-    diagonal: int
     digits: tuple[int, ...]
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_ALPHABETS:
@@ -306,13 +304,12 @@ class LayerSequence:
         if self.digits[0] != 0:
             raise ValueError("layer sequences start at label 0")
         n = len(self.digits)
-        if self.periodic and n == 1:
-            # a period-1 word repeats its single label forever
-            raise ValueError("consecutive layer labels must differ")
-        for k in range(n if self.periodic else n - 1):
+        # the word repeats, so the last label also meets the first (and a
+        # period-1 word meets itself)
+        for k in range(n):
             if self.digits[k] == self.digits[(k + 1) % n]:
                 raise ValueError("consecutive layer labels must differ")
 
     @staticmethod
-    def parse(family: str, diagonal: int, word: str, periodic: bool = True) -> "LayerSequence":
-        return LayerSequence(family, diagonal, tuple(int(c) for c in word), periodic)
+    def parse(family: str, word: str) -> "LayerSequence":
+        return LayerSequence(family, tuple(int(c) for c in word))

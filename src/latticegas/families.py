@@ -70,14 +70,12 @@ def _in_span2(t: Site, u: Site, v: Site) -> bool:
     raise ValueError("degenerate mesh generators")
 
 
-def _coerce_seq(family: str, i: int, seq: SeqLike) -> LayerSequence:
+def _coerce_seq(family: str, seq: SeqLike) -> LayerSequence:
     if isinstance(seq, LayerSequence):
         if seq.family != family:
             raise ValueError(f"sequence family {seq.family!r} does not match {family!r}")
-        if not seq.periodic:
-            raise ValueError("only periodic layer sequences are representable")
         return seq
-    return LayerSequence.parse(family, i, seq)
+    return LayerSequence.parse(family, seq)
 
 
 # --- cubic / close-packed / body-centered lattices -------------------------
@@ -121,7 +119,7 @@ def build_layered_d5(i: int, seq: SeqLike) -> PeriodicConfiguration:
     """Union of triangular meshes stacked along main diagonal i, one per level."""
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
-    ls = _coerce_seq("d5-triangular", i, seq)
+    ls = _coerce_seq("d5-triangular", seq)
     e, u, v, deltas = _d5_mesh_data(i)
     p = len(ls.digits)
     offsets = [_add(_scale(k, e), deltas[ls.digits[k]]) for k in range(p)]
@@ -157,7 +155,7 @@ def build_layered_d6_tri(i: int, seq: SeqLike) -> PeriodicConfiguration:
     """Triangular-mesh stack along main diagonal i with 7 sub-mesh labels per level."""
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
-    ls = _coerce_seq("d6-triangular", i, seq)
+    ls = _coerce_seq("d6-triangular", seq)
     e, w = _d6_tri_mesh_data(i)
     u, v = w[1], w[2]
     p = len(ls.digits)
@@ -203,7 +201,7 @@ def build_layered_d6_rhombic(i: int, seq: SeqLike) -> PeriodicConfiguration:
     """Rhombic-mesh stack along non-main diagonal i with 3 sub-mesh labels."""
     if not 0 <= i <= 5:
         raise ValueError("diagonal index must be in 0..5")
-    ls = _coerce_seq("d6-rhombic", i, seq)
+    ls = _coerce_seq("d6-rhombic", seq)
     s, g1, g2, doubled = _d6_rhombic_mesh_data(i)
     p = len(ls.digits)
     if p % 2:
@@ -274,7 +272,7 @@ def build_layered_2l2(l: int, i: int, seq: SeqLike) -> PeriodicConfiguration:
         raise ValueError("l must be >= 1")
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
-    ls = _coerce_seq("2l2-triangular", i, seq)
+    ls = _coerce_seq("2l2-triangular", seq)
     e = MAIN_DIAGONALS[i]
     s2, s3 = e[1], e[2]
     u = (l, -l * s2, 0)

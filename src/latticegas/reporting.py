@@ -111,11 +111,16 @@ def config_payload(pc: PeriodicConfiguration, d2: Optional[int] = None) -> dict[
     }
 
 
-def parse_config(data: Mapping[str, Any], d2: Optional[int] = None) -> PeriodicConfiguration:
+def parse_config(
+    data: Mapping[str, Any], d2: Optional[int] = None, *, hard_core: bool = True
+) -> PeriodicConfiguration:
     """Rebuild a configuration from its interchange form.
 
     Accepts either the bare payload or a full report envelope whose
     results carry one (so a `pc build` output file can be fed back in).
+    The hard-core rule of d2 (or of the file's own d2) is enforced unless
+    hard_core is false; then the configuration carries no threshold, so
+    an inadmissible one loads and can be reported as such.
     """
     if "results" in data and "basis" not in data:
         inner = data["results"]
@@ -131,10 +136,12 @@ def parse_config(data: Mapping[str, Any], d2: Optional[int] = None) -> PeriodicC
         raise ValueError("offsets must be an array of integer triples")
     if ctx is not None:
         _json_int(ctx, "d2")
+    if d2 is None:
+        d2 = ctx
     return make_config(
         [_int_triple(row, "basis row") for row in basis],
         [_int_triple(o, "offset") for o in offsets],
-        ctx if d2 is None else d2,
+        d2 if hard_core else None,
     )
 
 
@@ -152,12 +159,14 @@ def _int_triple(entry: Any, what: str) -> tuple[int, int, int]:
     return (x, y, z)
 
 
-def load_config_file(path: str, d2: Optional[int] = None) -> PeriodicConfiguration:
+def load_config_file(
+    path: str, d2: Optional[int] = None, *, hard_core: bool = True
+) -> PeriodicConfiguration:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, Mapping):
         raise ValueError("configuration file must hold a JSON object")
-    return parse_config(data, d2)
+    return parse_config(data, d2, hard_core=hard_core)
 
 
 def parse_site_list(data: Any) -> list[tuple[int, int, int]]:

@@ -5,6 +5,11 @@ symmetries) is authoritative. The closed-form class-count predictions are
 computed alongside and compared; they are known to over-count when
 degenerate parameter choices collapse into smaller classes, so mismatches
 are reported as flags, never silently patched.
+
+The orthogonal sphere-vector triples behind the enumeration are found by
+scanning only a symmetry-reduced domain of first vectors and mapping the
+results by the 48 signed permutations; the full sphere scan is kept as the
+test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .configs import Matrix, hnf
 from .lattice import Site, SignedPermutation, oh_elements
@@ -205,14 +208,29 @@ def r_residual(l: int) -> int:
 # --- the brute-force enumeration oracle ------------------------------------------
 
 
-def _orthogonal_triples(l: int):
-    """Yield orthogonal bases (v, w, cross(v, w)/l) over sphere vectors."""
+def _orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
+    """All orthogonal bases (v, w, cross(v, w)/l) of sphere vectors v, w.
+
+    Partners w are scanned only for the sphere vectors v with
+    0 <= v[0] <= v[1] <= v[2]; each triple found there is emitted as
+    (g v, g w, det(g) g u) for all 48 signed permutations g. This gives
+    exactly the triples of the full sphere scan (kept as the test oracle):
+    a signed permutation g is an integer orthogonal map, so g v and g w
+    stay on the sphere and orthogonal, and g v x g w = det(g) g (v x w),
+    which keeps divisibility by l and has quotient det(g) g u. Sorting
+    absolute values sends every sphere vector into the scanned domain by
+    some g, and g^-1 (of the same determinant) carries the image triple
+    back, so every triple of the full scan is emitted.
+    """
     vecs = quadruples(l)
-    arr = np.array(vecs, dtype=np.int64)
+    group = [(g, g.det) for g in oh_elements()]
+    out: set[tuple[Site, Site, Site]] = set()
     for v in vecs:
-        dots = arr @ np.array(v, dtype=np.int64)
-        for widx in np.nonzero(dots == 0)[0]:
-            w = vecs[widx]
+        if not 0 <= v[0] <= v[1] <= v[2]:
+            continue
+        for w in vecs:
+            if v[0] * w[0] + v[1] * w[1] + v[2] * w[2]:
+                continue
             cx = (
                 v[1] * w[2] - v[2] * w[1],
                 v[2] * w[0] - v[0] * w[2],
@@ -220,7 +238,11 @@ def _orthogonal_triples(l: int):
             )
             if any(c % l for c in cx):
                 continue
-            yield (v, w, (cx[0] // l, cx[1] // l, cx[2] // l))
+            u = (cx[0] // l, cx[1] // l, cx[2] // l)
+            for g, det in group:
+                gu = g.apply(u)
+                out.add((g.apply(v), g.apply(w), (det * gu[0], det * gu[1], det * gu[2])))
+    return out
 
 
 def enumerate_cubic_sublattices(l: int) -> list[Matrix]:

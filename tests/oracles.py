@@ -3,7 +3,8 @@ the library and to freeze golden expectations.
 
 Nothing here shares search machinery with the package. Balls come from a
 cube scan, admissible patterns and window insertion sets from plain-list
-DFSs, densities from counting occupied sites in an exact box.
+DFSs, densities from counting occupied sites in an exact box, orthogonal
+sphere-vector triples from a scan over every pair of sphere vectors.
 """
 
 from __future__ import annotations
@@ -184,3 +185,31 @@ def r3_naive(n: int) -> int:
             if z * z == rest:
                 count += 1 if z == 0 else 2
     return count
+
+
+def orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
+    """Every (v, w, cross(v, w)/l) with v, w orthogonal on the sphere of radius l
+    and the cross product divisible by l, scanning all pairs of sphere vectors."""
+    n = l * l
+    sphere = []
+    for x in range(-l, l + 1):
+        for y in range(-l, l + 1):
+            rest = n - x * x - y * y
+            if rest < 0:
+                continue
+            z = math.isqrt(rest)
+            if z * z == rest:
+                sphere.extend({(x, y, z), (x, y, -z)})
+    out = set()
+    for v in sphere:
+        for w in sphere:
+            if v[0] * w[0] + v[1] * w[1] + v[2] * w[2]:
+                continue
+            cx = (
+                v[1] * w[2] - v[2] * w[1],
+                v[2] * w[0] - v[0] * w[2],
+                v[0] * w[1] - v[1] * w[0],
+            )
+            if all(c % l == 0 for c in cx):
+                out.add((v, w, (cx[0] // l, cx[1] // l, cx[2] // l)))
+    return out

@@ -69,6 +69,24 @@ def test_check_fails_with_exit_one_on_imperfect_input(tmp_path, capsys):
     assert body["results"]["admissible"] is True
 
 
+def test_check_reports_an_inadmissible_input_with_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "crowded.json"
+    cfg.write_text(
+        json.dumps(
+            {"basis": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "offsets": [[0, 0, 0], [1, 0, 0]], "d2": 2}
+        ),
+        encoding="utf-8",
+    )
+    code, body = run_json(capsys, ["pc", "check", "--d2", "2", "--in", str(cfg)])
+    assert code == 1
+    assert body["results"] == {
+        "admissible": False,
+        "perfect": False,
+        "density": "1/4",
+        "shift_count": 4,
+    }
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["forces", "verify"]) == 2
     capsys.readouterr()

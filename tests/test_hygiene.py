@@ -1,10 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and importing the CLI loads nothing outside the standard library.
 
-`__init__.py` is exempt, since its imports are the public re-exports.
+`__init__.py` is exempt from the unused-import check, since its imports are
+the public re-exports.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -57,3 +63,26 @@ def test_no_unused_imports(path):
 def test_checker_catches_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Optional\nx: 'Optional[int]' = None\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Any"}
+
+
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import latticegas.cli
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"latticegas"})))
+"""
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # modules the interpreter loaded before the import (site hooks) are not counted
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == []

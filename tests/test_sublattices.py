@@ -28,7 +28,7 @@ from latticegas.sublattices import (
     s2_hat,
     s2_tilde,
 )
-from oracles import r3_naive
+from oracles import orthogonal_triples, r3_naive
 from reference_data import CLASS_HISTOGRAMS, MISMATCH_LS, STABILIZER_ORDERS
 
 quat_component = st.integers(-6, 6)
@@ -153,6 +153,13 @@ def test_every_quadruple_extends_to_an_orthogonal_triple():
     for l in (1, 2, 3, 5, 7, 9):
         firsts = {t[0] for t in _orthogonal_triples(l)}
         assert firsts == set(quadruples(l))
+
+
+def test_orthogonal_triples_match_the_full_sphere_scan():
+    from latticegas.sublattices import _orthogonal_triples
+
+    for l in range(1, 61):
+        assert _orthogonal_triples(l) == orthogonal_triples(l), l
 
 
 def test_formula_vs_oracle_mismatch_set():
