@@ -15,7 +15,6 @@ from .lattice import (  # noqa: E402
     ORIGIN,
     Site,
     SignedPermutation,
-    apply_to_sites,
     ball_sites,
     is_admissible,
     oh_elements,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .forces import force_table
+from .forces import normalization_constant
 from .lattice import Site, SignedPermutation, sq_dist
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
@@ -38,18 +38,6 @@ def det3(m: Sequence[Sequence[int]]) -> int:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-
-
-def adjugate3(m: Sequence[Sequence[int]]) -> Matrix:
-    """Adjugate: m @ adjugate3(m) == det3(m) * identity."""
-    c = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for i in range(3):
-        for j in range(3):
-            a = [k for k in range(3) if k != i]
-            b = [k for k in range(3) if k != j]
-            minor = m[a[0]][b[0]] * m[a[1]][b[1]] - m[a[0]][b[1]] * m[a[1]][b[0]]
-            c[j][i] = (-1) ** (i + j) * minor  # transposed cofactor
-    return tuple(tuple(row) for row in c)  # type: ignore[return-value]
 
 
 def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
@@ -245,24 +233,18 @@ def configs_equal(a: PeriodicConfiguration, b: PeriodicConfiguration) -> bool:
 def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:
     """True iff the total force equals 1 at EVERY site of one fundamental cell.
 
-    Vacant sites count as much as occupied ones. Raises (rather than
-    returning False) if the configuration is not even admissible for d2.
+    Decided by density: summed over one period cell, the force field is
+    len(offsets) * C with C = normalization_constant(d2) (C = 1 at d2 = 1,
+    where the force is the occupation indicator). verify_forces proves no
+    site of an admissible configuration gets more than fstar = 1, so all det
+    sites get exactly 1 iff len(offsets) * C == det, i.e. density == 1/C.
+    Raises (rather than returning False) if the configuration is not even
+    admissible for d2.
     """
-    if d2 == 1:
-        # distinct sites always satisfy the hard-core rule; force is the
-        # indicator of occupation, so perfect means fully occupied
-        return len(pc.offsets) == pc.det
-    ft = force_table(d2)
+    c = Fraction(1) if d2 == 1 else normalization_constant(d2)
     if not is_admissible_config(pc, d2):
         raise ValueError(f"configuration is not d2={d2} admissible; perfection undefined")
-    one = Fraction(1)
-    for x in pc.cell_sites():
-        total = Fraction(0)
-        for y in pc.occupied_near(x, ft.ball_radius_sq):
-            total += ft.force(sq_dist(x, y))
-        if total != one:
-            return False
-    return True
+    return density(pc) == 1 / c
 
 
 def is_saturated(pc: PeriodicConfiguration, d2: int) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, is_perfect
-from .forces import force_table, normalization_constant, peierls_gap
+from .forces import ForceTable, force_table, normalization_constant, peierls_gap
 from .lattice import Site, ball_sites, conflict_masks, independent_sets, is_admissible, sq_dist
 
 
@@ -115,6 +115,26 @@ class ExcitationReport:
     background_perfect: bool = True
 
 
+def _excitation_sets(
+    pc: PeriodicConfiguration,
+    insertion: Optional[InsertionSet],
+    d2: Optional[int],
+    removal: Optional[RemovalSet],
+) -> tuple[int, ForceTable, tuple[Site, ...], set[Site]]:
+    """The threshold (defaulting to the excitation's own), its force table, the
+    inserted sites xi and eta: the repelled particles plus the removed ones."""
+    if insertion is None and removal is None:
+        raise ValueError("need an insertion, a removal, or both")
+    if d2 is None:
+        d2 = insertion.d2 if insertion is not None else removal.d2
+    ft = force_table(d2)
+    xi = insertion.sites if insertion is not None else ()
+    eta = set(repelled_set(pc, insertion, d2)) if insertion is not None else set()
+    if removal is not None:
+        eta.update(removal.sites)
+    return d2, ft, xi, eta
+
+
 def excitation_report(
     pc: PeriodicConfiguration,
     insertion: Optional[InsertionSet] = None,
@@ -128,15 +148,7 @@ def excitation_report(
     background the identity energy = sum of excesses holds exactly and is
     asserted; otherwise the report is flagged.
     """
-    if insertion is None and removal is None:
-        raise ValueError("need an insertion, a removal, or both")
-    if d2 is None:
-        d2 = insertion.d2 if insertion is not None else removal.d2
-    ft = force_table(d2)
-    xi: tuple[Site, ...] = insertion.sites if insertion is not None else ()
-    eta = set(repelled_set(pc, insertion, d2)) if insertion is not None else set()
-    if removal is not None:
-        eta.update(removal.sites)
+    d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
     eta_sorted = tuple(sorted(eta))
     excesses: dict[Site, Fraction] = {}
     for y in eta_sorted:
@@ -308,17 +320,9 @@ def peierls_check(
     centers, v(X) the number of centers with any deficit. The bound checked
     is H(X) >= gap * v(X) / |ball|; returns (holds, exact slack).
     """
-    if insertion is None and removal is None:
-        raise ValueError("need an insertion, a removal, or both")
-    if d2 is None:
-        d2 = insertion.d2 if insertion is not None else removal.d2
-    ft = force_table(d2)
+    d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
     rsq = ft.ball_radius_sq
-    xi = set(insertion.sites) if insertion is not None else set()
-    eta = set(repelled_set(pc, insertion, d2)) if insertion is not None else set()
-    if removal is not None:
-        eta.update(removal.sites)
-    changed = xi | eta
+    changed = eta.union(xi)
     candidates = set()
     for y in changed:
         candidates.update(ball_sites(rsq, y))

@@ -22,6 +22,7 @@ from .configs import (
     is_perfect,
     make_config,
 )
+from .forces import SUPPORTED_D2, normalization_constant
 from .lattice import Site, oh_elements, sq_dist
 
 SeqLike = Union[str, LayerSequence]
@@ -393,29 +394,18 @@ def _census_seeds(d2: int) -> list[PeriodicConfiguration]:
 
 
 def densest_density(d2: int) -> Fraction:
-    """Packing density of the perfect configurations at threshold d2."""
-    from .configs import density
+    """Packing density of the perfect configurations at threshold d2.
 
-    rep = {
-        2: lambda: build_fcc(1),
-        3: lambda: build_bcc(2),
-        4: lambda: build_d4_family(),
-        5: lambda: build_layered_d5(0, "01"),
-        6: lambda: build_layered_d6_tri(0, "021"),
-        8: lambda: build_fcc(2),
-        9: lambda: build_phi9(1, 0),
-        10: lambda: build_phi10(0, 0),
-        12: lambda: build_bcc(4),
-    }
-    if d2 in rep:
-        return density(rep[d2]())
-    # thresholds 2*l^2: the close-packed l-sublattice, or its layered sibling
+    A perfect configuration has density 1/normalization_constant(d2) (see
+    configs.is_perfect); at d2 = 2*l^2 the close-packed l-sublattice and its
+    layered sibling both have density 1/(2*l^3).
+    """
+    if d2 in SUPPORTED_D2:
+        return 1 / normalization_constant(d2)
     l2, rem = divmod(d2, 2)
     l = math.isqrt(l2)
     if rem == 0 and l * l == l2 and l >= 1:
-        if l % 3 == 0:
-            return density(build_layered_2l2(l, 0, "01"))
-        return density(build_fcc(l))
+        return Fraction(1, 2 * l**3)
     raise ValueError(f"no density known for d2={d2}")
 
 

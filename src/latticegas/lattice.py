@@ -147,7 +147,3 @@ def oh_elements() -> list[SignedPermutation]:
 def rotation_elements() -> list[SignedPermutation]:
     """The 24 orientation-preserving signed permutations."""
     return [g for g in oh_elements() if g.det == 1]
-
-
-def apply_to_sites(g: SignedPermutation, sites: Sequence[Site]) -> list[Site]:
-    return sorted(g.apply(s) for s in sites)

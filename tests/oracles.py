@@ -3,8 +3,9 @@ the library and to freeze golden expectations.
 
 Nothing here shares search machinery with the package. Balls come from a
 cube scan, admissible patterns and window insertion sets from plain-list
-DFSs, densities from counting occupied sites in an exact box, orthogonal
-sphere-vector triples from a scan over every pair of sphere vectors.
+DFSs, densities from counting occupied sites in an exact box, perfection
+from the force collected at every cell site, orthogonal sphere-vector
+triples from a scan over every pair of sphere vectors.
 """
 
 from __future__ import annotations
@@ -139,6 +140,27 @@ def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: in
         len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in uniq
     )
     return len(window), scanned, uniq, all_iia
+
+
+def perfect_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
+    """Per-site force scan: True iff every site of one fundamental cell (the
+    HNF box) collects total force exactly 1 from the occupied sites of its
+    cube-scanned ball. At d2 = 1 the force is the occupation indicator. The
+    configuration is assumed d2-admissible.
+    """
+    d = [pc.basis[i][i] for i in range(3)]
+    cell = product(range(d[0]), range(d[1]), range(d[2]))
+    if d2 == 1:
+        return all(pc.contains(x) for x in cell)
+    ft = force_table(d2)
+    for x in cell:
+        total = Fraction(0)
+        for y in brute_ball(ft.ball_radius_sq, x):
+            if pc.contains(y):
+                total += ft.force((x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 + (x[2] - y[2]) ** 2)
+        if total != 1:
+            return False
+    return True
 
 
 def box_side(pc: PeriodicConfiguration) -> int:

@@ -87,6 +87,21 @@ def test_check_reports_an_inadmissible_input_with_exit_one(tmp_path, capsys):
     }
 
 
+def test_check_answers_a_huge_cell_with_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    side = 10**6
+    cfg.write_text(
+        json.dumps(
+            {"basis": [[side, 0, 0], [0, side, 0], [0, 0, side]], "offsets": [[0, 0, 0]], "d2": 2}
+        ),
+        encoding="utf-8",
+    )
+    code, body = run_json(capsys, ["pc", "check", "--d2", "2", "--in", str(cfg)])
+    assert code == 1
+    assert body["results"]["admissible"] is True
+    assert body["results"]["perfect"] is False
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["forces", "verify"]) == 2
     capsys.readouterr()

@@ -1,9 +1,11 @@
 """Periodic configurations: HNF canonical form, density, perfection."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from latticegas.configs import (
@@ -20,7 +22,9 @@ from latticegas.configs import (
     shift_count,
 )
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
-from oracles import box_admissible, naive_density
+from latticegas.forces import SUPPORTED_D2
+from oracles import box_admissible, naive_density, perfect_by_scan
+from reference_data import CONSTRUCTORS
 
 entry = st.integers(-9, 9)
 row = st.tuples(entry, entry, entry)
@@ -41,10 +45,20 @@ def nonsingular_rows(draw):
     return rows
 
 
+def adjugate3(m):
+    """Adjugate: m @ adjugate3(m) == det3(m) * identity."""
+    c = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for i in range(3):
+        for j in range(3):
+            a = [k for k in range(3) if k != i]
+            b = [k for k in range(3) if k != j]
+            minor = m[a[0]][b[0]] * m[a[1]][b[1]] - m[a[0]][b[1]] * m[a[1]][b[0]]
+            c[j][i] = (-1) ** (i + j) * minor  # transposed cofactor
+    return c
+
+
 def _in_lattice(site, basis) -> bool:
     # integer coordinates in the basis iff the adjugate image is divisible by det
-    from latticegas.configs import adjugate3
-
     d = det3(basis)
     adj = adjugate3(basis)
     for col in range(3):
@@ -164,6 +178,63 @@ def test_sparse_config_is_not_perfect():
     thin = make_config([(4, 0, 0), (0, 4, 0), (0, 0, 4)], [(0, 0, 0)], context_d2=2)
     assert not is_perfect(thin, 2)
     assert not is_saturated(thin, 2)
+
+
+@st.composite
+def admissible_configs(draw):
+    """A threshold, a small HNF lattice with every side at least sqrt(d2) and
+    no shorter vector, and up to five more offsets, each kept only if the
+    configuration stays admissible."""
+    d2 = draw(st.sampled_from((1,) + SUPPORTED_D2))
+    lo = math.isqrt(d2 - 1) + 1
+    a, b, c = (draw(st.integers(lo, lo + 3)) for _ in range(3))
+    basis = [
+        (a, draw(st.integers(0, b - 1)), draw(st.integers(0, c - 1))),
+        (0, b, draw(st.integers(0, c - 1))),
+        (0, 0, c),
+    ]
+    assume(is_admissible_config(make_config(basis, [(0, 0, 0)]), d2))
+    cell_site = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1), st.integers(0, c - 1))
+    offsets = [(0, 0, 0)]
+    for o in draw(st.lists(cell_site, max_size=5)):
+        if is_admissible_config(make_config(basis, offsets + [o]), d2):
+            offsets.append(o)
+    return make_config(basis, offsets), d2
+
+
+@given(case=admissible_configs())
+def test_perfection_matches_the_per_site_scan(case):
+    pc, d2 = case
+    assert is_perfect(pc, d2) == perfect_by_scan(pc, d2)
+
+
+def _supercell_without_one(pc, d2):
+    """The 2x2x2 supercell of pc with its first offset removed."""
+    shifts = [
+        tuple(sum(c[i] * pc.basis[i][t] for i in range(3)) for t in range(3))
+        for c in product((0, 1), repeat=3)
+    ]
+    offsets = [(o[0] + s[0], o[1] + s[1], o[2] + s[2]) for o in pc.offsets for s in shifts]
+    return make_config([[2 * x for x in r] for r in pc.basis], offsets[1:], d2)
+
+
+@pytest.mark.parametrize(
+    "d2, build",
+    [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
+    ids=[f"{d2}-{label}" for d2, entries in CONSTRUCTORS.items() for label, _ in entries],
+)
+def test_perfection_matches_the_scan_on_every_constructor(d2, build):
+    pc = build()
+    assert is_perfect(pc, d2) and perfect_by_scan(pc, d2)
+    holed = _supercell_without_one(pc, d2)
+    assert len(holed.offsets) == 8 * len(pc.offsets) - 1
+    assert not is_perfect(holed, d2) and not perfect_by_scan(holed, d2)
+
+
+def test_perfection_of_a_huge_cell_does_not_scan_it():
+    # 10^18 cell sites: only the density identity can answer this
+    pc = make_config([(10**6, 0, 0), (0, 10**6, 0), (0, 0, 10**6)], [(0, 0, 0)])
+    assert is_perfect(pc, 2) is False
 
 
 def test_saturation_of_the_dense_packing():

@@ -151,6 +151,12 @@ def test_densest_densities():
         densest_density(7)
 
 
+@pytest.mark.parametrize("l", range(1, 7))
+def test_densest_density_at_2l2_matches_the_built_packing(l):
+    pc = build_layered_2l2(l, 0, "01") if l % 3 == 0 else build_fcc(l)
+    assert densest_density(2 * l * l) == density(pc)
+
+
 def test_sliding_witness_small_values():
     # odd lifts strand one l-by-l face of ambient sites; even lifts none
     for l in (1, 2, 3):

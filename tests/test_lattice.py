@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from latticegas.lattice import (
     ORIGIN,
     SignedPermutation,
-    apply_to_sites,
     ball_sites,
     conflict_masks,
     independent_sets,
@@ -74,12 +73,6 @@ def test_group_closed_under_composition():
             assert any(
                 image == tuple(k.apply(s) for s in probe) for k in table
             )
-
-
-def test_apply_to_sites_matches_pointwise():
-    g = oh_elements()[5]
-    pts = ball_sites(4)
-    assert apply_to_sites(g, pts) == sorted(g.apply(p) for p in pts)
 
 
 @given(
