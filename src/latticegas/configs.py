@@ -109,7 +109,7 @@ class PeriodicConfiguration:
         return _reduce_site(site, self.basis)
 
     def contains(self, site: Site) -> bool:
-        return self.reduce(site) in set(self.offsets)
+        return self.reduce(site) in self.offsets
 
     def cell_sites(self) -> list[Site]:
         """One transversal of Z^3 modulo the basis (the HNF box)."""

@@ -91,6 +91,7 @@ def force_table(d2: int) -> ForceTable:
     return ForceTable(d2, BALL_RADIUS_SQ[d2], tuple(sorted(table.items())))
 
 
+@lru_cache(maxsize=None)
 def normalization_constant(d2: int) -> Fraction:
     """Total force collected over the whole ball: sum of f(sq_dist) over ball sites."""
     ft = force_table(d2)

@@ -108,25 +108,11 @@ class SignedPermutation:
         p, s = self.perm, self.signs
         return (s[0] * site[p[0]], s[1] * site[p[1]], s[2] * site[p[2]])
 
-    def matrix(self) -> tuple[tuple[int, int, int], ...]:
-        rows = []
-        for i in range(3):
-            row = [0, 0, 0]
-            row[self.perm[i]] = self.signs[i]
-            rows.append(tuple(row))
-        return tuple(rows)
-
     @property
     def det(self) -> int:
         p = self.perm
         parity = 1 if (p[0], p[1], p[2]) in _EVEN_PERMS else -1
         return parity * self.signs[0] * self.signs[1] * self.signs[2]
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: (self.compose(other)).apply(x) == self.apply(other.apply(x))."""
-        perm = tuple(other.perm[self.perm[i]] for i in range(3))
-        signs = tuple(self.signs[i] * other.signs[self.perm[i]] for i in range(3))
-        return SignedPermutation(perm, signs)  # type: ignore[arg-type]
 
 
 _EVEN_PERMS = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}

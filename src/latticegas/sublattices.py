@@ -1,15 +1,17 @@
 """Cubic and close-packed l-sublattices of Z^3: construction and classification.
 
-The brute-force orbit oracle (enumerate + partition under the 48 point
-symmetries) is authoritative. The closed-form class-count predictions are
-computed alongside and compared; they are known to over-count when
-degenerate parameter choices collapse into smaller classes, so mismatches
-are reported as flags, never silently patched.
+A cubic l-sublattice is identified by its six minimal vectors, the signed
+rows of any orthogonal basis (see _key). The sphere scan finds one
+orthogonal basis per lattice in a symmetry-reduced domain and maps its key
+by the 48 point symmetries; classes are the orbits of keys, and the Hermite
+normal form is computed only for the bases this module returns. The
+all-pairs sphere scan and the HNF-based partition are kept as test oracles
+(tests/oracles.py).
 
-The orthogonal sphere-vector triples behind the enumeration are found by
-scanning only a symmetry-reduced domain of first vectors and mapping the
-results by the 48 signed permutations; the full sphere scan is kept as the
-test oracle (tests/oracles.py).
+The closed-form class-count predictions are computed alongside the orbit
+partition and compared; they are known to over-count when degenerate
+parameter choices collapse into smaller classes, so mismatches are reported
+as flags, never silently patched.
 """
 
 from __future__ import annotations
@@ -94,44 +96,35 @@ def fcc_from_cubic(m: Matrix) -> Matrix:
 # --- counting lattice points on spheres -----------------------------------------
 
 
+def _sphere_points(n: int) -> list[Site]:
+    """All integer (x, y, z) with x^2 + y^2 + z^2 = n, by a two-loop isqrt scan."""
+    out = []
+    top = math.isqrt(n)
+    for x in range(-top, top + 1):
+        rem1 = n - x * x
+        ymax = math.isqrt(rem1)
+        for y in range(-ymax, ymax + 1):
+            rem2 = rem1 - y * y
+            z = math.isqrt(rem2)
+            if z * z == rem2:
+                out.append((x, y, z))
+                if z:
+                    out.append((x, y, -z))
+    return out
+
+
 def quadruples(l: int) -> list[Site]:
     """All integer (m, n, k) with m^2 + n^2 + k^2 = l^2."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    target = l * l
-    out = []
-    for m in range(-l, l + 1):
-        rem1 = target - m * m
-        nmax = math.isqrt(rem1)
-        for n in range(-nmax, nmax + 1):
-            rem2 = rem1 - n * n
-            k = math.isqrt(rem2)
-            if k * k == rem2:
-                if k == 0:
-                    out.append((m, n, 0))
-                else:
-                    out.append((m, n, k))
-                    out.append((m, n, -k))
-    return sorted(out)
+    return sorted(_sphere_points(l * l))
 
 
 def r3_brute(n: int) -> int:
     """Number of integer triples with squared norm n, by direct scan."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    count = 0
-    top = math.isqrt(n)
-    for m in range(-top, top + 1):
-        rem1 = n - m * m
-        nmax = math.isqrt(rem1)
-        for p in range(-nmax, nmax + 1):
-            rem2 = rem1 - p * p
-            k = math.isqrt(rem2)
-            if k * k == rem2:
-                count += 1 if k == 0 else 2
-    return count
+    return len(_sphere_points(n))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -205,26 +198,44 @@ def r_residual(l: int) -> int:
     )
 
 
-# --- the brute-force enumeration oracle ------------------------------------------
+# --- cubic sublattices, identified by their minimal vectors ---------------------
 
 
-def _orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
-    """All orthogonal bases (v, w, cross(v, w)/l) of sphere vectors v, w.
+def _key(rows) -> frozenset[Site]:
+    """The six minimal vectors {+-x1, +-x2, +-x3} of the lattice with cubic basis rows.
 
-    Partners w are scanned only for the sphere vectors v with
-    0 <= v[0] <= v[1] <= v[2]; each triple found there is emitted as
-    (g v, g w, det(g) g u) for all 48 signed permutations g. This gives
-    exactly the triples of the full sphere scan (kept as the test oracle):
-    a signed permutation g is an integer orthogonal map, so g v and g w
-    stay on the sphere and orthogonal, and g v x g w = det(g) g (v x w),
-    which keeps divisibility by l and has quotient det(g) g u. Sorting
-    absolute values sends every sphere vector into the scanned domain by
-    some g, and g^-1 (of the same determinant) carries the image triple
-    back, so every triple of the full scan is emitted.
+    With x1, x2, x3 pairwise orthogonal of squared norm l^2, the vector
+    a x1 + b x2 + c x3 has squared norm (a^2 + b^2 + c^2) l^2, so the nonzero
+    vectors of least norm are exactly the six signed rows. They depend on
+    the lattice alone, so every orthogonal basis of it gives the same key,
+    and they span it, so distinct lattices give distinct keys.
+    """
+    return frozenset(s for x in rows for s in (tuple(x), (-x[0], -x[1], -x[2])))
+
+
+def _orbit(key: frozenset[Site], group: list[SignedPermutation]) -> set[frozenset[Site]]:
+    """Keys of the images of one lattice under the signed permutations."""
+    return {frozenset(g.apply(s) for s in key) for g in group}
+
+
+def _cubic_keys(l: int) -> set[frozenset[Site]]:
+    """Keys of all cubic l-sublattices.
+
+    Orthogonal partners w are scanned only for the sphere vectors v with
+    0 <= v[0] <= v[1] <= v[2]; each basis (v, w, cross(v, w)/l) found there
+    adds the orbit of its key under the 48 signed permutations, unless its
+    key is already known (keys are added by whole orbits). This finds every
+    lattice of the full sphere scan (kept as the test oracle). A cubic
+    l-sublattice L has an orthogonal basis (v, w, u) of squared norm l^2,
+    so u = +-cross(v, w)/l. Sorting absolute values sends v into the
+    scanned domain by some signed permutation g; g is an integer orthogonal
+    map, so (g v, g w) is scanned, cross(g v, g w) = det(g) g cross(v, w)
+    passes the divisibility filter, and the basis found has key g(_key(L)),
+    whose orbit holds _key(L).
     """
     vecs = quadruples(l)
-    group = [(g, g.det) for g in oh_elements()]
-    out: set[tuple[Site, Site, Site]] = set()
+    group = oh_elements()
+    keys: set[frozenset[Site]] = set()
     for v in vecs:
         if not 0 <= v[0] <= v[1] <= v[2]:
             continue
@@ -238,20 +249,15 @@ def _orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
             )
             if any(c % l for c in cx):
                 continue
-            u = (cx[0] // l, cx[1] // l, cx[2] // l)
-            for g, det in group:
-                gu = g.apply(u)
-                out.add((g.apply(v), g.apply(w), (det * gu[0], det * gu[1], det * gu[2])))
-    return out
+            key = _key((v, w, (cx[0] // l, cx[1] // l, cx[2] // l)))
+            if key not in keys:
+                keys |= _orbit(key, group)
+    return keys
 
 
 def enumerate_cubic_sublattices(l: int) -> list[Matrix]:
-    """All distinct cubic l-sublattices, as canonical (HNF) bases.
-
-    Scans sphere vectors, extends each orthogonal pair by the integer unit
-    cross product, and dedupes lattices by Hermite normal form.
-    """
-    return sorted({hnf(list(t)) for t in _orthogonal_triples(l)})
+    """All distinct cubic l-sublattices, as canonical (HNF) bases."""
+    return sorted(hnf(k) for k in _cubic_keys(l))
 
 
 @dataclass(frozen=True)
@@ -267,39 +273,24 @@ class SublatticeClass:
             raise ValueError("orbit size times stabilizer order must be 48")
 
 
-def _orbit(basis: Matrix, group: list[SignedPermutation]) -> set[Matrix]:
-    out = set()
-    for g in group:
-        out.add(hnf([g.apply(row) for row in basis]))
-    return out
-
-
 def classify_classes(l: int) -> list[SublatticeClass]:
     """Partition of all cubic l-sublattices into point-symmetry orbits."""
     group = oh_elements()
-    remaining = set(enumerate_cubic_sublattices(l))
-    predicted = {hnf(list(basis)): (size, params) for size, params, basis in predicted_class_bases(l)}
+    remaining = _cubic_keys(l)
+    predicted = {_key(basis): (size, params) for size, params, basis in predicted_class_bases(l)}
     classes = []
     while remaining:
-        rep = min(remaining)
-        orbit = _orbit(rep, group)
-        if not orbit <= remaining:
-            raise AssertionError("orbit escaped the enumerated set")
+        orbit = _orbit(next(iter(remaining)), group)
         remaining -= orbit
-        params = None
-        for m in orbit:
-            if m in predicted:
-                psize, pparams = predicted[m]
-                if psize == len(orbit):
-                    params = pparams
-                break
+        psize, params = next((predicted[k] for k in orbit if k in predicted), (None, None))
+        members = tuple(sorted(hnf(k) for k in orbit))
         classes.append(
             SublatticeClass(
                 size=len(orbit),
                 stabilizer_order=48 // len(orbit),
-                representative=min(orbit),
-                members=tuple(sorted(orbit)),
-                parameters=params,
+                representative=members[0],
+                members=members,
+                parameters=params if psize == len(orbit) else None,
             )
         )
     return sorted(classes, key=lambda c: (c.size, c.representative))
@@ -432,21 +423,11 @@ def _param_triples(l: int, form, cond) -> list[tuple[int, int, int]]:
 
 
 def quaternions_of_norm(l: int) -> list[Quaternion]:
-    out = []
-    for a in range(-l, l + 1):
-        r1 = l - a * a
-        if r1 < 0:
-            continue
-        for b in range(-math.isqrt(r1), math.isqrt(r1) + 1):
-            r2 = r1 - b * b
-            for c in range(-math.isqrt(r2), math.isqrt(r2) + 1):
-                r3 = r2 - c * c
-                d = math.isqrt(r3)
-                if d * d == r3:
-                    for dd in {d, -d}:
-                        if (a, b, c, dd) != (0, 0, 0, 0):
-                            out.append(Quaternion(a, b, c, dd))
-    return out
+    """All integer quaternions of squared norm l."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    top = math.isqrt(l)
+    return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
 
 
 def quaternion_coverage(l: int) -> bool:
@@ -458,14 +439,13 @@ def quaternion_coverage(l: int) -> bool:
     it). The search therefore runs over every divisor t of l, scaling the
     matrices of quaternions with squared norm l/t by t.
     """
-    reachable: set[Matrix] = set()
-    for t in range(1, l + 1):
-        if l % t:
-            continue
-        for z in quaternions_of_norm(l // t):
-            m = euler_rodrigues(z)
-            reachable.add(hnf([tuple(t * c for c in row) for row in m]))
-    return set(enumerate_cubic_sublattices(l)) <= reachable
+    reachable = {
+        _key([tuple(t * c for c in row) for row in euler_rodrigues(z)])
+        for t in range(1, l + 1)
+        if l % t == 0
+        for z in quaternions_of_norm(l // t)
+    }
+    return _cubic_keys(l) <= reachable
 
 
 @dataclass(frozen=True)
@@ -479,12 +459,17 @@ class FccCensus:
 def fcc_census(l: int) -> FccCensus:
     """Close-packed l-sublattice count, extended to the total packing census.
 
-    Each cubic sublattice contains one close-packed sublattice of twice the
-    determinant; distinct cubic ones can merge. For 3 | l the layered
+    Each cubic sublattice L contains one close-packed sublattice F of twice
+    the determinant (fcc_from_cubic), and distinct cubic ones never share it,
+    so the count is the number of cubic ones. If F has index 2 in a cubic
+    l-sublattice L', then 2L' is in F, so the norm-l^2 vectors of L' lie in
+    F/2. The rotation taking the basis x_i of L to l e_i maps F onto l D3
+    (D3: integer vectors of even coordinate sum), and the vectors of D3/2
+    of squared norm 1 are +-e_i; so the norm-l^2 vectors of F/2 are exactly
+    +-x_i. They include the six minimal vectors of L', so L' = L. For 3 | l the layered
     continuum takes over and only the sublattice count is meaningful.
     """
-    fccs = {hnf(list(fcc_from_cubic(t))) for t in _orthogonal_triples(l)}
-    count = len(fccs)
+    count = len(_cubic_keys(l))
     if l % 3 == 0:
         return FccCensus(l, count, None, True)
     return FccCensus(l, count, count * 2 * l**3, False)

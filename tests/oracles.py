@@ -5,7 +5,9 @@ Nothing here shares search machinery with the package. Balls come from a
 cube scan, admissible patterns and window insertion sets from plain-list
 DFSs, densities from counting occupied sites in an exact box, perfection
 from the force collected at every cell site, orthogonal sphere-vector
-triples from a scan over every pair of sphere vectors.
+triples from a scan over every pair of sphere vectors, and cubic
+sublattices, their symmetry classes and their close-packed sublattices
+told apart by Hermite normal form.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration
+from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, hnf
 from latticegas.excitations import InsertionType, classify_insertion, make_insertion, reduce_insertions
 from latticegas.forces import force_table
+from latticegas.lattice import oh_elements
+from latticegas.sublattices import SublatticeClass, fcc_from_cubic, predicted_class_bases
 
 Site = tuple[int, int, int]
 
@@ -235,3 +239,37 @@ def orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
             if all(c % l == 0 for c in cx):
                 out.add((v, w, (cx[0] // l, cx[1] // l, cx[2] // l)))
     return out
+
+
+def cubic_sublattices_by_hnf(l: int) -> list[Matrix]:
+    """HNF bases of the lattices spanned by the triples of orthogonal_triples, sorted."""
+    return sorted({hnf(list(t)) for t in orthogonal_triples(l)})
+
+
+def classify_by_hnf(l: int) -> list[SublatticeClass]:
+    """Orbits of cubic_sublattices_by_hnf(l) under the 48 signed permutations,
+    each image brought to HNF, with the predicted parameters matched by HNF."""
+    group = oh_elements()
+    remaining = set(cubic_sublattices_by_hnf(l))
+    predicted = {hnf(list(b)): (size, params) for size, params, b in predicted_class_bases(l)}
+    classes = []
+    while remaining:
+        rep = min(remaining)
+        orbit = {hnf([g.apply(row) for row in rep]) for g in group}
+        assert orbit <= remaining, "orbit escaped the enumerated set"
+        remaining -= orbit
+        params = None
+        for m in orbit:
+            if m in predicted:
+                psize, pparams = predicted[m]
+                if psize == len(orbit):
+                    params = pparams
+                break
+        members = tuple(sorted(orbit))
+        classes.append(SublatticeClass(len(orbit), 48 // len(orbit), rep, members, params))
+    return sorted(classes, key=lambda c: (c.size, c.representative))
+
+
+def fcc_count_by_hnf(l: int) -> int:
+    """Distinct close-packed sublattices of the cubic ones, told apart by HNF."""
+    return len({hnf(list(fcc_from_cubic(t))) for t in orthogonal_triples(l)})

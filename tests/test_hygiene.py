@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and importing the CLI loads nothing outside the standard library.
+every function, class and method it defines is referenced somewhere in the
+package or its tests, and importing the CLI loads nothing outside the
+standard library.
 
 `__init__.py` is exempt from the unused-import check, since its imports are
 the public re-exports.
@@ -16,6 +18,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticegas"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,6 +66,49 @@ def test_no_unused_imports(path):
 def test_checker_catches_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Optional\nx: 'Optional[int]' = None\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Any"}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Every function, class and method a module defines, dunders excepted."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        n.name for n in ast.walk(tree)
+        if isinstance(n, defs) and not (n.name.startswith("__") and n.name.endswith("__"))
+    }
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names, attribute names and import aliases a module mentions."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+            if node.asname:
+                out.add(node.asname)
+    return out
+
+
+def test_every_definition_is_referenced():
+    sources = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    dead = sorted(
+        f"{path.name}: {name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in defined_names(tree)
+        if name not in referenced
+    )
+    assert not dead, f"defined but never referenced: {', '.join(dead)}"
+
+
+def test_checker_catches_an_unreferenced_definition():
+    tree = ast.parse("class A:\n    def used(self): pass\n    def dead(self): pass\n    def __repr__(self): pass\nA().used()\n")
+    assert defined_names(tree) - referenced_names(tree) == {"dead"}
 
 
 IMPORT_PROBE = """

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latticegas import sublattices
 from latticegas.configs import det3, hnf
 from latticegas.families import pc_census
 from latticegas.sublattices import (
@@ -28,7 +29,14 @@ from latticegas.sublattices import (
     s2_hat,
     s2_tilde,
 )
-from oracles import orthogonal_triples, r3_naive
+from latticegas.sublattices import _cubic_keys, _key
+from oracles import (
+    classify_by_hnf,
+    cubic_sublattices_by_hnf,
+    fcc_count_by_hnf,
+    orthogonal_triples,
+    r3_naive,
+)
 from reference_data import CLASS_HISTOGRAMS, MISMATCH_LS, STABILIZER_ORDERS
 
 quat_component = st.integers(-6, 6)
@@ -148,18 +156,44 @@ def test_solution_accounting_identity():
 
 
 def test_every_quadruple_extends_to_an_orthogonal_triple():
-    from latticegas.sublattices import _orthogonal_triples
-
     for l in (1, 2, 3, 5, 7, 9):
-        firsts = {t[0] for t in _orthogonal_triples(l)}
-        assert firsts == set(quadruples(l))
+        assert set().union(*_cubic_keys(l)) == set(quadruples(l))
 
 
 def test_orthogonal_triples_match_the_full_sphere_scan():
-    from latticegas.sublattices import _orthogonal_triples
-
     for l in range(1, 61):
-        assert _orthogonal_triples(l) == orthogonal_triples(l), l
+        assert _cubic_keys(l) == {_key(t) for t in orthogonal_triples(l)}, l
+
+
+def test_enumeration_and_fcc_census_match_the_hnf_oracles():
+    for l in range(1, 61):
+        assert enumerate_cubic_sublattices(l) == cubic_sublattices_by_hnf(l), l
+        assert fcc_census(l).fcc_sublattices == fcc_count_by_hnf(l), l
+
+
+def test_classes_match_the_hnf_oracle():
+    for l in range(1, 41):
+        assert classify_classes(l) == classify_by_hnf(l), l
+
+
+def test_hnf_runs_once_per_returned_basis(monkeypatch):
+    lattices = len(enumerate_cubic_sublattices(45))
+    calls = []
+
+    def counting_hnf(generators, real=sublattices.hnf):
+        calls.append(generators)
+        return real(generators)
+
+    monkeypatch.setattr(sublattices, "hnf", counting_hnf)
+    for run, expected in (
+        (lambda: classify_classes(45), lattices),
+        (lambda: enumerate_cubic_sublattices(45), lattices),
+        (lambda: fcc_census(45), 0),
+        (lambda: quaternion_coverage(5), 0),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == expected
 
 
 def test_formula_vs_oracle_mismatch_set():
