@@ -15,7 +15,15 @@ from typing import Iterable, Optional
 
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, is_perfect
 from .forces import ForceTable, force_table, normalization_constant, peierls_gap
-from .lattice import Site, ball_sites, conflict_masks, independent_sets, is_admissible, sq_dist
+from .lattice import (
+    Site,
+    ball_sites,
+    conflict_masks,
+    count_independent_sets,
+    independent_sets,
+    is_admissible,
+    sq_dist,
+)
 
 
 def _dot(a: Site, b: Site) -> int:
@@ -361,20 +369,11 @@ class WindowCensus:
     all_terminal_iia: bool
 
 
-def window_census(
-    pc: PeriodicConfiguration,
-    d2: int = 5,
-    layers: int = 2,
-    radius_sq: int = 8,
-    center: Site = (0, 0, 0),
-) -> WindowCensus:
-    """Exhaust all admissible insertion sets in a bounded window.
-
-    Every nonempty set of energy <= 2 is reduced; the census records the
-    reduced nonempty survivors. The expected outcome on a layered perfect
-    background is that each survivor is a single lowest-type in-plane
-    insertion.
-    """
+def _window(
+    pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int, center: Site
+) -> tuple[list[Site], list[int], list[int]]:
+    """The window of a census (see window_census), its conflict masks, and
+    each window site's repelled set as a bitmask over the repelled particles."""
     if layers < 1:
         raise ValueError(f"a window census needs at least one layer, got {layers}")
     e, h, _ = _detect_layering(pc, d2)
@@ -384,33 +383,82 @@ def window_census(
         for x in ball_sites(radius_sq + 1, center)
         if 0 <= _dot(x, e) <= hi and not pc.contains(x)
     ]
-    # each window site's repelled set, as a bitmask over the nearby particles
     near = [pc.occupied_near(x, d2) for x in window]
     index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
     cover = [sum(1 << index[y] for y in ys) for ys in near]
+    return window, conflict_masks(window, d2), cover
 
+
+def _energy_weights(conflict: list[int], cover: list[int]) -> tuple[list[int], int]:
+    """Integer weights w and a scale D with E(X) >= sum(w[x] for x in X) / D.
+
+    K_p is the size of the largest conflict-free set of window sites that
+    repel particle p; w[x] = D * (sum of 1/K_p over the particles x repels,
+    minus 1), with D = lcm(K_p). See window_census for the proof.
+    """
+    most = []
+    for p in range(max(cover, default=0).bit_length()):  # every particle bit is in some cover
+        members = [k for k, c in enumerate(cover) if c >> p & 1]
+        sub = [sum(1 << b for b, j in enumerate(members) if conflict[k] >> j & 1) for k in members]
+        sizes = {0}
+        zeros = [0] * len(members)
+        independent_sets(sub, zeros, zeros, lambda chosen, total, covered: sizes.add(len(chosen)))
+        most.append(max(sizes))
+    den = math.lcm(*most)
+    return [sum(den // k for p, k in enumerate(most) if c >> p & 1) - den for c in cover], den
+
+
+def window_census(
+    pc: PeriodicConfiguration,
+    d2: int = 5,
+    layers: int = 2,
+    radius_sq: int = 8,
+    center: Site = (0, 0, 0),
+) -> WindowCensus:
+    """Reduce every admissible insertion set of energy <= 2 in a bounded window.
+
+    The window holds the vacant sites of the radius_sq ball around center
+    whose level along the layering diagonal lies in the first `layers`
+    layers. A nonempty admissible set X of window sites has the energy
+    E(X) = |C(X)| - |X|, C(X) being the particles it repels. The sets are
+    counted, not visited: sets_scanned is the number of nonempty admissible
+    sets, from lattice.count_independent_sets. Those of energy <= 2 are
+    reduced, and the census records the reduced nonempty survivors. The
+    expected outcome on a layered perfect background is that each survivor
+    is a single lowest-type in-plane insertion.
+
+    Only sets that can have energy <= 2 are searched. For a repelled
+    particle p let K_p be the size of the largest admissible set of window
+    sites that all repel p. An admissible X has at most K_p members that
+    repel p, so counting each p in C(X) once,
+
+        |C(X)| >= sum over x in X of (sum over p in C(x) of 1/K_p),
+
+    and E(X) >= sum over x in X of w(x), with w(x) the sum of 1/K_p over
+    the particles x repels, minus 1. Scaled by D = lcm(K_p) the weights are
+    integers, and every X with E(X) <= 2 has total weight <= 2 D, so the
+    search with that ceiling (lattice.independent_sets) visits it. The
+    exact energy is tested before any set is reduced.
+    """
+    window, conflict, cover = _window(pc, d2, layers, radius_sq, center)
+    weight, den = _energy_weights(conflict, cover)
     survivors: set[tuple[Site, ...]] = set()
-    scanned = 0
 
     def visit(chosen: list[int], total: int, covered: int) -> None:
-        nonlocal scanned
-        if not chosen:
-            return
-        scanned += 1
-        if covered.bit_count() - len(chosen) <= 2:  # the energy |eta| - |xi|
+        if chosen and covered.bit_count() - len(chosen) <= 2:  # the energy |eta| - |xi|
             ins = InsertionSet(pc, d2, tuple(window[k] for k in chosen))
             red = reduce_insertions(pc, ins, d2)
             if red.sites:
                 survivors.add(red.sites)
 
-    independent_sets(conflict_masks(window, d2), [0] * len(window), cover, visit)
+    independent_sets(conflict, weight, cover, visit, limit=2 * den)
     uniq = sorted(survivors)
     all_iia = all(
         len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in uniq
     )
     return WindowCensus(
         window_sites=len(window),
-        sets_scanned=scanned,
+        sets_scanned=count_independent_sets(conflict) - 1,
         low_energy_terminal=tuple(uniq),
         all_terminal_iia=all_iia,
     )

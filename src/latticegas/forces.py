@@ -23,6 +23,7 @@ from .lattice import (
     Site,
     ball_sites,
     conflict_masks,
+    count_independent_sets,
     independent_sets,
     is_admissible,
     sq_dist,
@@ -121,19 +122,22 @@ def enumerate_ball_acs(
 
     Patterns are subsets of the ball (the empty set included) whose pairwise
     squared distances are all >= d2. The visitor, if given, is called once
-    per pattern with the sites in lexicographic order. Returns the count.
+    per pattern with the sites in lexicographic order. Returns the count;
+    without a visitor the patterns are counted, not visited.
     """
     sites = ball_sites(force_table(d2).ball_radius_sq)
+    conflict = conflict_masks(sites, d2)
+    if visitor is None:
+        return count_independent_sets(conflict)
     zeros = [0] * len(sites)
     count = 0
 
     def visit(chosen: list[int], total: int, covered: int) -> None:
         nonlocal count
         count += 1
-        if visitor is not None:
-            visitor(tuple(sites[i] for i in chosen))
+        visitor(tuple(sites[i] for i in chosen))
 
-    independent_sets(conflict_masks(sites, d2), zeros, zeros, visit)
+    independent_sets(conflict, zeros, zeros, visit)
     return count
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Site = tuple[int, int, int]
 
@@ -68,29 +69,77 @@ def independent_sets(
     weight: Sequence[int],
     cover: Sequence[int],
     visit: Callable[[list[int], int, int], None],
+    limit: Optional[int] = None,
 ) -> None:
-    """Visit every index set with no two members in conflict, the empty set first.
+    """Visit index sets with no two members in conflict, the empty set first.
 
     Depth-first, lowest index first, so the sets arrive in lexicographic
     order of their sorted index tuples. visit(chosen, total, covered) gets
     the chosen indices in increasing order (a list reused between calls),
     the integer sum of weight over them and the OR of cover over them.
-    Nothing is pruned: the callers' energies are not monotone under adding
-    sites, so no partial total can rule out its extensions.
+
+    Without a limit every independent set is visited. With one, the search
+    enters the child that adds index i only if
+    total + weight[i] + sum(min(0, weight[j]) for j > i) <= limit, so the
+    sets visited are the empty set and exactly the independent X with
+    total(X) + sum(min(0, weight[j]) for j > max X) <= limit. That bound is
+    monotone along the chain of prefixes of X, so no such X is cut off
+    above it, and it is at most total(X): every independent X with
+    total(X) <= limit is visited.
     """
+    n = len(conflict)
+    # child i may use only the indices above i that do not conflict with it
+    keep = [~(conflict[i] | ((2 << i) - 1)) for i in range(n)]
     chosen: list[int] = []
+    if limit is None:
+        fits = None
+    else:
+        # fits[k] is the mask of the k indices of least key, key[i] being
+        # weight[i] plus the negative weights above i; the children a node
+        # may enter under a budget b are those in fits[bisect_right(keys, b)]
+        lows = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            lows[i] = lows[i + 1] + min(0, weight[i])
+        key = [weight[i] + lows[i + 1] for i in range(n)]
+        order = sorted(range(n), key=key.__getitem__)
+        keys = [key[i] for i in order]
+        fits = [0] * (n + 1)
+        for k, i in enumerate(order):
+            fits[k + 1] = fits[k] | (1 << i)
 
     def rec(avail: int, total: int, covered: int) -> None:
         visit(chosen, total, covered)
-        while avail:
-            low = avail & -avail
+        todo = avail if fits is None else avail & fits[bisect_right(keys, limit - total)]
+        while todo:
+            low = todo & -todo
             i = low.bit_length() - 1
-            avail ^= low
+            todo ^= low
             chosen.append(i)
-            rec(avail & ~conflict[i], total + weight[i], covered | cover[i])
+            rec(avail & keep[i], total + weight[i], covered | cover[i])
             chosen.pop()
 
-    rec((1 << len(conflict)) - 1, 0, 0)
+    rec((1 << n) - 1, 0, 0)
+
+
+def count_independent_sets(conflict: Sequence[int]) -> int:
+    """Number of index sets with no two members in conflict, the empty set included.
+
+    Counts without visiting: with v the lowest index of the available set
+    A, count(A) = count(A - v) + count(A - N[v]), where N[v] is v with its
+    conflicts, memoized on A. The recursion is as deep as there are indices.
+    """
+    memo = {0: 1}
+
+    def count(avail: int) -> int:
+        c = memo.get(avail)
+        if c is None:
+            low = avail & -avail
+            rest = avail ^ low
+            c = count(rest) + count(rest & ~conflict[low.bit_length() - 1])
+            memo[avail] = c
+        return c
+
+    return count((1 << len(conflict)) - 1)
 
 
 @dataclass(frozen=True)

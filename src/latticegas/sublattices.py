@@ -3,7 +3,8 @@
 A cubic l-sublattice is identified by its six minimal vectors, the signed
 rows of any orthogonal basis (see _key). The sphere scan finds one
 orthogonal basis per lattice in a symmetry-reduced domain and maps its key
-by the 48 point symmetries; classes are the orbits of keys, and the Hermite
+by the 24 rotations, which give the same orbits as all 48 point symmetries
+(see _orbit); classes are the orbits of keys, and the Hermite
 normal form is computed only for the bases this module returns. The
 all-pairs sphere scan and the HNF-based partition are kept as test oracles
 (tests/oracles.py).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .configs import Matrix, hnf
-from .lattice import Site, SignedPermutation, oh_elements
+from .lattice import Site, SignedPermutation, rotation_elements
 
 
 # --- quaternions and the integer rotation matrix -------------------------------
@@ -214,7 +215,12 @@ def _key(rows) -> frozenset[Site]:
 
 
 def _orbit(key: frozenset[Site], group: list[SignedPermutation]) -> set[frozenset[Site]]:
-    """Keys of the images of one lattice under the signed permutations."""
+    """Keys of the images of one lattice under the signed permutations.
+
+    The 24 rotations give the whole point-symmetry orbit: the other 24
+    signed permutations are -g for a rotation g, and -I fixes every key,
+    which holds both signs of each vector.
+    """
     return {frozenset(g.apply(s) for s in key) for g in group}
 
 
@@ -223,7 +229,7 @@ def _cubic_keys(l: int) -> set[frozenset[Site]]:
 
     Orthogonal partners w are scanned only for the sphere vectors v with
     0 <= v[0] <= v[1] <= v[2]; each basis (v, w, cross(v, w)/l) found there
-    adds the orbit of its key under the 48 signed permutations, unless its
+    adds the orbit of its key under the point symmetries, unless its
     key is already known (keys are added by whole orbits). This finds every
     lattice of the full sphere scan (kept as the test oracle). A cubic
     l-sublattice L has an orthogonal basis (v, w, u) of squared norm l^2,
@@ -234,7 +240,7 @@ def _cubic_keys(l: int) -> set[frozenset[Site]]:
     whose orbit holds _key(L).
     """
     vecs = quadruples(l)
-    group = oh_elements()
+    group = rotation_elements()
     keys: set[frozenset[Site]] = set()
     for v in vecs:
         if not 0 <= v[0] <= v[1] <= v[2]:
@@ -275,7 +281,7 @@ class SublatticeClass:
 
 def classify_classes(l: int) -> list[SublatticeClass]:
     """Partition of all cubic l-sublattices into point-symmetry orbits."""
-    group = oh_elements()
+    group = rotation_elements()
     remaining = _cubic_keys(l)
     predicted = {_key(basis): (size, params) for size, params, basis in predicted_class_bases(l)}
     classes = []

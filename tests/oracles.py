@@ -1,25 +1,34 @@
 """Independent oracles: slow, simple recomputations used to cross-check
 the library and to freeze golden expectations.
 
-Nothing here shares search machinery with the package. Balls come from a
-cube scan, admissible patterns and window insertion sets from plain-list
-DFSs, densities from counting occupied sites in an exact box, perfection
-from the force collected at every cell site, orthogonal sphere-vector
-triples from a scan over every pair of sphere vectors, and cubic
-sublattices, their symmetry classes and their close-packed sublattices
-told apart by Hermite normal form.
+Nothing here shares search machinery with the package but
+window_census_exhaustive, which runs the package's kernel with nothing
+pruned and counts by visiting. Balls come from a cube scan, admissible
+patterns and window insertion sets from plain-list DFSs, densities from
+counting occupied sites in an exact box, perfection from the force
+collected at every cell site, orthogonal sphere-vector triples from a scan
+over every pair of sphere vectors, and cubic sublattices, their symmetry
+classes and their close-packed sublattices told apart by Hermite normal
+form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, hnf
-from latticegas.excitations import InsertionType, classify_insertion, make_insertion, reduce_insertions
+from latticegas.excitations import (
+    InsertionType,
+    WindowCensus,
+    classify_insertion,
+    make_insertion,
+    reduce_insertions,
+)
 from latticegas.forces import force_table
-from latticegas.lattice import oh_elements
+from latticegas.lattice import conflict_masks, independent_sets, oh_elements
 from latticegas.sublattices import SublatticeClass, fcc_from_cubic, predicted_class_bases
 
 Site = tuple[int, int, int]
@@ -94,16 +103,10 @@ def force_extremes(d2: int):
     return count, best, second, max_occ, tuple(sorted(sigs))
 
 
-def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
-    """Plain-list DFS over the insertion sets of a window around the origin.
-
-    The window holds the vacant sites of the radius_sq ball whose level
-    along the layering diagonal lies in the first `layers` layers. Every
-    nonempty admissible subset is scanned; its repelled set is a frozenset
-    union and its energy |repelled| - |inserted|. Sets of energy <= 2 are
-    reduced. Returns (window_sites, sets_scanned, survivors, all_iia) with
-    the survivors sorted, like the library's WindowCensus.
-    """
+def _window(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
+    """The vacant sites of the radius_sq ball around the origin whose level
+    along the layering diagonal lies in the first `layers` layers, and the
+    frozenset of particles each of them repels."""
     def level(x: Site, e: Site) -> int:
         return x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
 
@@ -119,6 +122,25 @@ def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: in
     repelled = [
         frozenset(y for y in brute_ball(d2, x) if pc.contains(y)) for x in window
     ]
+    return window, repelled
+
+
+def _all_iia(pc: PeriodicConfiguration, d2: int, survivors) -> bool:
+    return all(
+        len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in survivors
+    )
+
+
+def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
+    """Plain-list DFS over the insertion sets of a window around the origin.
+
+    Every nonempty admissible subset of the window is scanned; its repelled
+    set is a frozenset union and its energy |repelled| - |inserted|. Sets
+    of energy <= 2 are reduced. Returns (window_sites, sets_scanned,
+    survivors, all_iia) with the survivors sorted, like the library's
+    WindowCensus.
+    """
+    window, repelled = _window(pc, d2, layers, radius_sq)
     scanned = 0
     survivors: set = set()
 
@@ -140,10 +162,36 @@ def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: in
 
     rec(0, [], frozenset())
     uniq = tuple(sorted(survivors))
-    all_iia = all(
-        len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in uniq
-    )
-    return len(window), scanned, uniq, all_iia
+    return len(window), scanned, uniq, _all_iia(pc, d2, uniq)
+
+
+def window_census_exhaustive(
+    pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int
+) -> WindowCensus:
+    """The bitmask census with nothing pruned: the package's kernel visits
+    every admissible set of the window, counting the nonempty ones and
+    reducing those of energy <= 2. Fast enough for windows of millions of
+    sets, where the plain-list DFS is not."""
+    window, repelled = _window(pc, d2, layers, radius_sq)
+    index = {y: k for k, y in enumerate(sorted(frozenset().union(*repelled)))}
+    cover = [sum(1 << index[y] for y in ys) for ys in repelled]
+    scanned = 0
+    survivors: set = set()
+
+    def visit(chosen: list[int], total: int, covered: int) -> None:
+        nonlocal scanned
+        if not chosen:
+            return
+        scanned += 1
+        if covered.bit_count() - len(chosen) <= 2:
+            ins = make_insertion(pc, d2, [window[k] for k in chosen])
+            red = reduce_insertions(pc, ins, d2)
+            if red.sites:
+                survivors.add(red.sites)
+
+    independent_sets(conflict_masks(window, d2), [0] * len(window), cover, visit)
+    uniq = tuple(sorted(survivors))
+    return WindowCensus(len(window), scanned, uniq, _all_iia(pc, d2, uniq))
 
 
 def perfect_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
@@ -213,9 +261,11 @@ def r3_naive(n: int) -> int:
     return count
 
 
-def orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
+@lru_cache(maxsize=None)
+def orthogonal_triples(l: int) -> frozenset[tuple[Site, Site, Site]]:
     """Every (v, w, cross(v, w)/l) with v, w orthogonal on the sphere of radius l
-    and the cross product divisible by l, scanning all pairs of sphere vectors."""
+    and the cross product divisible by l, scanning all pairs of sphere vectors.
+    Cached: the HNF oracles below and the tests share one scan per l."""
     n = l * l
     sphere = []
     for x in range(-l, l + 1):
@@ -238,7 +288,7 @@ def orthogonal_triples(l: int) -> set[tuple[Site, Site, Site]]:
             )
             if all(c % l == 0 for c in cx):
                 out.add((v, w, (cx[0] // l, cx[1] // l, cx[2] // l)))
-    return out
+    return frozenset(out)
 
 
 def cubic_sublattices_by_hnf(l: int) -> list[Matrix]:

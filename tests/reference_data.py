@@ -95,6 +95,19 @@ STABILIZER_ORDERS = {48, 12, 8, 6, 4}
 # orbit oracle; empirically this is exactly the multiples of 3.
 MISMATCH_LS = {3, 6, 9, 12, 15, 18, 21}
 
+# The hcp window census at 3 layers and squared radius 12, computed once by
+# the unpruned oracle (tests/oracles.window_census_exhaustive), which visits
+# all 143,255,956 nonempty admissible sets of its 85 sites.
+HCP_WINDOW_3_12 = {
+    "window_sites": 85,
+    "sets_scanned": 143_255_956,
+    "survivors": (
+        ((-2, 0, 2),), ((-1, 1, 0),), ((-1, 1, 3),), ((0, -1, 1),),
+        ((0, 2, -2),), ((0, 2, 1),), ((1, 0, -1),), ((1, 0, 2),),
+        ((1, 3, -1),), ((2, -2, 0),), ((2, 1, 0),), ((3, -1, 1),),
+    ),
+}
+
 
 # One named constructor per published dense family, keyed by threshold.
 # Every entry must build a perfect configuration of density 1/C.

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latticegas import excitations
 from latticegas.configs import is_perfect
 from latticegas.excitations import (
     InsertionSet,
@@ -21,6 +24,7 @@ from latticegas.excitations import (
     repelled_set,
     window_census,
 )
+from latticegas.excitations import _energy_weights, _window
 from latticegas.families import (
     build_bcc,
     build_fcc,
@@ -32,7 +36,7 @@ from latticegas.families import (
 from latticegas.forces import peierls_gap
 from latticegas.lattice import ball_sites, sq_dist
 import oracles
-from reference_data import CONSTRUCTORS
+from reference_data import CONSTRUCTORS, HCP_WINDOW_3_12
 
 HCP = build_layered_d5(0, "01")
 FCC_LIKE = build_layered_d5(0, "012")
@@ -182,6 +186,62 @@ def test_window_census_matches_oracle(layers, radius_sq):
     assert census.sets_scanned == scanned
     assert census.low_energy_terminal == survivors
     assert census.all_terminal_iia == all_iia
+
+
+@pytest.mark.parametrize("pc,d2,layers,radius_sq", [
+    (HCP, 5, 2, 6),
+    (HCP, 5, 2, 8),
+    (HCP, 5, 3, 8),
+    (HCP, 5, 2, 10),
+    (build_layered_2l2(2, 0, "012"), 8, 2, 12),
+    (build_layered_2l2(3, 0, "01"), 18, 2, 20),
+], ids=["hcp-2-6", "hcp-2-8", "hcp-3-8", "hcp-2-10", "2l2-l2-012", "2l2-l3-01"])
+def test_window_census_matches_the_exhaustive_oracle(pc, d2, layers, radius_sq, monkeypatch):
+    # besides the censuses, the pruned search must reduce exactly the sets
+    # of energy <= 2 that the exhaustive one reduces
+    reduced = {"pruned": [], "exhaustive": []}
+    for module, side in ((excitations, "pruned"), (oracles, "exhaustive")):
+        def recording(pc, ins, d2, side=side):
+            reduced[side].append(ins.sites)
+            return reduce_insertions(pc, ins, d2)
+
+        monkeypatch.setattr(module, "reduce_insertions", recording)
+    census = window_census(pc, d2, layers, radius_sq)
+    assert census == oracles.window_census_exhaustive(pc, d2, layers, radius_sq)
+    assert reduced["pruned"] == reduced["exhaustive"]
+    assert reduced["pruned"] or not census.low_energy_terminal
+
+
+def test_hcp_window_census_at_three_layers_and_radius_12():
+    census = window_census(HCP, 5, layers=3, radius_sq=12)
+    assert census.window_sites == HCP_WINDOW_3_12["window_sites"]
+    assert census.sets_scanned == HCP_WINDOW_3_12["sets_scanned"]
+    assert census.low_energy_terminal == HCP_WINDOW_3_12["survivors"]
+    assert census.all_terminal_iia
+
+
+WINDOW_3_10 = _window(HCP, 5, 3, 10, (0, 0, 0))
+WEIGHTS_3_10 = _energy_weights(*WINDOW_3_10[1:])
+
+
+@settings(max_examples=400)
+@given(seed=st.integers(0, 2 ** 32), whole=st.booleans())
+def test_window_energy_is_at_least_the_weight_sum(seed, whole):
+    # the lemma behind the census's ceiling: E(X) >= sum of w(x) over X. X is
+    # a maximal admissible set, built greedily in random order, or a prefix;
+    # the maximal ones are where an overestimated weight shows
+    window, conflict, _ = WINDOW_3_10
+    weight, den = WEIGHTS_3_10
+    rng = random.Random(seed)
+    chosen: list[int] = []
+    for k in rng.sample(range(len(window)), len(window)):
+        if not any(conflict[k] >> j & 1 for j in chosen):
+            chosen.append(k)
+    if not whole:
+        chosen = chosen[:rng.randint(1, len(chosen))]
+    ins = make_insertion(HCP, 5, [window[k] for k in chosen])
+    energy = len(repelled_set(HCP, ins, 5)) - len(ins.sites)
+    assert energy >= sum(Fraction(weight[k], den) for k in chosen)
 
 
 def test_window_census_needs_a_layer():

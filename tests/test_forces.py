@@ -110,6 +110,11 @@ def test_enumerate_count_agrees_with_search():
         assert all(is_admissible(pattern, d2) for pattern in seen)
 
 
+@pytest.mark.parametrize("d2", SUPPORTED_D2)
+def test_counting_the_patterns_agrees_with_the_search(d2):
+    assert enumerate_ball_acs(d2) == verify_forces(d2).config_count
+
+
 @settings(max_examples=40)
 @given(d2=st.sampled_from(SUPPORTED_D2), data=st.data())
 def test_no_admissible_pattern_beats_one(d2, data):

@@ -12,6 +12,7 @@ from latticegas.lattice import (
     SignedPermutation,
     ball_sites,
     conflict_masks,
+    count_independent_sets,
     independent_sets,
     is_admissible,
     oh_elements,
@@ -88,12 +89,14 @@ def test_origin_is_origin():
     assert ORIGIN in ball_sites(1)
 
 
-@given(
-    pts=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
-                 max_size=12, unique=True),
-    d2=st.integers(1, 12),
-    data=st.data(),
+# small random point sets and thresholds for the kernel tests
+point_sets_st = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+    max_size=12, unique=True,
 )
+
+
+@given(pts=point_sets_st, d2=st.integers(1, 12), data=st.data())
 def test_independent_sets_matches_filtered_combinations(pts, d2, data):
     n = len(pts)
     weight = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
@@ -112,3 +115,34 @@ def test_independent_sets_matches_filtered_combinations(pts, d2, data):
     for c, total, covered in seen:
         assert total == sum(weight[i] for i in c)
         assert covered == reduce(or_, (cover[i] for i in c), 0)
+
+
+@given(pts=point_sets_st, d2=st.integers(1, 12))
+def test_count_independent_sets_matches_the_sets_visited(pts, d2):
+    conflict = conflict_masks(pts, d2)
+    zeros = [0] * len(pts)
+    seen = []
+    independent_sets(conflict, zeros, zeros, lambda chosen, total, covered: seen.append(1))
+    assert count_independent_sets(conflict) == len(seen)
+
+
+@given(pts=point_sets_st, d2=st.integers(1, 12), limit=st.integers(-40, 60), data=st.data())
+def test_the_ceiling_visits_exactly_the_sets_its_bound_admits(pts, d2, limit, data):
+    n = len(pts)
+    weight = data.draw(st.lists(st.integers(-20, 30), min_size=n, max_size=n))
+    seen = []
+    independent_sets(
+        conflict_masks(pts, d2), weight, [0] * n,
+        lambda chosen, total, covered: seen.append((tuple(chosen), total)),
+        limit=limit,
+    )
+
+    def bound(c):
+        return sum(weight[i] for i in c) + sum(min(0, w) for w in weight[c[-1] + 1:])
+
+    expected = [()] + sorted(
+        c for r in range(1, n + 1) for c in combinations(range(n), r)
+        if pairwise_admissible([pts[i] for i in c], d2) and bound(c) <= limit
+    )
+    assert [c for c, _ in seen] == expected
+    assert all(total == sum(weight[i] for i in c) for c, total in seen)

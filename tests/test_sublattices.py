@@ -29,7 +29,8 @@ from latticegas.sublattices import (
     s2_hat,
     s2_tilde,
 )
-from latticegas.sublattices import _cubic_keys, _key
+from latticegas.lattice import oh_elements, rotation_elements
+from latticegas.sublattices import _cubic_keys, _key, _orbit
 from oracles import (
     classify_by_hnf,
     cubic_sublattices_by_hnf,
@@ -163,6 +164,13 @@ def test_every_quadruple_extends_to_an_orthogonal_triple():
 def test_orthogonal_triples_match_the_full_sphere_scan():
     for l in range(1, 61):
         assert _cubic_keys(l) == {_key(t) for t in orthogonal_triples(l)}, l
+
+
+def test_rotations_give_the_orbits_of_all_point_symmetries():
+    rotations, full = rotation_elements(), oh_elements()
+    for l in range(1, 41):
+        for key in _cubic_keys(l):
+            assert _orbit(key, rotations) == _orbit(key, full), (l, key)
 
 
 def test_enumeration_and_fcc_census_match_the_hnf_oracles():
