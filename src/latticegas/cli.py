@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .configs import density, is_admissible_config, is_perfect, shift_count
+from .configs import close_packing_scale, density, is_admissible_config, is_perfect, shift_count
 from .excitations import (
+    classify_insertion,
     excitation_report,
     iia_census,
     make_insertion,
@@ -33,7 +34,7 @@ from .families import (
     pc_census,
     sliding_witness,
 )
-from .forces import UnsupportedThresholdError, verify_forces
+from .forces import verify_forces
 from .reporting import (
     ReportEnvelope,
     config_payload,
@@ -62,26 +63,19 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated integers")
-    try:
-        x, y, z = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("coordinates must be integers") from None
-    return (x, y, z)
+def _int_tuple(count: int) -> Callable[[str], tuple[int, ...]]:
+    """An argparse type: exactly `count` comma-separated integers."""
 
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.split(",")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated integers")
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise argparse.ArgumentTypeError("entries must be integers") from None
 
-def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
-    try:
-        a, b, c, d = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("components must be integers") from None
-    return (a, b, c, d)
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls = exc_sub.add_parser("classify", parents=[common], help="type of a single insertion site")
     p_cls.add_argument("--d2", type=int, required=True)
     p_cls.add_argument("--pc", required=True, metavar="FILE")
-    p_cls.add_argument("--site", type=_parse_triple, required=True, metavar="x,y,z")
+    p_cls.add_argument("--site", type=_int_tuple(3), required=True, metavar="x,y,z")
 
     p_rep = exc_sub.add_parser("report", parents=[common], help="energy accounting for an insertion set")
     p_rep.add_argument("--d2", type=int, required=True)
@@ -183,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_quat = sublat_sub.add_parser("quaternion", parents=[common],
                                    help="rotation matrix and sublattice of one integer quaternion")
-    p_quat.add_argument("quat", type=_parse_quadruple, metavar="a,b,c,d")
+    p_quat.add_argument("quat", type=_int_tuple(4), metavar="a,b,c,d")
 
     return parser
 
@@ -244,13 +238,9 @@ def _build_family(args: argparse.Namespace):
     raise AssertionError("unreachable family")
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _cmd_pc_build(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -303,8 +293,6 @@ def _cmd_table_densities(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_exc_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    from .excitations import classify_insertion
-
     pc = load_config_file(args.pc, args.d2)
     kind = classify_insertion(pc, args.site, args.d2)
     results = {"site": list(args.site), "type": kind}
@@ -333,12 +321,8 @@ def _infer_layer_scale(pc) -> Optional[int]:
     d2 = pc.context_d2
     if d2 is None or d2 == 5:
         return None
-    half, rem = divmod(d2, 2)
-    import math
-
-    l = math.isqrt(half)
-    if rem or l * l != half:
-        raise _UsageError(f"iia-density needs a layered configuration, got d2={d2}")
+    l = close_packing_scale(d2)
+    _require(l is not None, f"iia-density needs a layered configuration, got d2={d2}")
     return l
 
 
@@ -467,10 +451,7 @@ def run(argv: Sequence[str]) -> int:
     handler = _DISPATCH[(args.group, args.action)]
     try:
         return handler(args, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (UnsupportedThresholdError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UnsupportedThresholdError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forces import normalization_constant
-from .lattice import Site, SignedPermutation, sq_dist
+from .lattice import Site, SignedPermutation, ball_sites, sq_dist
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -77,6 +77,12 @@ def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
     return tuple(tuple(r) for r in pivots)  # type: ignore[return-value]
 
 
+def close_packing_scale(d2: int) -> Optional[int]:
+    """The l >= 1 with d2 == 2*l*l, where the close-packed l-sublattice packs; else None."""
+    l = math.isqrt(max(d2, 0) // 2)
+    return l if l >= 1 and 2 * l * l == d2 else None
+
+
 def _reduce_site(site: Site, basis: Matrix) -> Site:
     """Canonical residue of a site modulo an HNF basis (greedy triangular reduction)."""
     x = list(site)
@@ -111,10 +117,14 @@ class PeriodicConfiguration:
     def contains(self, site: Site) -> bool:
         return self.reduce(site) in self.offsets
 
-    def cell_sites(self) -> list[Site]:
-        """One transversal of Z^3 modulo the basis (the HNF box)."""
-        d0, d1, d2 = (self.basis[i][i] for i in range(3))
-        return [(i, j, k) for i in range(d0) for j in range(d1) for k in range(d2)]
+    def reached(self, d2: int) -> set[Site]:
+        """The residues of all sites closer than sqrt(d2) to an occupied site,
+        the offsets included (d2 >= 1): len(offsets) * |ball| reductions,
+        whatever the size of the cell."""
+        ball = ball_sites(d2)
+        return {
+            self.reduce((o[0] + b[0], o[1] + b[1], o[2] + b[2])) for o in self.offsets for b in ball
+        }
 
     def occupied_in_box(self, lo: Sequence[int], hi: Sequence[int]) -> list[Site]:
         """All occupied sites s with lo[t] <= s[t] <= hi[t], exactly.
@@ -248,14 +258,13 @@ def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:
 
 
 def is_saturated(pc: PeriodicConfiguration, d2: int) -> bool:
-    """True iff no vacant cell site can be occupied without breaking the hard-core rule."""
-    occ = set(pc.offsets)
-    for x in pc.cell_sites():
-        if x in occ:
-            continue
-        if not pc.occupied_near(x, d2):
-            return False
-    return True
+    """True iff no vacant cell site can be occupied without breaking the hard-core rule.
+
+    A vacant site is blocked iff it lies within sqrt(d2) of an occupied
+    site, i.e. iff its residue is reached; occupied residues are reached
+    too, so saturation means all det residues are reached.
+    """
+    return len(pc.reached(d2)) == pc.det
 
 
 _FAMILY_ALPHABETS: dict[str, tuple[int, ...]] = {

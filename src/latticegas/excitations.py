@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .configs import MAIN_DIAGONALS, PeriodicConfiguration, is_perfect
+from .configs import MAIN_DIAGONALS, PeriodicConfiguration, close_packing_scale, is_perfect
 from .forces import ForceTable, force_table, normalization_constant, peierls_gap
 from .lattice import (
     Site,
@@ -199,11 +199,10 @@ def _detect_layering(pc: PeriodicConfiguration, d2: int) -> tuple[Site, int, int
     if d2 == 5:
         h, edge_sq = 3, 6
     else:
-        half, rem = divmod(d2, 2)
-        l = math.isqrt(half)
-        if rem or l * l != half or l < 1:
+        l = close_packing_scale(d2)
+        if l is None:
             raise ValueError(f"no layered taxonomy at d2={d2}")
-        h, edge_sq = 2 * l, 2 * l * l
+        h, edge_sq = 2 * l, d2
     for e in MAIN_DIAGONALS:
         if all(_dot(r, e) % h == 0 for r in pc.basis) and all(
             _dot(o, e) % h == 0 for o in pc.offsets
@@ -259,24 +258,33 @@ def classify_insertion(pc: PeriodicConfiguration, site: Site, d2: int) -> str:
     return InsertionType.IIC
 
 
+def _is_iia(pc: PeriodicConfiguration, site: Site, d2: int) -> bool:
+    """Is the single insertion at site of type IIa? A site classify_insertion
+    rejects (say, a vacancy of an imperfect background) is not."""
+    try:
+        return classify_insertion(pc, site, d2) == InsertionType.IIA
+    except ValueError:
+        return False
+
+
 def iia_census(
     pc: PeriodicConfiguration, l: Optional[int] = None
 ) -> tuple[int, Fraction]:
-    """Count of lowest-type in-plane insertion sites per cell, and their density."""
+    """Count of lowest-type in-plane insertion sites per cell, and their density.
+
+    A IIa site repels its three mesh neighbours, so its residue is reached
+    from an offset within sqrt(d2) (PeriodicConfiguration.reached); only
+    the vacant on-level residues among those are classified.
+    """
     d2 = 5 if l is None else 2 * l * l
     if l is not None and l % 3:
         raise ValueError("in-plane triangle centers are integral only when 3 divides l")
     e, h, _ = _detect_layering(pc, d2)
-    count = 0
-    for x in pc.cell_sites():
-        if pc.contains(x) or _dot(x, e) % h:
-            continue
-        try:
-            kind = classify_insertion(pc, x, d2)
-        except ValueError:
-            continue
-        if kind == InsertionType.IIA:
-            count += 1
+    count = sum(
+        1
+        for x in pc.reached(d2)
+        if _dot(x, e) % h == 0 and not pc.contains(x) and _is_iia(pc, x, d2)
+    )
     return count, Fraction(count, pc.det)
 
 
@@ -295,12 +303,8 @@ def reduce_insertions(
     """
     sites = list(insertion.sites)
     while sites:
-        if len(sites) == 1:
-            try:
-                if classify_insertion(pc, sites[0], d2) == InsertionType.IIA:
-                    break
-            except ValueError:
-                pass
+        if len(sites) == 1 and _is_iia(pc, sites[0], d2):
+            break
         repellers: dict[Site, list[Site]] = {}
         for x in sites:
             for y in pc.occupied_near(x, d2):
@@ -453,12 +457,9 @@ def window_census(
 
     independent_sets(conflict, weight, cover, visit, limit=2 * den)
     uniq = sorted(survivors)
-    all_iia = all(
-        len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in uniq
-    )
     return WindowCensus(
         window_sites=len(window),
         sets_scanned=count_independent_sets(conflict) - 1,
         low_energy_terminal=tuple(uniq),
-        all_terminal_iia=all_iia,
+        all_terminal_iia=all(len(s) == 1 and _is_iia(pc, s[0], d2) for s in uniq),
     )

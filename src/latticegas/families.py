@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .configs import (
     MAIN_DIAGONALS,
@@ -19,11 +19,13 @@ from .configs import (
     LayerSequence,
     PeriodicConfiguration,
     canonicalize,
+    close_packing_scale,
     is_perfect,
     make_config,
 )
 from .forces import SUPPORTED_D2, normalization_constant
 from .lattice import Site, oh_elements, sq_dist
+from .sublattices import fcc_census
 
 SeqLike = Union[str, LayerSequence]
 
@@ -130,16 +132,40 @@ def build_layered_d5(i: int, seq: SeqLike) -> PeriodicConfiguration:
 
 def hcp_census() -> int:
     """Distinct 2-periodic layered packings at threshold 5, counting translates."""
-    seen = set()
-    for i in range(4):
-        for word in ("01", "02"):
-            pc = build_layered_d5(i, word)
-            for t in pc.cell_sites():
-                seen.add(canonicalize(pc.translate(t)).canonical_key())
-    return len(seen)
+    return _count_translates(build_layered_d5(i, word) for i in range(4) for word in ("01", "02"))
 
 
 # --- layered families at threshold 6 -----------------------------------------
+
+
+def _mesh_offsets(
+    digits: Sequence[int],
+    step: Site,
+    label: dict[int, Site],
+    den: int,
+    jumps: tuple[int, ...],
+    u: Site,
+    v: Site,
+) -> list[Site]:
+    """The offset (k * step + label[j]) / den of level k with label j.
+
+    Each transition j -> jn must satisfy the step rule: label[jn] - label[j]
+    is label[jp] plus den times a vector of the mesh lattice (u, v) for a
+    jump label jp. A non-integral offset or a broken rule raises.
+    """
+    offsets = []
+    for k, j in enumerate(digits):
+        offsets.append(_div_exact(_add(_scale(k, step), label[j]), den, f"level {k} label {j}"))
+        jn = digits[(k + 1) % len(digits)]
+        for jp in jumps:
+            r = [label[jn][t] - label[j][t] - label[jp][t] for t in range(3)]
+            if all(c % den == 0 for c in r) and _in_span2(
+                (r[0] // den, r[1] // den, r[2] // den), u, v
+            ):
+                break
+        else:
+            raise ValueError(f"transition {j} -> {jn} violates the mesh step rule")
+    return offsets
 
 
 def _d6_tri_mesh_data(i: int) -> tuple[Site, dict[int, Site]]:
@@ -162,23 +188,9 @@ def build_layered_d6_tri(i: int, seq: SeqLike) -> PeriodicConfiguration:
     p = len(ls.digits)
     if p % 3:
         raise ValueError("period must be a multiple of 3 for integral wrap-around")
-    offsets = []
-    for k, j in enumerate(ls.digits):
-        num = _add(_scale(4 * k, e), w[j])
-        offsets.append(_div_exact(num, 3, f"level {k} label {j}"))
-        # displayed step rule: the jump to the next mesh is one third of a
-        # w-vector with an even label, modulo the mesh lattice
-        jn = ls.digits[(k + 1) % p]
-        ok = False
-        for jp in (2, 4, 6):
-            diff = tuple(w[jn][t] - w[j][t] - w[jp][t] for t in range(3))
-            if all(c % 3 == 0 for c in diff) and _in_span2(
-                (diff[0] // 3, diff[1] // 3, diff[2] // 3), u, v
-            ):
-                ok = True
-                break
-        if not ok:
-            raise ValueError(f"transition {j} -> {jn} violates the mesh step rule")
+    # displayed step rule: the jump to the next mesh is one third of a
+    # w-vector with an even label, modulo the mesh lattice
+    offsets = _mesh_offsets(ls.digits, _scale(4, e), w, 3, (2, 4, 6), u, v)
     pc = make_config([u, v, _scale(4 * p // 3, e)], offsets, context_d2=6)
     return canonicalize(pc)
 
@@ -207,21 +219,7 @@ def build_layered_d6_rhombic(i: int, seq: SeqLike) -> PeriodicConfiguration:
     p = len(ls.digits)
     if p % 2:
         raise ValueError("period must be even for integral wrap-around")
-    offsets = []
-    for k, j in enumerate(ls.digits):
-        num = _add(_scale(3 * k, s), doubled[j])
-        offsets.append(_div_exact(num, 2, f"level {k} label {j}"))
-        jn = ls.digits[(k + 1) % p]
-        ok = False
-        for jp in (1, 2):
-            diff = tuple(doubled[jn][t] - doubled[j][t] - doubled[jp][t] for t in range(3))
-            if all(c % 2 == 0 for c in diff) and _in_span2(
-                (diff[0] // 2, diff[1] // 2, diff[2] // 2), g1, g2
-            ):
-                ok = True
-                break
-        if not ok:
-            raise ValueError(f"transition {j} -> {jn} violates the mesh step rule")
+    offsets = _mesh_offsets(ls.digits, _scale(3, s), doubled, 2, (1, 2), g1, g2)
     pc = make_config([g1, g2, _scale(3 * p // 2, s)], offsets, context_d2=6)
     return canonicalize(pc)
 
@@ -327,7 +325,7 @@ def build_d4_family(
 
     m = len(mask)
     rows_n = len(grid)
-    lines = _lcm(m, rows_n)
+    lines = math.lcm(m, rows_n)
     # local coordinates: (along-line, across-lines, stacking)
     axes = [a for a in range(3) if a != direction]
     u_ax, v_ax = (axes[0], axes[1]) if line_dir == 0 else (axes[1], axes[0])
@@ -352,10 +350,6 @@ def build_d4_family(
     return canonicalize(pc)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 # --- censuses and the density table ------------------------------------------
 
 
@@ -367,14 +361,32 @@ def pc_census(d2: int) -> Union[int, str]:
     """
     if d2 in (4, 5, 6):
         return COUNTABLE_MARKER
-    seeds = _census_seeds(d2)
-    seen = set()
-    for pc in seeds:
-        for g in oh_elements():
-            img = canonicalize(pc.transform(g))
-            for t in img.cell_sites():
-                seen.add(canonicalize(img.translate(t)).canonical_key())
-    return len(seen)
+    return _count_translates(
+        canonicalize(pc.transform(g)) for pc in _census_seeds(d2) for g in oh_elements()
+    )
+
+
+def _count_translates(images: Iterable[PeriodicConfiguration]) -> int:
+    """Number of distinct configurations among all translates of canonical images.
+
+    Proof. A canonical configuration P has its full translation group as
+    its lattice L (canonicalize), so P + t = P + t' iff t - t' lies in L,
+    and P has exactly det L distinct translates, all canonical with lattice
+    L. Two canonical configurations P, Q are translates iff they share L
+    and the offsets of Q are those of P shifted by one vector modulo L. The
+    key (L, min over offsets o of the sorted residues of offsets - o) is
+    the same for P and P + t, since both give the same residue sets, one
+    for each offset; and equal keys, attained at offsets o of P and q of Q,
+    give Q = P + (q - o). So translation classes are the distinct keys, each
+    with det L members, and classes of different keys are disjoint.
+    """
+    dets = {}
+    for pc in images:
+        rel = min(
+            tuple(sorted(pc.reduce(_add(s, _neg(o))) for s in pc.offsets)) for o in pc.offsets
+        )
+        dets[pc.basis, rel] = pc.det
+    return sum(dets.values())
 
 
 def _census_seeds(d2: int) -> list[PeriodicConfiguration]:
@@ -402,26 +414,20 @@ def densest_density(d2: int) -> Fraction:
     """
     if d2 in SUPPORTED_D2:
         return 1 / normalization_constant(d2)
-    l2, rem = divmod(d2, 2)
-    l = math.isqrt(l2)
-    if rem == 0 and l * l == l2 and l >= 1:
+    l = close_packing_scale(d2)
+    if l is not None:
         return Fraction(1, 2 * l**3)
     raise ValueError(f"no density known for d2={d2}")
 
 
 def census_marker(d2: int) -> Union[int, str]:
     """Census size, or the countable marker for infinite families."""
-    if d2 in (2, 3, 8, 9, 10, 12):
+    if d2 in SUPPORTED_D2:
         return pc_census(d2)
-    if d2 in (4, 5, 6):
-        return COUNTABLE_MARKER
-    l2, rem = divmod(d2, 2)
-    l = math.isqrt(l2)
-    if rem == 0 and l * l == l2:
+    l = close_packing_scale(d2)
+    if l is not None:
         if l % 3 == 0:
             return COUNTABLE_MARKER
-        from .sublattices import fcc_census
-
         return fcc_census(l).pcs_total  # type: ignore[return-value]
     raise ValueError(f"no census known for d2={d2}")
 

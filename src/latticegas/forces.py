@@ -79,9 +79,6 @@ class ForceTable:
                 return f
         return Fraction(0)
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.values)
-
 
 def force_table(d2: int) -> ForceTable:
     if d2 not in FORCE_TABLES:

@@ -5,11 +5,18 @@ Nothing here shares search machinery with the package but
 window_census_exhaustive, which runs the package's kernel with nothing
 pruned and counts by visiting. Balls come from a cube scan, admissible
 patterns and window insertion sets from plain-list DFSs, densities from
-counting occupied sites in an exact box, perfection from the force
-collected at every cell site, orthogonal sphere-vector triples from a scan
-over every pair of sphere vectors, and cubic sublattices, their symmetry
-classes and their close-packed sublattices told apart by Hermite normal
-form.
+counting occupied sites in an exact box, orthogonal sphere-vector triples
+from a scan over every pair of sphere vectors, and cubic sublattices,
+their symmetry classes and their close-packed sublattices told apart by
+Hermite normal form.
+
+The cell walks visit every site of one period cell (the HNF box, `cell`),
+where the library looks only at the residues an occupied site reaches:
+perfection from the force collected at every cell site
+(perfect_by_scan), saturation from a cube-scanned ball around every
+vacant cell site (saturated_by_scan), the IIa count from classifying
+every vacant cell site (iia_count_by_scan), and the censuses from the
+canonical form of every translate by a cell site (translates_by_walk).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, hnf
+from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, canonicalize, hnf
 from latticegas.excitations import (
     InsertionType,
     WindowCensus,
@@ -125,10 +132,16 @@ def _window(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
     return window, repelled
 
 
+def _iia(pc: PeriodicConfiguration, site: Site, d2: int) -> bool:
+    """The insertion at site is IIa; a site classify_insertion rejects is not."""
+    try:
+        return classify_insertion(pc, site, d2) == InsertionType.IIA
+    except ValueError:
+        return False
+
+
 def _all_iia(pc: PeriodicConfiguration, d2: int, survivors) -> bool:
-    return all(
-        len(s) == 1 and classify_insertion(pc, s[0], d2) == InsertionType.IIA for s in survivors
-    )
+    return all(len(s) == 1 and _iia(pc, s[0], d2) for s in survivors)
 
 
 def window_census(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
@@ -194,18 +207,21 @@ def window_census_exhaustive(
     return WindowCensus(len(window), scanned, uniq, _all_iia(pc, d2, uniq))
 
 
+def cell(pc: PeriodicConfiguration):
+    """Every site of one fundamental cell: the HNF box, one site per residue."""
+    return product(*(range(pc.basis[i][i]) for i in range(3)))
+
+
 def perfect_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
     """Per-site force scan: True iff every site of one fundamental cell (the
     HNF box) collects total force exactly 1 from the occupied sites of its
     cube-scanned ball. At d2 = 1 the force is the occupation indicator. The
     configuration is assumed d2-admissible.
     """
-    d = [pc.basis[i][i] for i in range(3)]
-    cell = product(range(d[0]), range(d[1]), range(d[2]))
     if d2 == 1:
-        return all(pc.contains(x) for x in cell)
+        return all(pc.contains(x) for x in cell(pc))
     ft = force_table(d2)
-    for x in cell:
+    for x in cell(pc):
         total = Fraction(0)
         for y in brute_ball(ft.ball_radius_sq, x):
             if pc.contains(y):
@@ -213,6 +229,27 @@ def perfect_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
         if total != 1:
             return False
     return True
+
+
+def saturated_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
+    """True iff every vacant cell site has an occupied site in its cube-scanned
+    open d2-ball, so that no particle can be added."""
+    return all(
+        pc.contains(x) or any(pc.contains(y) for y in brute_ball(d2, x)) for x in cell(pc)
+    )
+
+
+def iia_count_by_scan(pc: PeriodicConfiguration, d2: int) -> int:
+    """Vacant cell sites whose single insertion is IIa, classifying every one."""
+    return sum(1 for x in cell(pc) if not pc.contains(x) and _iia(pc, x, d2))
+
+
+def translates_by_walk(images) -> int:
+    """Distinct configurations among the translates of the images by every
+    site of their cells, told apart by the canonical form of each translate."""
+    return len({
+        canonicalize(img.translate(t)).canonical_key() for img in images for t in cell(img)
+    })
 
 
 def box_side(pc: PeriodicConfiguration) -> int:

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from latticegas.cli import run
+from latticegas.families import build_layered_d5
+from latticegas.reporting import config_payload
+from test_configs import _supercell_without_one
 
 
 def run_capture(capsys, argv):
@@ -100,6 +103,17 @@ def test_check_answers_a_huge_cell_with_exit_one(tmp_path, capsys):
     assert code == 1
     assert body["results"]["admissible"] is True
     assert body["results"]["perfect"] is False
+
+
+def test_window_census_on_an_imperfect_background_exits_one(tmp_path, capsys):
+    holed = _supercell_without_one(build_layered_d5(0, "01"), 5)
+    cfg = tmp_path / "holed.json"
+    cfg.write_text(json.dumps(config_payload(holed)), encoding="utf-8")
+    code, body = run_json(
+        capsys, ["exc", "window-census", "--pc", str(cfg), "--layers", "2", "--radius", "6"]
+    )
+    assert code == 1
+    assert body["results"]["all_terminal_iia"] is False
 
 
 def test_usage_errors_exit_two(capsys):

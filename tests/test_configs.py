@@ -23,7 +23,8 @@ from latticegas.configs import (
 )
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
 from latticegas.forces import SUPPORTED_D2
-from oracles import box_admissible, naive_density, perfect_by_scan
+from latticegas.lattice import ball_sites
+from oracles import box_admissible, naive_density, perfect_by_scan, saturated_by_scan
 from reference_data import CONSTRUCTORS
 
 entry = st.integers(-9, 9)
@@ -208,6 +209,12 @@ def test_perfection_matches_the_per_site_scan(case):
     assert is_perfect(pc, d2) == perfect_by_scan(pc, d2)
 
 
+@given(case=admissible_configs())
+def test_saturation_matches_the_per_site_scan(case):
+    pc, d2 = case
+    assert is_saturated(pc, d2) == saturated_by_scan(pc, d2)
+
+
 def _supercell_without_one(pc, d2):
     """The 2x2x2 supercell of pc with its first offset removed."""
     shifts = [
@@ -229,6 +236,25 @@ def test_perfection_matches_the_scan_on_every_constructor(d2, build):
     holed = _supercell_without_one(pc, d2)
     assert len(holed.offsets) == 8 * len(pc.offsets) - 1
     assert not is_perfect(holed, d2) and not perfect_by_scan(holed, d2)
+
+
+@pytest.mark.parametrize(
+    "d2, build",
+    [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
+    ids=[f"{d2}-{label}" for d2, entries in CONSTRUCTORS.items() for label, _ in entries],
+)
+def test_saturation_matches_the_scan_on_every_constructor(d2, build):
+    pc = build()
+    assert is_saturated(pc, d2) == saturated_by_scan(pc, d2)
+    holed = _supercell_without_one(pc, d2)
+    assert is_saturated(holed, d2) == saturated_by_scan(holed, d2)
+
+
+def test_saturation_of_a_huge_cell_does_not_scan_it():
+    # 10^18 cell sites, one reached residue per site of the d2 = 2 ball
+    pc = make_config([(10**6, 0, 0), (0, 10**6, 0), (0, 0, 10**6)], [(0, 0, 0)])
+    assert pc.reached(2) == {pc.reduce(s) for s in ball_sites(2)}
+    assert is_saturated(pc, 2) is False
 
 
 def test_perfection_of_a_huge_cell_does_not_scan_it():

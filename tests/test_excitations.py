@@ -37,6 +37,7 @@ from latticegas.forces import peierls_gap
 from latticegas.lattice import ball_sites, sq_dist
 import oracles
 from reference_data import CONSTRUCTORS, HCP_WINDOW_3_12
+from test_configs import _supercell_without_one
 
 HCP = build_layered_d5(0, "01")
 FCC_LIKE = build_layered_d5(0, "012")
@@ -75,7 +76,7 @@ def test_between_plane_insertion_on_hcp():
 def test_cell_type_histograms():
     def histogram(pc):
         out: dict[str, int] = {}
-        for x in pc.cell_sites():
+        for x in oracles.cell(pc):
             if pc.contains(x):
                 continue
             kind = classify_insertion(pc, x, 5)
@@ -93,6 +94,20 @@ def test_iia_densities():
     big = build_layered_2l2(3, 0, "01")
     count, dens = iia_census(big, 3)
     assert dens == Fraction(count, big.det)
+
+
+@pytest.mark.parametrize("pc, l", [
+    *((build_layered_d5(i, word), None) for i in range(4)
+      for word in ("01", "02", "012", "021", "0102", "0121", "01020121")),
+    (build_layered_2l2(3, 0, "01"), 3),
+    (build_layered_2l2(3, 0, "0102"), 3),
+    (build_layered_2l2(6, 0, "01"), 6),
+    (build_layered_2l2(6, 0, "012"), 6),
+])
+def test_iia_census_matches_the_cell_scan(pc, l):
+    count, dens = iia_census(pc, l)
+    assert count == oracles.iia_count_by_scan(pc, 5 if l is None else 2 * l * l)
+    assert dens == Fraction(count, pc.det)
 
 
 def test_pure_removals():
@@ -210,6 +225,16 @@ def test_window_census_matches_the_exhaustive_oracle(pc, d2, layers, radius_sq, 
     assert census == oracles.window_census_exhaustive(pc, d2, layers, radius_sq)
     assert reduced["pruned"] == reduced["exhaustive"]
     assert reduced["pruned"] or not census.low_energy_terminal
+
+
+@pytest.mark.parametrize("layers,radius_sq", [(2, 6), (2, 8), (3, 8)])
+def test_window_census_on_an_imperfect_background(layers, radius_sq):
+    # a vacancy of the background survives reduction; classify_insertion
+    # rejects it, so it counts as not IIa instead of raising
+    holed = _supercell_without_one(HCP, 5)
+    census = window_census(holed, 5, layers, radius_sq)
+    assert census == oracles.window_census_exhaustive(holed, 5, layers, radius_sq)
+    assert not census.all_terminal_iia
 
 
 def test_hcp_window_census_at_three_layers_and_radius_12():

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from latticegas.configs import canonicalize, configs_equal, density, is_perfect
 from latticegas.families import (
     COUNTABLE_MARKER,
@@ -23,6 +26,9 @@ from latticegas.families import (
     pc_census,
     sliding_witness,
 )
+from latticegas.families import _census_seeds, _count_translates
+from latticegas.lattice import oh_elements
+from oracles import translates_by_walk
 from reference_data import CENSUS, CONSTRUCTORS, NORMALIZATION
 
 
@@ -131,6 +137,33 @@ def test_censuses():
 
 def test_hcp_family_size():
     assert hcp_census() == 72
+
+
+@pytest.mark.parametrize("d2", sorted(CENSUS))
+def test_census_matches_the_translate_walk(d2):
+    images = [canonicalize(pc.transform(g)) for pc in _census_seeds(d2) for g in oh_elements()]
+    assert pc_census(d2) == translates_by_walk(images)
+
+
+def test_hcp_census_matches_the_translate_walk():
+    images = [build_layered_d5(i, word) for i in range(4) for word in ("01", "02")]
+    assert hcp_census() == translates_by_walk(images)
+
+
+BUILDS = [build for entries in CONSTRUCTORS.values() for _, build in entries]
+shift = st.tuples(*[st.integers(-20, 20)] * 3)
+
+
+@given(picks=st.lists(
+    st.tuples(st.integers(0, len(BUILDS) - 1), st.integers(0, 47), shift), min_size=1, max_size=4
+))
+def test_translate_keys_count_translation_classes(picks):
+    # translated canonical images, several of one configuration or of one
+    # lattice among them: the keys must count what the walk counts
+    images = [
+        canonicalize(BUILDS[b]().transform(oh_elements()[g])).translate(t) for b, g, t in picks
+    ]
+    assert _count_translates(images) == translates_by_walk(images)
 
 
 def test_census_marker_covers_close_packing_thresholds():

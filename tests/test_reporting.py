@@ -118,11 +118,11 @@ def test_parse_site_list_forms():
 
 def test_density_table_rows():
     rows = table_densities()
-    as_dict = {d2: (marker, dens) for d2, marker, dens in rows}
-    assert as_dict[9] == (120, Fraction(1, 20))
-    assert as_dict[4] == (COUNTABLE_MARKER, Fraction(1, 8))
-    assert as_dict[18][1] == Fraction(1, 54)
-    assert list(as_dict) == sorted(as_dict)
+    by_d2 = {d2: (marker, dens) for d2, marker, dens in rows}
+    assert by_d2[9] == (120, Fraction(1, 20))
+    assert by_d2[4] == (COUNTABLE_MARKER, Fraction(1, 8))
+    assert by_d2[18][1] == Fraction(1, 54)
+    assert list(by_d2) == sorted(by_d2)
 
 
 def test_sublattice_csv_shape():
