@@ -98,7 +98,6 @@ from .sublattices import (  # noqa: E402
     is_cubic_basis,
     predicted_class_bases,
     quadruples,
-    quaternion_coverage,
     quaternions_of_norm,
     r3_brute,
     r3_formula,

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .configs import close_packing_scale, density, is_admissible_config, is_perfect, shift_count
+from .configs import close_packing_scale, density, hnf, is_admissible_config, is_perfect, shift_count
 from .excitations import (
     classify_insertion,
     excitation_report,
@@ -50,7 +50,6 @@ from .sublattices import (
     compare_class_counts,
     euler_rodrigues,
     fcc_census,
-    hnf,
     r3_brute,
     r3_formula,
 )
@@ -285,8 +284,8 @@ def _cmd_pc_slide(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_table_densities(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    extra = tuple(range(3, max(3, args.lmax) + 1))
-    rows = table_densities(extra)
+    _require(args.lmax >= 0, f"--lmax must be >= 0, got {args.lmax}")
+    rows = table_densities(range(1, args.lmax + 1))
     results = {"rows": [[d2, marker, frac_str(dens)] for d2, marker, dens in rows]}
     _emit(ReportEnvelope(tuple(argv), {"lmax": args.lmax}, results), args.json)
     return 0
@@ -403,6 +402,7 @@ def _cmd_sublat_classes(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_sublat_r3(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _require(args.ell >= 1, f"--ell must be >= 1, got {args.ell}")
     value = r3_brute(args.ell * args.ell) if args.brute else r3_formula(args.ell)
     results = {"ell": args.ell, "r3": value, "method": "brute" if args.brute else "formula"}
     _emit(ReportEnvelope(tuple(argv), {"ell": args.ell, "brute": args.brute}, results), args.json)

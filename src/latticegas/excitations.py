@@ -380,6 +380,8 @@ def _window(
     each window site's repelled set as a bitmask over the repelled particles."""
     if layers < 1:
         raise ValueError(f"a window census needs at least one layer, got {layers}")
+    if radius_sq < 0:
+        raise ValueError(f"a window census needs a squared radius >= 0, got {radius_sq}")
     e, h, _ = _detect_layering(pc, d2)
     hi = h * (layers - 1)
     window = [

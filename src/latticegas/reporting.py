@@ -15,6 +15,8 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from . import __version__
 from .configs import PeriodicConfiguration, make_config
+from .families import census_marker, densest_density
+from .forces import SUPPORTED_D2
 
 # Provenance tag: every figure is computed on the spot by enumeration or
 # algebra; none is read off a frozen table.
@@ -193,9 +195,6 @@ def table_densities(extra_l: Sequence[int] = (3,)) -> list[tuple[int, Union[int,
     close-packing thresholds 2l^2 for the listed l when not already
     covered (l=1 and l=2 coincide with thresholds 2 and 8).
     """
-    from .families import census_marker, densest_density
-    from .forces import SUPPORTED_D2
-
     d2s = list(SUPPORTED_D2)
     for l in extra_l:
         t = 2 * l * l

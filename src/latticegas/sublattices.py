@@ -1,13 +1,14 @@
 """Cubic and close-packed l-sublattices of Z^3: construction and classification.
 
-A cubic l-sublattice is identified by its six minimal vectors, the signed
-rows of any orthogonal basis (see _key). The sphere scan finds one
-orthogonal basis per lattice in a symmetry-reduced domain and maps its key
-by the 24 rotations, which give the same orbits as all 48 point symmetries
-(see _orbit); classes are the orbits of keys, and the Hermite
-normal form is computed only for the bases this module returns. The
-all-pairs sphere scan and the HNF-based partition are kept as test oracles
-(tests/oracles.py).
+A cubic l-sublattice has an orthogonal basis of squared norm l^2 and is
+identified by its six minimal vectors, the signed rows of any such basis
+(see _key). As in the paper, every one is spanned by the rows of
+t * ER(z), the Euler-Rodrigues matrix of an integer quaternion z of
+squared norm l/t scaled by t (see _cubic_keys for the proof). Classes are
+the orbits of keys under the 24 rotations, which give the same orbits as
+all 48 point symmetries (see _orbit), and the Hermite normal form is
+computed only for the bases this module returns. The all-pairs sphere scan
+and the HNF-based partition are kept as test oracles (tests/oracles.py).
 
 The closed-form class-count predictions are computed alongside the orbit
 partition and compared; they are known to over-count when degenerate
@@ -57,14 +58,12 @@ class Quaternion:
         )
 
 
-def euler_rodrigues(z: Quaternion | tuple[int, int, int, int]) -> Matrix:
+def euler_rodrigues(z: Quaternion) -> Matrix:
     """Integer rotation matrix of the quaternion, scaled by its squared norm.
 
     Rows are pairwise orthogonal with squared norm l^2 (l = norm_sq of z)
     and span a cubic l-sublattice.
     """
-    if not isinstance(z, Quaternion):
-        z = Quaternion(*z)
     a, b, c, d = z.a, z.b, z.c, z.d
     return (
         (a * a + b * b - c * c - d * d, 2 * b * c - 2 * a * d, 2 * b * d + 2 * a * c),
@@ -225,40 +224,57 @@ def _orbit(key: frozenset[Site], group: list[SignedPermutation]) -> set[frozense
 
 
 def _cubic_keys(l: int) -> set[frozenset[Site]]:
-    """Keys of all cubic l-sublattices.
+    """Keys of all cubic l-sublattices: those of t * ER(z) for t | l and N(z) = l/t.
 
-    Orthogonal partners w are scanned only for the sphere vectors v with
-    0 <= v[0] <= v[1] <= v[2]; each basis (v, w, cross(v, w)/l) found there
-    adds the orbit of its key under the point symmetries, unless its
-    key is already known (keys are added by whole orbits). This finds every
-    lattice of the full sphere scan (kept as the test oracle). A cubic
-    l-sublattice L has an orthogonal basis (v, w, u) of squared norm l^2,
-    so u = +-cross(v, w)/l. Sorting absolute values sends v into the
-    scanned domain by some signed permutation g; g is an integer orthogonal
-    map, so (g v, g w) is scanned, cross(g v, g w) = det(g) g cross(v, w)
-    passes the divisibility filter, and the basis found has key g(_key(L)),
-    whose orbit holds _key(L).
+    Here ER is euler_rodrigues and N(z) = z.norm_sq. Taking only z with
+    z.a >= |z.b|, |z.c|, |z.d| loses nothing: ER(-z) = ER(z), and z, i z, j z
+    and k z (a-coordinates a, -b, -c, -d) span one lattice, because
+    ER(u z) = ER(u) ER(z) and ER(i), ER(j), ER(k) are diagonal sign matrices.
+    Proof that these keys are exactly the cubic l-sublattices:
+
+    Each t * ER(z) is cubic: the rows of ER(z) are pairwise orthogonal of
+    squared norm N(z)^2, so the rows of t * ER(z) are an orthogonal basis of
+    squared norm l^2.
+
+    Each cubic l-sublattice L arises: 1. Let the rows of A be an orthogonal
+    basis of L with squared norm l^2. A A^T = l^2 I gives det A = +-l^3; negating one row,
+    which keeps the key, makes det A = l^3, so R = A/l is in SO(3, Q).
+    2. R = ER(z)/N(z) for a primitive integral quaternion z. For the unit
+    quaternion q = (a, b, c, d) of R, (1 + tr R, R21 - R12, R02 - R20,
+    R10 - R01) = 4a q. If tr R != -1, then a != 0 and this rational vector
+    is proportional to q; scale it to a primitive integral z, and
+    ER(z)/N(z) = ER(q) = R because ER is homogeneous of degree 2. If
+    tr R = -1, R is the half-turn 2 n n^T - I about a unit axis n; R + I is
+    rational, so n is proportional to a primitive integral v, and z = (0, v)
+    gives ER(z) = 2 v v^T - N(z) I. So A = (l / N(z)) ER(z).
+    3. While N(z) is even, z = u w with u one of 1+i, 1+j, 1+k and w
+    integral. (1-i) z / 2 = ((a+b) + (b-a) i + (c+d) j + (d-c) k) / 2 is
+    integral iff a = b and c = d (mod 2), and likewise for j (a = c,
+    b = d) and k (a = d, b = c). An even norm means an even number of odd
+    coordinates, and one of the three pairings matches them. Then
+    w = conj(u) z / 2 is integral, primitive because every common factor of
+    w divides z = u w, and N(w) = N(z)/2. As ER(u w) = ER(u) ER(w) and
+    ER(u)/2 is a signed permutation matrix, the rows of A = (l / N(w))
+    (ER(u)/2) ER(w) are the rows of (l / N(w)) ER(w), permuted and negated:
+    the same lattice.
+    4. Now k = N(w) is odd and w primitive. An odd prime p dividing k and
+    every entry of ER(w) divides ER_ii + k, that is 2(a^2+b^2), 2(a^2+c^2)
+    and 2(a^2+d^2), and the differences 4ab, 4ac and 4ad of step 2. If p | a
+    then p divides b^2, c^2 and d^2; otherwise p divides b, c and d, and
+    then a^2. Either way p divides every coordinate of the primitive w.
+    So the entries of ER(w) have no common factor with k, and
+    A = (l/k) ER(w) is integral only if k | l. With t = l/k, L is spanned
+    by the rows of t * ER(w), with N(w) = l/t.
     """
-    vecs = quadruples(l)
-    group = rotation_elements()
-    keys: set[frozenset[Site]] = set()
-    for v in vecs:
-        if not 0 <= v[0] <= v[1] <= v[2]:
-            continue
-        for w in vecs:
-            if v[0] * w[0] + v[1] * w[1] + v[2] * w[2]:
-                continue
-            cx = (
-                v[1] * w[2] - v[2] * w[1],
-                v[2] * w[0] - v[0] * w[2],
-                v[0] * w[1] - v[1] * w[0],
-            )
-            if any(c % l for c in cx):
-                continue
-            key = _key((v, w, (cx[0] // l, cx[1] // l, cx[2] // l)))
-            if key not in keys:
-                keys |= _orbit(key, group)
-    return keys
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    return {
+        _key([(t * r0, t * r1, t * r2) for r0, r1, r2 in euler_rodrigues(z)])
+        for t in range(1, l + 1)
+        if l % t == 0
+        for z in quaternions_of_norm(l // t)
+        if z.a >= max(abs(z.b), abs(z.c), abs(z.d))
+    }
 
 
 def enumerate_cubic_sublattices(l: int) -> list[Matrix]:
@@ -425,7 +441,7 @@ def _param_triples(l: int, form, cond) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-# --- quaternion coverage and the close-packed census ---------------------------------
+# --- quaternions of one norm and the close-packed census -----------------------------
 
 
 def quaternions_of_norm(l: int) -> list[Quaternion]:
@@ -434,24 +450,6 @@ def quaternions_of_norm(l: int) -> list[Quaternion]:
         raise ValueError("l must be >= 1")
     top = math.isqrt(l)
     return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
-
-
-def quaternion_coverage(l: int) -> bool:
-    """Does every cubic l-sublattice arise from the quaternion construction?
-
-    A sublattice that is an integer multiple of a smaller one is covered by
-    the scaled matrix of a quaternion of the smaller norm (e.g. 3Z^3 is
-    t = 3 times the norm-1 identity; no norm-3 quaternion rotates Z^3 onto
-    it). The search therefore runs over every divisor t of l, scaling the
-    matrices of quaternions with squared norm l/t by t.
-    """
-    reachable = {
-        _key([tuple(t * c for c in row) for row in euler_rodrigues(z)])
-        for t in range(1, l + 1)
-        if l % t == 0
-        for z in quaternions_of_norm(l // t)
-    }
-    return _cubic_keys(l) <= reachable
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ Nothing here shares search machinery with the package but
 window_census_exhaustive, which runs the package's kernel with nothing
 pruned and counts by visiting. Balls come from a cube scan, admissible
 patterns and window insertion sets from plain-list DFSs, densities from
-counting occupied sites in an exact box, orthogonal sphere-vector triples
-from a scan over every pair of sphere vectors, and cubic sublattices,
-their symmetry classes and their close-packed sublattices told apart by
+counting occupied sites in an exact box, and cubic sublattices from a
+scan over every pair of sphere vectors (orthogonal_triples), where the
+library builds them from integer quaternions; the sublattices, their
+symmetry classes and their close-packed sublattices are told apart by
 Hermite normal form.
 
 The cell walks visit every site of one period cell (the HNF box, `cell`),

@@ -138,6 +138,33 @@ def test_table_densities_rows(capsys):
     assert [18, "ℵ₀", "1/54"] in rows
 
 
+@pytest.mark.parametrize("lmax", [0, 1, 2, 3])
+def test_table_densities_appends_rows_only_up_to_lmax(capsys, lmax):
+    code, body = run_json(capsys, ["table", "densities", "--lmax", str(lmax)])
+    assert code == 0
+    assert ([18, "ℵ₀", "1/54"] in body["results"]["rows"]) == (lmax >= 3)
+
+
+def test_table_densities_refuses_a_negative_lmax(capsys):
+    code, out, err = run_capture(capsys, ["table", "densities", "--lmax", "-1"])
+    assert (code, out) == (2, "")
+    assert "--lmax" in err
+
+
+@pytest.mark.parametrize("ell", ["0", "-3"])
+@pytest.mark.parametrize("method", [[], ["--brute"]])
+def test_r3_refuses_a_nonpositive_ell(capsys, ell, method):
+    code, out, err = run_capture(capsys, ["sublat", "r3", "--ell", ell, *method])
+    assert (code, out) == (2, "")
+    assert "--ell" in err
+
+
+@pytest.mark.parametrize("action", ["enumerate", "classes"])
+def test_sublattice_commands_refuse_ell_zero(capsys, action):
+    code, out, _ = run_capture(capsys, ["sublat", action, "--ell", "0"])
+    assert (code, out) == (2, "")
+
+
 def test_exc_pipeline(tmp_path, capsys):
     code, out, _ = run_capture(
         capsys, ["pc", "build", "--d2", "5", "--family", "d5", "--seq", "01"]
@@ -275,6 +302,12 @@ def test_window_census_needs_a_layer(capsys):
     code, out, _ = run_capture(capsys, ["exc", "window-census", "--layers", "0"])
     assert code == 2
     assert out == ""
+
+
+def test_window_census_refuses_a_negative_radius(capsys):
+    code, out, err = run_capture(capsys, ["exc", "window-census", "--radius", "-5"])
+    assert (code, out) == (2, "")
+    assert "radius" in err
 
 
 def test_build_refuses_a_threshold_the_family_does_not_have(capsys):

@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-every function, class and method it defines is referenced somewhere in the
-package or its tests, and importing the CLI loads nothing outside the
-standard library.
+"""Source hygiene: no module of the package imports a name it never uses
+or imports inside a function body, every function, class and method it
+defines is referenced somewhere in the package or its tests, and importing
+the CLI loads nothing outside the standard library.
 
 `__init__.py` is exempt from the unused-import check, since its imports are
 the public re-exports.
@@ -66,6 +66,33 @@ def test_no_unused_imports(path):
 def test_checker_catches_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Optional\nx: 'Optional[int]' = None\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Any"}
+
+
+def function_local_imports(tree: ast.Module) -> set[str]:
+    """Each import statement inside a function body, by function and line."""
+    return {
+        f"{fn.name} (line {node.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    local = sorted(function_local_imports(tree))
+    assert not local, f"{path.name} imports inside functions: {', '.join(local)}"
+
+
+def test_checker_catches_a_function_local_import():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n    from json import dumps\n    return dumps\n"
+        "class A:\n    def g(self):\n        import sys\n"
+    )
+    assert function_local_imports(tree) == {"f (line 3)", "g (line 7)"}
 
 
 def defined_names(tree: ast.Module) -> set[str]:

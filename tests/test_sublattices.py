@@ -1,6 +1,9 @@
 """Cubic sublattices: quaternion parametrization, counting formulas,
 symmetry classes, and the close-packed doubling."""
 
+import math
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +23,6 @@ from latticegas.sublattices import (
     is_cubic_basis,
     predicted_class_bases,
     quadruples,
-    quaternion_coverage,
     quaternions_of_norm,
     r3_brute,
     r3_formula,
@@ -66,6 +68,56 @@ def test_quaternion_norm_is_multiplicative(a, b, c, d, e, f, g, h):
         return
     p, q = Quaternion(a, b, c, d), Quaternion(e, f, g, h)
     assert (p * q).norm_sq == p.norm_sq * q.norm_sq
+
+
+@given(
+    a=quat_component, b=quat_component, c=quat_component, d=quat_component,
+    e=quat_component, f=quat_component, g=quat_component, h=quat_component,
+)
+def test_rotation_matrix_is_multiplicative(a, b, c, d, e, f, g, h):
+    if (a == b == c == d == 0) or (e == f == g == h == 0):
+        return
+    p, q = Quaternion(a, b, c, d), Quaternion(e, f, g, h)
+    mp, mq = euler_rodrigues(p), euler_rodrigues(q)
+    product_matrix = tuple(
+        tuple(sum(mp[i][k] * mq[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    )
+    assert euler_rodrigues(p * q) == product_matrix
+
+
+HALVING_UNITS = (Quaternion(1, 1, 0, 0), Quaternion(1, 0, 1, 0), Quaternion(1, 0, 0, 1))
+
+
+def test_left_factors_of_norm_one_and_two_only_permute_and_negate_rows():
+    units = (Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))
+    for u in (*units, *HALVING_UNITS):
+        # ER(u)/N(u) is a signed permutation matrix
+        m, n = euler_rodrigues(u), u.norm_sq
+        assert all(x % n == 0 for row in m for x in row)
+        assert all(sum(abs(x) for x in line) == n for line in (*m, *zip(*m)))
+
+
+def test_even_norms_are_left_divisible_by_a_halving_unit():
+    for coords in product(range(-4, 5), repeat=4):
+        if not any(coords) or sum(x * x for x in coords) % 2:
+            continue
+        z = Quaternion(*coords)
+        u, q = next(
+            (u, q)
+            for u in HALVING_UNITS
+            for q in [u.conjugate() * z]
+            if q.a % 2 == q.b % 2 == q.c % 2 == q.d % 2 == 0
+        )
+        assert u * Quaternion(q.a // 2, q.b // 2, q.c // 2, q.d // 2) == z, coords
+
+
+def test_odd_primitive_norms_share_no_factor_with_the_rotation_entries():
+    for coords in product(range(-4, 5), repeat=4):
+        if math.gcd(*coords) != 1:
+            continue
+        z = Quaternion(*coords)
+        if z.norm_sq % 2:
+            assert math.gcd(z.norm_sq, *(x for row in euler_rodrigues(z) for x in row)) == 1, coords
 
 
 def test_conjugation_gives_the_norm():
@@ -162,7 +214,7 @@ def test_every_quadruple_extends_to_an_orthogonal_triple():
 
 
 def test_orthogonal_triples_match_the_full_sphere_scan():
-    for l in range(1, 61):
+    for l in (*range(1, 61), 64, 96, 105, 128):
         assert _cubic_keys(l) == {_key(t) for t in orthogonal_triples(l)}, l
 
 
@@ -197,7 +249,6 @@ def test_hnf_runs_once_per_returned_basis(monkeypatch):
         (lambda: classify_classes(45), lattices),
         (lambda: enumerate_cubic_sublattices(45), lattices),
         (lambda: fcc_census(45), 0),
-        (lambda: quaternion_coverage(5), 0),
     ):
         calls.clear()
         run()
@@ -209,11 +260,6 @@ def test_formula_vs_oracle_mismatch_set():
         cmp = compare_class_counts(l)
         assert bool(cmp.mismatched_sizes) == (l in MISMATCH_LS), l
         assert cmp.oracle == class_size_histogram(l)
-
-
-def test_quaternion_coverage_of_small_norms():
-    for l in range(1, 9):
-        assert quaternion_coverage(l), l
 
 
 def test_quaternions_of_norm():
