@@ -57,6 +57,11 @@ from .sublattices import (
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
+# The largest --ell that `sublat r3 --brute` scans. Its sphere scan makes
+# O(ell^2) isqrt calls: about 0.6 s at ell = 1000 and 2 s at ell = 2000 on a
+# 2-vCPU host, and 27 s at ell = 8000.
+R3_BRUTE_MAX_ELL = 2000
+
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
@@ -403,6 +408,10 @@ def _cmd_sublat_classes(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _cmd_sublat_r3(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _require(args.ell >= 1, f"--ell must be >= 1, got {args.ell}")
+    _require(
+        not args.brute or args.ell <= R3_BRUTE_MAX_ELL,
+        f"--ell must be <= {R3_BRUTE_MAX_ELL} with --brute, got {args.ell}",
+    )
     value = r3_brute(args.ell * args.ell) if args.brute else r3_formula(args.ell)
     results = {"ell": args.ell, "r3": value, "method": "brute" if args.brute else "formula"}
     _emit(ReportEnvelope(tuple(argv), {"ell": args.ell, "brute": args.brute}, results), args.json)

@@ -10,12 +10,11 @@ descriptions of the same infinite point set always compare equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forces import normalization_constant
-from .lattice import Site, SignedPermutation, ball_sites, sq_dist
+from .lattice import Record, Site, SignedPermutation, ball_sites, sq_dist
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -99,8 +98,7 @@ def _crange(lo: int, hi: int, base: int, step: int) -> range:
     return range(-((base - lo) // step), (hi - base) // step + 1)
 
 
-@dataclass(frozen=True)
-class PeriodicConfiguration:
+class PeriodicConfiguration(Record):
     """An infinite periodic occupied set: lattice basis rows + cell offsets."""
 
     basis: Matrix
@@ -157,7 +155,7 @@ class PeriodicConfiguration:
 
     def translate(self, v: Site) -> "PeriodicConfiguration":
         offs = sorted(self.reduce((o[0] + v[0], o[1] + v[1], o[2] + v[2])) for o in self.offsets)
-        return replace(self, offsets=tuple(offs))
+        return PeriodicConfiguration(self.basis, tuple(offs), self.context_d2)
 
     def transform(self, g: SignedPermutation) -> "PeriodicConfiguration":
         """Image under a signed permutation, re-normalized to HNF."""
@@ -277,8 +275,7 @@ _FAMILY_ALPHABETS: dict[str, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class LayerSequence:
+class LayerSequence(Record):
     """A periodic word of layer labels for one of the layered families."""
 
     family: str

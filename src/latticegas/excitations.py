@@ -9,16 +9,16 @@ diagonal; it is detected from the configuration itself, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, close_packing_scale, is_perfect
 from .forces import ForceTable, force_table, normalization_constant, peierls_gap
 from .lattice import (
+    ORIGIN,
+    Record,
     Site,
     ball_sites,
-    conflict_masks,
     count_independent_sets,
     independent_sets,
     is_admissible,
@@ -30,8 +30,7 @@ def _dot(a: Site, b: Site) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-@dataclass(frozen=True)
-class InsertionSet:
+class InsertionSet(Record):
     """A finite collection of extra particles placed into vacant sites."""
 
     pc: PeriodicConfiguration
@@ -50,8 +49,7 @@ class InsertionSet:
             raise ValueError("insertion sites are not pairwise admissible")
 
 
-@dataclass(frozen=True)
-class RemovalSet:
+class RemovalSet(Record):
     """A finite collection of particles deleted from the configuration."""
 
     pc: PeriodicConfiguration
@@ -113,12 +111,11 @@ class InsertionType:
     ALL = (I, IIA, IIB, IIC)
 
 
-@dataclass(frozen=True)
-class ExcitationReport:
+class ExcitationReport(Record, uncompared=("excesses",)):
     inserted_count: int
     repelled: tuple[Site, ...]
     energy: int
-    excesses: dict[Site, Fraction] = field(compare=False)
+    excesses: dict[Site, Fraction]
     type: Optional[str] = None
     background_perfect: bool = True
 
@@ -365,19 +362,28 @@ def peierls_check(
 # --- bounded-window census --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowCensus:
+class WindowCensus(Record):
     window_sites: int
     sets_scanned: int
     low_energy_terminal: tuple[tuple[Site, ...], ...]
     all_terminal_iia: bool
 
 
+# The most nonempty admissible sets a window census takes. Its search visits
+# only a small share of them, but the more there are, the longer it runs: on
+# hcp (one 2-vCPU host, Python 3.11), 3 layers at squared radius 12 give
+# 1.4e8 sets (about 0.5 s) and at 13 give 2.7e9 (about 9 s), and 1 layer at
+# squared radius 40 gives 4.2e10 (13 s).
+WINDOW_SETS_MAX = 3 * 10**9
+
+
 def _window(
     pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int, center: Site
 ) -> tuple[list[Site], list[int], list[int]]:
     """The window of a census (see window_census), its conflict masks, and
-    each window site's repelled set as a bitmask over the repelled particles."""
+    each window site's repelled set as a bitmask over the repelled particles.
+    The conflicts are looked up in the hard-core ball of each site, so the
+    cost grows with the window's size, not with its square."""
     if layers < 1:
         raise ValueError(f"a window census needs at least one layer, got {layers}")
     if radius_sq < 0:
@@ -389,10 +395,16 @@ def _window(
         for x in ball_sites(radius_sq + 1, center)
         if 0 <= _dot(x, e) <= hi and not pc.contains(x)
     ]
+    at = {x: k for k, x in enumerate(window)}
+    reach = [b for b in ball_sites(d2) if b != ORIGIN]
+    conflict = [
+        sum(1 << at[y] for y in ((x[0] + b[0], x[1] + b[1], x[2] + b[2]) for b in reach) if y in at)
+        for x in window
+    ]
     near = [pc.occupied_near(x, d2) for x in window]
     index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
     cover = [sum(1 << index[y] for y in ys) for ys in near]
-    return window, conflict_masks(window, d2), cover
+    return window, conflict, cover
 
 
 def _energy_weights(conflict: list[int], cover: list[int]) -> tuple[list[int], int]:
@@ -433,6 +445,11 @@ def window_census(
     expected outcome on a layered perfect background is that each survivor
     is a single lowest-type in-plane insertion.
 
+    The work grows steeply with the window, so it is bounded before the
+    search starts: the count refuses a window whose sets take more than
+    lattice.COUNT_STATES_MAX states to count, and a window of more than
+    WINDOW_SETS_MAX sets is refused. Both refusals raise ValueError.
+
     Only sets that can have energy <= 2 are searched. For a repelled
     particle p let K_p be the size of the largest admissible set of window
     sites that all repel p. An admissible X has at most K_p members that
@@ -447,6 +464,12 @@ def window_census(
     exact energy is tested before any set is reduced.
     """
     window, conflict, cover = _window(pc, d2, layers, radius_sq, center)
+    sets = count_independent_sets(conflict) - 1
+    if sets > WINDOW_SETS_MAX:
+        raise ValueError(
+            f"a window census takes at most {WINDOW_SETS_MAX} admissible sets; the window "
+            f"of layers={layers}, radius_sq={radius_sq} has {sets}"
+        )
     weight, den = _energy_weights(conflict, cover)
     survivors: set[tuple[Site, ...]] = set()
 
@@ -461,7 +484,7 @@ def window_census(
     uniq = sorted(survivors)
     return WindowCensus(
         window_sites=len(window),
-        sets_scanned=count_independent_sets(conflict) - 1,
+        sets_scanned=sets,
         low_energy_terminal=tuple(uniq),
         all_terminal_iia=all(len(s) == 1 and _is_iia(pc, s[0], d2) for s in uniq),
     )

@@ -13,13 +13,13 @@ search); nothing here is floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .lattice import (
     ORIGIN,
+    Record,
     Site,
     ball_sites,
     conflict_masks,
@@ -64,8 +64,7 @@ class UnsupportedThresholdError(ValueError):
     """Raised for exclusion thresholds with no known repelling-force table."""
 
 
-@dataclass(frozen=True)
-class ForceTable:
+class ForceTable(Record):
     """A rational force profile f(q) on the ball of a given exclusion threshold."""
 
     d2: int
@@ -138,8 +137,7 @@ def enumerate_ball_acs(
     return count
 
 
-@dataclass(frozen=True)
-class BallSearchReport:
+class BallSearchReport(Record):
     """Outcome of the exhaustive force search over one ball."""
 
     d2: int

@@ -9,7 +9,6 @@ version produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -17,6 +16,7 @@ from . import __version__
 from .configs import PeriodicConfiguration, make_config
 from .families import census_marker, densest_density
 from .forces import SUPPORTED_D2
+from .lattice import Record
 
 # Provenance tag: every figure is computed on the spot by enumeration or
 # algebra; none is read off a frozen table.
@@ -47,8 +47,7 @@ def jsonable(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
-@dataclass(frozen=True)
-class ReportEnvelope:
+class ReportEnvelope(Record):
     """Wrapper around one command's results.
 
     command echoes the argv that produced the report, inputs the parsed
@@ -60,7 +59,7 @@ class ReportEnvelope:
     inputs: Mapping[str, Any]
     results: Mapping[str, Any]
     provenance: str = COMPUTED
-    version: str = field(default=__version__)
+    version: str = __version__
 
     def body(self) -> dict[str, Any]:
         return {

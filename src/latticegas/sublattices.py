@@ -19,18 +19,16 @@ as flags, never silently patched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .configs import Matrix, hnf
-from .lattice import Site, SignedPermutation, rotation_elements
+from .lattice import Record, Site, SignedPermutation, rotation_elements
 
 
 # --- quaternions and the integer rotation matrix -------------------------------
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Record):
     a: int
     b: int
     c: int
@@ -282,8 +280,7 @@ def enumerate_cubic_sublattices(l: int) -> list[Matrix]:
     return sorted(hnf(k) for k in _cubic_keys(l))
 
 
-@dataclass(frozen=True)
-class SublatticeClass:
+class SublatticeClass(Record):
     size: int
     stabilizer_order: int
     representative: Matrix
@@ -325,8 +322,7 @@ def class_size_histogram(l: int) -> dict[int, int]:
     return hist
 
 
-@dataclass(frozen=True)
-class ClassCountComparison:
+class ClassCountComparison(Record):
     l: int
     oracle: dict[int, int]
     predicted: dict[int, int]
@@ -452,8 +448,7 @@ def quaternions_of_norm(l: int) -> list[Quaternion]:
     return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
 
 
-@dataclass(frozen=True)
-class FccCensus:
+class FccCensus(Record):
     l: int
     fcc_sublattices: int
     pcs_total: Optional[int]

@@ -18,14 +18,20 @@ perfection from the force collected at every cell site
 vacant cell site (saturated_by_scan), the IIa count from classifying
 every vacant cell site (iia_count_by_scan), and the censuses from the
 canonical form of every translate by a cell site (translates_by_walk).
+
+The package's value types derive from lattice.Record; their twins here are
+frozen dataclasses with the same names, fields, defaults and equality, so
+a test can hold Record to what the dataclass it replaced did.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Optional
 
 from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, canonicalize, hnf
 from latticegas.excitations import (
@@ -361,3 +367,38 @@ def classify_by_hnf(l: int) -> list[SublatticeClass]:
 def fcc_count_by_hnf(l: int) -> int:
     """Distinct close-packed sublattices of the cubic ones, told apart by HNF."""
     return len({hnf(list(fcc_from_cubic(t))) for t in orthogonal_triples(l)})
+
+
+# --- frozen-dataclass twins of the records ----------------------------------------
+
+
+def _nonzero_quaternion(q) -> None:
+    if (q.a, q.b, q.c, q.d) == (0, 0, 0, 0):
+        raise ValueError("the zero quaternion generates nothing")
+
+
+QuaternionTwin = make_dataclass(
+    "Quaternion",
+    [("a", int), ("b", int), ("c", int), ("d", int)],
+    frozen=True,
+    namespace={"__post_init__": _nonzero_quaternion},
+)
+
+PeriodicConfigurationTwin = make_dataclass(
+    "PeriodicConfiguration",
+    [("basis", Matrix), ("offsets", tuple), ("context_d2", Optional[int], None)],
+    frozen=True,
+)
+
+ExcitationReportTwin = make_dataclass(
+    "ExcitationReport",
+    [
+        ("inserted_count", int),
+        ("repelled", tuple),
+        ("energy", int),
+        ("excesses", dict, field(compare=False)),
+        ("type", Optional[str], None),
+        ("background_perfect", bool, True),
+    ],
+    frozen=True,
+)

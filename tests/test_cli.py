@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from latticegas import cli, excitations
 from latticegas.cli import run
 from latticegas.families import build_layered_d5
 from latticegas.reporting import config_payload
+from latticegas.sublattices import r3_formula
 from test_configs import _supercell_without_one
 
 
@@ -159,6 +161,18 @@ def test_r3_refuses_a_nonpositive_ell(capsys, ell, method):
     assert "--ell" in err
 
 
+def test_r3_brute_refuses_an_ell_above_the_limit(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "r3_brute", lambda n: calls.append(n) or 0)
+    code, out, err = run_capture(capsys, ["sublat", "r3", "--ell", "2001", "--brute"])
+    assert (code, out, calls) == (2, "", [])
+    assert "--ell" in err and "2000" in err
+    code, _ = run_json(capsys, ["sublat", "r3", "--ell", "2000", "--brute"])
+    assert (code, calls) == (0, [2000 * 2000])
+    code, body = run_json(capsys, ["sublat", "r3", "--ell", "2001"])
+    assert (code, body["results"]["r3"]) == (0, r3_formula(2001))
+
+
 @pytest.mark.parametrize("action", ["enumerate", "classes"])
 def test_sublattice_commands_refuse_ell_zero(capsys, action):
     code, out, _ = run_capture(capsys, ["sublat", action, "--ell", "0"])
@@ -308,6 +322,16 @@ def test_window_census_refuses_a_negative_radius(capsys):
     code, out, err = run_capture(capsys, ["exc", "window-census", "--radius", "-5"])
     assert (code, out) == (2, "")
     assert "radius" in err
+
+
+def test_window_census_refuses_a_window_above_the_limit(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a refused window census must not search")
+
+    monkeypatch.setattr(excitations, "independent_sets", no_search)
+    code, out, err = run_capture(capsys, ["exc", "window-census", "--layers", "3", "--radius", "14"])
+    assert (code, out) == (2, "")
+    assert "more than 200000 states" in err
 
 
 def test_build_refuses_a_threshold_the_family_does_not_have(capsys):

@@ -245,6 +245,20 @@ def test_hcp_window_census_at_three_layers_and_radius_12():
     assert census.all_terminal_iia
 
 
+@pytest.mark.parametrize("layers,radius_sq,refusal", [
+    (3, 14, "more than 200000 states"),  # 127 sites; the count alone would take 909,128 states
+    (3, 40, "more than 200000 states"),  # 391 sites; an unbounded count's memo passes 5 GB
+    (1, 40, "at most 3000000000 admissible sets"),  # 54 sites, 610 states, 4.2e10 sets
+], ids=["hcp-3-14", "hcp-3-40", "hcp-1-40"])
+def test_window_census_refuses_a_window_before_searching_it(layers, radius_sq, refusal, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a refused window census must not search")
+
+    monkeypatch.setattr(excitations, "independent_sets", no_search)
+    with pytest.raises(ValueError, match=refusal):
+        window_census(HCP, 5, layers, radius_sq)
+
+
 WINDOW_3_10 = _window(HCP, 5, 3, 10, (0, 0, 0))
 WEIGHTS_3_10 = _energy_weights(*WINDOW_3_10[1:])
 

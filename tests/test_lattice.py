@@ -1,14 +1,21 @@
-"""Geometry primitives: balls, distances, the cube symmetry group."""
+"""Geometry primitives: balls, distances, the cube symmetry group, and the
+Record base of the package's value types."""
 
+import dataclasses
 from functools import reduce
 from itertools import combinations
 from operator import or_
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latticegas.configs import PeriodicConfiguration
+from latticegas import lattice
+from latticegas.excitations import ExcitationReport
 from latticegas.lattice import (
     ORIGIN,
+    Record,
     SignedPermutation,
     ball_sites,
     conflict_masks,
@@ -19,7 +26,14 @@ from latticegas.lattice import (
     rotation_elements,
     sq_dist,
 )
-from oracles import brute_ball, pairwise_admissible
+from latticegas.sublattices import Quaternion
+from oracles import (
+    ExcitationReportTwin,
+    PeriodicConfigurationTwin,
+    QuaternionTwin,
+    brute_ball,
+    pairwise_admissible,
+)
 from reference_data import BALL_COUNTS
 
 sites_st = st.tuples(
@@ -126,6 +140,20 @@ def test_count_independent_sets_matches_the_sets_visited(pts, d2):
     assert count_independent_sets(conflict) == len(seen)
 
 
+def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
+    # index i conflicts with i + k only: each of the k pairs is empty, its
+    # first or its second index, and the count expands about 2^k states
+    def pairs(k):
+        return [1 << (i + k) if i < k else 1 << (i - k) for i in range(2 * k)]
+
+    assert count_independent_sets(pairs(12)) == 3 ** 12
+    assert count_independent_sets([0] * 2000) == 2 ** 2000  # 2,000 levels deep
+    monkeypatch.setattr(lattice, "COUNT_STATES_MAX", 1000)
+    assert count_independent_sets(pairs(8)) == 3 ** 8
+    with pytest.raises(ValueError, match="more than 1000 states"):
+        count_independent_sets(pairs(12))
+
+
 @given(pts=point_sets_st, d2=st.integers(1, 12), limit=st.integers(-40, 60), data=st.data())
 def test_the_ceiling_visits_exactly_the_sets_its_bound_admits(pts, d2, limit, data):
     n = len(pts)
@@ -146,3 +174,98 @@ def test_the_ceiling_visits_exactly_the_sets_its_bound_admits(pts, d2, limit, da
     )
     assert [c for c, _ in seen] == expected
     assert all(total == sum(weight[i] for i in c) for c, total in seen)
+
+
+small_st = st.integers(-1, 1)
+few_sites_st = st.lists(st.tuples(small_st, small_st, small_st), max_size=2).map(tuple)
+
+# each record, its frozen-dataclass twin, and a strategy per field, in field
+# order; the domains are small so that equal values are drawn often
+RECORDS = {
+    "Quaternion": (Quaternion, QuaternionTwin, {f: small_st for f in "abcd"}),
+    "PeriodicConfiguration": (
+        PeriodicConfiguration,
+        PeriodicConfigurationTwin,
+        {
+            "basis": st.sampled_from([((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))]),
+            "offsets": few_sites_st,
+            "context_d2": st.none() | st.integers(1, 2),
+        },
+    ),
+    "ExcitationReport": (
+        ExcitationReport,
+        ExcitationReportTwin,
+        {
+            "inserted_count": st.integers(0, 1),
+            "repelled": few_sites_st,
+            "energy": st.integers(0, 1),
+            "excesses": st.dictionaries(
+                st.tuples(small_st, small_st, small_st), st.fractions(0, 1, max_denominator=2), max_size=1
+            ),
+            "type": st.sampled_from([None, "I", "IIa"]),
+            "background_perfect": st.booleans(),
+        },
+    ),
+}
+
+
+def _raised(call):
+    """The exception call() raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # the record and its twin must fail alike, however they fail
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+@given(data=st.data())
+def test_record_behaves_as_its_frozen_dataclass_twin(name, data):
+    record, twin, strategies = RECORDS[name]
+    fields = list(strategies)
+    x, y = (data.draw(st.fixed_dictionaries(strategies)) for _ in range(2))
+    for values in (x, y):
+        refused = _raised(lambda: twin(**values))
+        if refused is not None:  # __post_init__ rejects the zero quaternion
+            with pytest.raises(type(refused)):
+                record(**values)
+            return
+    xs, ys = [x[f] for f in fields], [y[f] for f in fields]
+    r1, r2, t1, t2 = record(*xs), record(*ys), twin(*xs), twin(*ys)
+
+    assert repr(r1) == repr(t1)
+    assert (r1 == r2, r1 != r2) == (t1 == t2, t1 != t2)
+    assert hash(r1) == hash(t1)
+    if r1 == r2:
+        assert hash(r1) == hash(r2)
+    assert (r1 == t1, t1 == r1, r1.__eq__(x), r1 == tuple(xs)) == (False, False, NotImplemented, False)
+
+    # positional, keyword and omitted-default forms build the same value
+    k = data.draw(st.integers(0, len(fields)))
+    mixed = record(*[x[f] for f in fields[:k]], **{f: x[f] for f in fields[k:]})
+    assert (mixed == r1, repr(mixed)) == (True, repr(r1))
+    required = {f.name: x[f.name] for f in dataclasses.fields(twin) if f.default is dataclasses.MISSING}
+    assert repr(record(**required)) == repr(twin(**required))
+
+    for attr in [*fields, "unknown"]:
+        for act in (lambda o: setattr(o, attr, 0), lambda o: delattr(o, attr)):
+            got, want = _raised(lambda: act(r1)), _raised(lambda: act(t1))
+            assert isinstance(got, AttributeError) and isinstance(want, AttributeError)
+            assert str(got) == str(want)
+    assert repr(r1) == repr(t1)
+
+    bad_calls = [
+        ((), {f: x[f] for f in fields[1:]}),  # the first field missing
+        ((*xs, 0), {}),  # one field too many
+        ((), {**x, "unknown": 0}),  # a field the record lacks
+        ((x[fields[0]],), x),  # the first field twice
+    ]
+    for args, kwargs in bad_calls:
+        assert isinstance(_raised(lambda: twin(*args, **kwargs)), TypeError)
+        assert isinstance(_raised(lambda: record(*args, **kwargs)), TypeError)
+
+
+def test_record_refuses_to_leave_out_a_field_it_lacks():
+    with pytest.raises(TypeError):
+        class Misnamed(Record, uncompared=("excess",)):
+            excesses: dict
