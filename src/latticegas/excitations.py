@@ -15,10 +15,10 @@ from typing import Iterable, Optional
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, close_packing_scale, is_perfect
 from .forces import ForceTable, force_table, normalization_constant, peierls_gap
 from .lattice import (
-    ORIGIN,
     Record,
     Site,
     ball_sites,
+    conflict_masks,
     count_independent_sets,
     independent_sets,
     is_admissible,
@@ -369,21 +369,25 @@ class WindowCensus(Record):
     all_terminal_iia: bool
 
 
-# The most nonempty admissible sets a window census takes. Its search visits
-# only a small share of them, but the more there are, the longer it runs: on
-# hcp (one 2-vCPU host, Python 3.11), 3 layers at squared radius 12 give
-# 1.4e8 sets (about 0.5 s) and at 13 give 2.7e9 (about 9 s), and 1 layer at
-# squared radius 40 gives 4.2e10 (13 s).
-WINDOW_SETS_MAX = 3 * 10**9
+# Work bounds of a window census's search, which stops with ValueError when
+# it passes either. On one 2-vCPU host (Python 3.11) a visited set costs
+# 0.9-1.4 us on every background tried (hcp, 2l2 at d2 = 8 and 18, and the
+# 2x2x2 supercells of hcp and of 2l2 at d2 = 8 with one offset removed), so
+# the visits take at most about 14 s; hcp at 3 layers and squared radius 13
+# visits 8.3e6 sets. A reduction costs 0.05 ms for a single site and 3 ms on
+# average for the 1-16 sites of the sets of energy <= 2 near a vacancy, so
+# at those sizes the reductions take at most about 15 s; hcp windows reduce
+# at most 27 sets, but the holed hcp supercell at 1 layer and squared radius
+# 30 has 555,467 to reduce.
+WINDOW_VISITS_MAX = 10**7
+WINDOW_REDUCTIONS_MAX = 5000
 
 
 def _window(
     pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int, center: Site
 ) -> tuple[list[Site], list[int], list[int]]:
     """The window of a census (see window_census), its conflict masks, and
-    each window site's repelled set as a bitmask over the repelled particles.
-    The conflicts are looked up in the hard-core ball of each site, so the
-    cost grows with the window's size, not with its square."""
+    each window site's repelled set as a bitmask over the repelled particles."""
     if layers < 1:
         raise ValueError(f"a window census needs at least one layer, got {layers}")
     if radius_sq < 0:
@@ -395,16 +399,10 @@ def _window(
         for x in ball_sites(radius_sq + 1, center)
         if 0 <= _dot(x, e) <= hi and not pc.contains(x)
     ]
-    at = {x: k for k, x in enumerate(window)}
-    reach = [b for b in ball_sites(d2) if b != ORIGIN]
-    conflict = [
-        sum(1 << at[y] for y in ((x[0] + b[0], x[1] + b[1], x[2] + b[2]) for b in reach) if y in at)
-        for x in window
-    ]
     near = [pc.occupied_near(x, d2) for x in window]
     index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
     cover = [sum(1 << index[y] for y in ys) for ys in near]
-    return window, conflict, cover
+    return window, conflict_masks(window, d2), cover
 
 
 def _energy_weights(conflict: list[int], cover: list[int]) -> tuple[list[int], int]:
@@ -445,10 +443,16 @@ def window_census(
     expected outcome on a layered perfect background is that each survivor
     is a single lowest-type in-plane insertion.
 
-    The work grows steeply with the window, so it is bounded before the
-    search starts: the count refuses a window whose sets take more than
-    lattice.COUNT_STATES_MAX states to count, and a window of more than
-    WINDOW_SETS_MAX sets is refused. Both refusals raise ValueError.
+    The work grows steeply with the window, so it is bounded. Before the
+    search starts, the count refuses a window whose sets take more than
+    lattice.COUNT_STATES_MAX states to count. The search then stops when it
+    has visited more than WINDOW_VISITS_MAX sets or reduced more than
+    WINDOW_REDUCTIONS_MAX. Its time depends on what it visits, not on how
+    many sets the window has. How much the ceiling below prunes depends on
+    the background: at 2 layers and squared radius 16, hcp has 1.4e9 sets
+    and the search visits 2.6e6 of them, while the holed hcp supercell has
+    1.5e9 and the search would visit 1.45e8 (149 s). Each refusal raises
+    ValueError.
 
     Only sets that can have energy <= 2 are searched. For a repelled
     particle p let K_p be the size of the largest admissible set of window
@@ -465,16 +469,25 @@ def window_census(
     """
     window, conflict, cover = _window(pc, d2, layers, radius_sq, center)
     sets = count_independent_sets(conflict) - 1
-    if sets > WINDOW_SETS_MAX:
-        raise ValueError(
-            f"a window census takes at most {WINDOW_SETS_MAX} admissible sets; the window "
-            f"of layers={layers}, radius_sq={radius_sq} has {sets}"
-        )
     weight, den = _energy_weights(conflict, cover)
     survivors: set[tuple[Site, ...]] = set()
+    visits = reductions = 0
 
     def visit(chosen: list[int], total: int, covered: int) -> None:
+        nonlocal visits, reductions
+        visits += 1
+        if visits > WINDOW_VISITS_MAX:
+            raise ValueError(
+                f"a window census visits at most {WINDOW_VISITS_MAX} sets; the window of "
+                f"layers={layers}, radius_sq={radius_sq} needs more"
+            )
         if chosen and covered.bit_count() - len(chosen) <= 2:  # the energy |eta| - |xi|
+            reductions += 1
+            if reductions > WINDOW_REDUCTIONS_MAX:
+                raise ValueError(
+                    f"a window census reduces at most {WINDOW_REDUCTIONS_MAX} sets; the window "
+                    f"of layers={layers}, radius_sq={radius_sq} needs more"
+                )
             ins = InsertionSet(pc, d2, tuple(window[k] for k in chosen))
             red = reduce_insertions(pc, ins, d2)
             if red.sites:

@@ -54,12 +54,26 @@ def is_admissible(sites: Iterable[Site], d2: int) -> bool:
 
 
 def conflict_masks(sites: Sequence[Site], d2: int) -> list[int]:
-    """Bit j of entry i is set iff sites i and j are closer than the hard-core distance."""
-    n = len(sites)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq_dist(sites[i], sites[j]) < d2:
+    """Bit j of entry i is set iff the distinct sites i and j are closer than
+    the hard-core distance.
+
+    Each site's conflicts are looked up in the half of its hard-core ball
+    above it (b > ORIGIN), so the cost grows as len(sites) * |ball_sites(d2)|,
+    not as the square of len(sites). A site x is keyed (x0 * m + x1) * m + x2,
+    which is linear in x, so x + b has the key of x plus the key of b; with m
+    above the coordinate span plus the ball's diameter, no two points of the
+    span grown by the ball's radius share a key.
+    """
+    if not sites:
+        return []
+    m = max(map(max, sites)) - min(map(min, sites)) + 2 * math.isqrt(max(d2 - 1, 0)) + 1
+    at = {(x[0] * m + x[1]) * m + x[2]: k for k, x in enumerate(sites)}
+    steps = [(b[0] * m + b[1]) * m + b[2] for b in ball_sites(d2) if b > ORIGIN]
+    masks = [0] * len(sites)
+    for key, i in at.items():
+        for step in steps:
+            j = at.get(key + step)
+            if j is not None:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks

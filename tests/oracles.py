@@ -3,7 +3,9 @@ the library and to freeze golden expectations.
 
 Nothing here shares search machinery with the package but
 window_census_exhaustive, which runs the package's kernel with nothing
-pruned and counts by visiting. Balls come from a cube scan, admissible
+pruned and counts by visiting, on conflicts found by comparing every pair
+of sites (conflict_masks_pairwise) rather than by the library's ball
+lookup. Balls come from a cube scan, admissible
 patterns and window insertion sets from plain-list DFSs, densities from
 counting occupied sites in an exact box, and cubic sublattices from a
 scan over every pair of sphere vectors (orthogonal_triples), where the
@@ -42,7 +44,7 @@ from latticegas.excitations import (
     reduce_insertions,
 )
 from latticegas.forces import force_table
-from latticegas.lattice import conflict_masks, independent_sets, oh_elements
+from latticegas.lattice import independent_sets, oh_elements
 from latticegas.sublattices import SublatticeClass, fcc_from_cubic, predicted_class_bases
 
 Site = tuple[int, int, int]
@@ -66,6 +68,18 @@ def pairwise_admissible(sites: list[Site], d2: int) -> bool:
             if d < d2:
                 return False
     return True
+
+
+def conflict_masks_pairwise(sites: list[Site], d2: int) -> list[int]:
+    """lattice.conflict_masks by comparing every pair of sites."""
+    n = len(sites)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not pairwise_admissible([sites[i], sites[j]], d2):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
 
 
 def force_extremes(d2: int):
@@ -209,7 +223,7 @@ def window_census_exhaustive(
             if red.sites:
                 survivors.add(red.sites)
 
-    independent_sets(conflict_masks(window, d2), [0] * len(window), cover, visit)
+    independent_sets(conflict_masks_pairwise(window, d2), [0] * len(window), cover, visit)
     uniq = tuple(sorted(survivors))
     return WindowCensus(len(window), scanned, uniq, _all_iia(pc, d2, uniq))
 

@@ -248,8 +248,7 @@ def test_hcp_window_census_at_three_layers_and_radius_12():
 @pytest.mark.parametrize("layers,radius_sq,refusal", [
     (3, 14, "more than 200000 states"),  # 127 sites; the count alone would take 909,128 states
     (3, 40, "more than 200000 states"),  # 391 sites; an unbounded count's memo passes 5 GB
-    (1, 40, "at most 3000000000 admissible sets"),  # 54 sites, 610 states, 4.2e10 sets
-], ids=["hcp-3-14", "hcp-3-40", "hcp-1-40"])
+], ids=["hcp-3-14", "hcp-3-40"])
 def test_window_census_refuses_a_window_before_searching_it(layers, radius_sq, refusal, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a refused window census must not search")
@@ -257,6 +256,19 @@ def test_window_census_refuses_a_window_before_searching_it(layers, radius_sq, r
     monkeypatch.setattr(excitations, "independent_sets", no_search)
     with pytest.raises(ValueError, match=refusal):
         window_census(HCP, 5, layers, radius_sq)
+
+
+@pytest.mark.parametrize("pc,radius_sq,budget,used", [
+    (HCP, 6, "WINDOW_VISITS_MAX", 281),  # hcp at 2 layers visits 281 sets
+    (_supercell_without_one(HCP, 5), 8, "WINDOW_REDUCTIONS_MAX", 56),  # a vacancy: 56 reductions
+], ids=["visits", "reductions"])
+def test_window_census_stops_at_its_search_budget(pc, radius_sq, budget, used, monkeypatch):
+    census = window_census(pc, 5, 2, radius_sq)
+    monkeypatch.setattr(excitations, budget, used)
+    assert window_census(pc, 5, 2, radius_sq) == census
+    monkeypatch.setattr(excitations, budget, used - 1)
+    with pytest.raises(ValueError, match=f"at most {used - 1} sets"):
+        window_census(pc, 5, 2, radius_sq)
 
 
 WINDOW_3_10 = _window(HCP, 5, 3, 10, (0, 0, 0))

@@ -32,6 +32,7 @@ from oracles import (
     PeriodicConfigurationTwin,
     QuaternionTwin,
     brute_ball,
+    conflict_masks_pairwise,
     pairwise_admissible,
 )
 from reference_data import BALL_COUNTS
@@ -129,6 +130,17 @@ def test_independent_sets_matches_filtered_combinations(pts, d2, data):
     for c, total, covered in seen:
         assert total == sum(weight[i] for i in c)
         assert covered == reduce(or_, (cover[i] for i in c), 0)
+
+
+@given(
+    pts=st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+        max_size=40, unique=True,
+    ),
+    d2=st.integers(-1, 20),
+)
+def test_conflict_masks_match_the_pairwise_comparison(pts, d2):
+    assert conflict_masks(pts, d2) == conflict_masks_pairwise(pts, d2)
 
 
 @given(pts=point_sets_st, d2=st.integers(1, 12))
