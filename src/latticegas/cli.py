@@ -57,10 +57,21 @@ from .sublattices import (
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
-# The largest --ell that `sublat r3 --brute` scans. Its sphere scan makes
-# O(ell^2) isqrt calls: about 0.6 s at ell = 1000 and 2 s at ell = 2000 on a
-# 2-vCPU host, and 27 s at ell = 8000.
+# The largest --ell or --lmax each command accepts; a larger one is refused
+# before any work with exit code 2. Times are on a 2-vCPU host.
+# `sublat r3 --brute` scans a sphere with O(ell^2) isqrt calls: about 0.6 s
+# at ell = 1000, 2 s at 2000 and 27 s at 8000.
 R3_BRUTE_MAX_ELL = 2000
+# The closed forms (`sublat r3`, `sublat enumerate --fcc`) factorize ell by
+# trial division, O(sqrt(ell)): 0.1 s for a prime near 10^12, 1 s near 10^14.
+FACTORIZE_MAX_ELL = 10**12
+# `sublat enumerate` and `sublat classes` enumerate the integer quaternions
+# of the divisors of ell, about ell^1.5 work: `classes` takes 5 s at 4725,
+# the ell <= 5000 with the most sublattices, and 8.5 s at 9009.
+ENUMERATE_MAX_ELL = 5000
+# `table densities` emits one row per l <= lmax, each factorizing l: 0.4 s
+# and 0.8 MB of JSON at 10^4, 2.9 s and 9 MB at 10^5.
+DENSITIES_MAX_LMAX = 10**4
 
 
 def _progress(message: str) -> None:
@@ -247,6 +258,10 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_in(name: str, value: int, lo: int, hi: int) -> None:
+    _require(lo <= value <= hi, f"{name} must be between {lo} and {hi}, got {value}")
+
+
 def _cmd_pc_build(args: argparse.Namespace, argv: Sequence[str]) -> int:
     pc = _build_family(args)
     _require(
@@ -289,7 +304,7 @@ def _cmd_pc_slide(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_table_densities(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    _require(args.lmax >= 0, f"--lmax must be >= 0, got {args.lmax}")
+    _require_in("--lmax", args.lmax, 0, DENSITIES_MAX_LMAX)
     rows = table_densities(range(1, args.lmax + 1))
     results = {"rows": [[d2, marker, frac_str(dens)] for d2, marker, dens in rows]}
     _emit(ReportEnvelope(tuple(argv), {"lmax": args.lmax}, results), args.json)
@@ -359,6 +374,7 @@ def _cmd_exc_window_census(args: argparse.Namespace, argv: Sequence[str]) -> int
 
 
 def _cmd_sublat_enumerate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _require_in("--ell", args.ell, 1, FACTORIZE_MAX_ELL if args.fcc else ENUMERATE_MAX_ELL)
     if args.fcc:
         report = fcc_census(args.ell)
         results = {
@@ -386,6 +402,7 @@ def _cmd_sublat_enumerate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_sublat_classes(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _require_in("--ell", args.ell, 1, ENUMERATE_MAX_ELL)
     classes = classify_classes(args.ell)
     cmp = compare_class_counts(args.ell)
     results = {
@@ -407,11 +424,7 @@ def _cmd_sublat_classes(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_sublat_r3(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    _require(args.ell >= 1, f"--ell must be >= 1, got {args.ell}")
-    _require(
-        not args.brute or args.ell <= R3_BRUTE_MAX_ELL,
-        f"--ell must be <= {R3_BRUTE_MAX_ELL} with --brute, got {args.ell}",
-    )
+    _require_in("--ell", args.ell, 1, R3_BRUTE_MAX_ELL if args.brute else FACTORIZE_MAX_ELL)
     value = r3_brute(args.ell * args.ell) if args.brute else r3_formula(args.ell)
     results = {"ell": args.ell, "r3": value, "method": "brute" if args.brute else "formula"}
     _emit(ReportEnvelope(tuple(argv), {"ell": args.ell, "brute": args.brute}, results), args.json)

@@ -183,24 +183,12 @@ def make_config(
     return pc
 
 
-def min_positive_sq_dist(pc: PeriodicConfiguration, cap: int) -> int:
-    """Smallest positive squared distance between occupied sites if < cap, else cap.
-
-    Scanning a ball around each offset covers every translation class of
-    occupied pairs, so the result is exact below the cap.
-    """
-    best = cap
-    for o in pc.offsets:
-        for s in pc.occupied_near(o, best):
-            if s != o:
-                d = sq_dist(s, o)
-                if d < best:
-                    best = d
-    return best
-
-
 def is_admissible_config(pc: PeriodicConfiguration, d2: int) -> bool:
-    return min_positive_sq_dist(pc, d2) >= d2
+    """No two occupied sites closer than sqrt(d2): the open d2-ball of each
+    offset holds no occupied site but the offset. Every occupied pair is a
+    translate of one with an offset in it, so the offsets' balls see them
+    all. Always true for d2 <= 1."""
+    return d2 <= 1 or all(pc.occupied_near(o, d2) == [o] for o in pc.offsets)
 
 
 def density(pc: PeriodicConfiguration) -> Fraction:
@@ -221,8 +209,8 @@ def canonicalize(pc: PeriodicConfiguration) -> PeriodicConfiguration:
     o0 = pc.offsets[0]
     for o in pc.offsets[1:]:
         d = (o[0] - o0[0], o[1] - o0[1], o[2] - o0[2])
-        shifted = {pc.reduce((s[0] + d[0], s[1] + d[1], s[2] + d[2])) for s in offs}
-        if shifted == offs:
+        # a translation permutes the residues, so mapping into offs is enough
+        if all(pc.reduce((s[0] + d[0], s[1] + d[1], s[2] + d[2])) in offs for s in pc.offsets):
             extra.append(d)
     if not extra:
         return pc

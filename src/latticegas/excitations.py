@@ -299,12 +299,13 @@ def reduce_insertions(
     insertion with a uniquely repelled particle reduces to the empty set.
     """
     sites = list(insertion.sites)
+    near = {x: pc.occupied_near(x, d2) for x in sites}
     while sites:
         if len(sites) == 1 and _is_iia(pc, sites[0], d2):
             break
         repellers: dict[Site, list[Site]] = {}
         for x in sites:
-            for y in pc.occupied_near(x, d2):
+            for y in near[x]:
                 repellers.setdefault(y, []).append(x)
         removable = sorted({xs[0] for xs in repellers.values() if len(xs) == 1})
         if not removable:
@@ -374,11 +375,11 @@ class WindowCensus(Record):
 # 0.9-1.4 us on every background tried (hcp, 2l2 at d2 = 8 and 18, and the
 # 2x2x2 supercells of hcp and of 2l2 at d2 = 8 with one offset removed), so
 # the visits take at most about 14 s; hcp at 3 layers and squared radius 13
-# visits 8.3e6 sets. A reduction costs 0.05 ms for a single site and 3 ms on
-# average for the 1-16 sites of the sets of energy <= 2 near a vacancy, so
-# at those sizes the reductions take at most about 15 s; hcp windows reduce
-# at most 27 sets, but the holed hcp supercell at 1 layer and squared radius
-# 30 has 555,467 to reduce.
+# visits 8.3e6 sets. A reduction costs 0.05 ms for a single site and about
+# 0.5 ms on average for the sets of energy <= 2 near a vacancy (the holed
+# hcp supercell at 1 layer and squared radius 24), so the reductions take at
+# most about 3 s; hcp windows reduce at most 27 sets, but the holed hcp
+# supercell at 1 layer and squared radius 30 has 555,467 to reduce.
 WINDOW_VISITS_MAX = 10**7
 WINDOW_REDUCTIONS_MAX = 5000
 

@@ -5,6 +5,10 @@ is set when the family is tied to a specific exclusion threshold. Layered
 builders validate the sequence alphabet, the per-level integrality of the
 mesh offsets, and the displayed transition rules; violations raise instead
 of being silently repaired.
+
+The sliding witness and the close-packed census at d2 = 2 l^2 are closed
+forms, proved in sliding_witness and sublattices.fcc_census; the scans
+they replace are test oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .configs import (
     make_config,
 )
 from .forces import SUPPORTED_D2, normalization_constant
-from .lattice import Site, oh_elements, sq_dist
+from .lattice import Site, oh_elements
 from .sublattices import fcc_census
 
 SeqLike = Union[str, LayerSequence]
@@ -439,33 +443,22 @@ def sliding_witness(l: int, n: int) -> int:
     """Size of the removal set when a shifted block is glued into the plain packing.
 
     The ambient packing is 2Z^3; the block configuration lifts every column
-    over the l-by-l even square by one unit. Gluing the block restricted to a
-    height-n parallelepiped into the ambient packing breaks admissibility on
-    a bounded set of ambient sites; the function counts them by direct scan.
+    over the l-by-l even square by one unit. Gluing the block restricted to
+    the box [0, 2(l-1)]^2 x [0, n] into the ambient packing removes the
+    ambient sites outside the box that lie closer than 2 (squared distance
+    below 4) to a block site inside it. The count is l^2 for odd n and 0
+    for even n.
+
+    Proof. A block site inside the box is (x, y, z) with x, y even in
+    [0, 2(l-1)] and z odd in [1, n]. An ambient site (x', y', z') has all
+    coordinates even, so x' - x and y' - y are even and z' - z is odd; a
+    squared distance below 4 then forces x' = x, y' = y and z' = z +- 1, at
+    squared distance 1. The lower one, z - 1 in [0, n - 1], is inside the
+    box. The upper one, z + 1, leaves it iff z = n, which happens iff n is
+    odd; then each of the l^2 columns loses exactly its site (x, y, n + 1),
+    and these are distinct. The direct scan is the test oracle
+    (tests/oracles.py, sliding_witness_by_scan).
     """
     if l < 1 or n < 1:
         raise ValueError("l and n must be >= 1")
-    top = 2 * (l - 1)
-    s_cols = {(2 * a, 2 * b) for a in range(l) for b in range(l)}
-
-    def in_box(s: Site) -> bool:
-        return 0 <= s[0] <= top and 0 <= s[1] <= top and 0 <= s[2] <= n
-
-    # block sites inside the parallelepiped: shifted columns only
-    inside: list[Site] = []
-    for (x, y) in s_cols:
-        for z in range(1, n + 1, 2):
-            inside.append((x, y, z))
-    removed = set()
-    for x in inside:
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    y = (x[0] + dx, x[1] + dy, x[2] + dz)
-                    if y == x or sq_dist(x, y) >= 4:
-                        continue
-                    if any(c % 2 for c in y):
-                        continue  # not an ambient site
-                    if not in_box(y):
-                        removed.add(y)
-    return len(removed)
+    return l * l if n % 2 else 0

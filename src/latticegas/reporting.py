@@ -194,11 +194,7 @@ def table_densities(extra_l: Sequence[int] = (3,)) -> list[tuple[int, Union[int,
     close-packing thresholds 2l^2 for the listed l when not already
     covered (l=1 and l=2 coincide with thresholds 2 and 8).
     """
-    d2s = list(SUPPORTED_D2)
-    for l in extra_l:
-        t = 2 * l * l
-        if t not in d2s:
-            d2s.append(t)
+    d2s = set(SUPPORTED_D2) | {2 * l * l for l in extra_l}
     return [(d2, census_marker(d2), densest_density(d2)) for d2 in sorted(d2s)]
 
 

@@ -9,6 +9,10 @@ the orbits of keys under the 24 rotations, which give the same orbits as
 all 48 point symmetries (see _orbit), and the Hermite normal form is
 computed only for the bases this module returns. The all-pairs sphere scan
 and the HNF-based partition are kept as test oracles (tests/oracles.py).
+The number of cubic l-sublattices needs no enumeration: it is the sum of
+Dedekind's psi over the odd divisors of l, from the factorization of l
+(see fcc_census for the proof), and the enumeration is its test oracle.
+factorize divides by trial, so its cost grows as sqrt(l).
 
 The closed-form class-count predictions are computed alongside the orbit
 partition and compared; they are known to over-count when degenerate
@@ -467,8 +471,43 @@ def fcc_census(l: int) -> FccCensus:
     of squared norm 1 are +-e_i; so the norm-l^2 vectors of F/2 are exactly
     +-x_i. They include the six minimal vectors of L', so L' = L. For 3 | l the layered
     continuum takes over and only the sublattice count is meaningful.
+
+    The cubic l-sublattices number the sum over odd k | l of Dedekind's
+    psi(k) = k * prod over primes p | k of (1 + 1/p). That sum is
+    multiplicative, 1 at a power of 2 and 1 + (p+1)(p^r - 1)/(p - 1) at an
+    odd p^r, so a factorization gives it. Proof: by the proof in
+    _cubic_keys, every cubic l-sublattice is spanned by the rows of
+    t * ER(w) for some w primitive of odd norm k = l/t, and each such
+    t * ER(w) spans one. Count the pairs (t, lattice of ER(w)):
+    1. t is fixed by the lattice, as the gcd of the coordinates of all its
+    vectors. The entries of ER(w) have gcd 1: a prime dividing all of them
+    divides the row norm k^2, hence k, so it is odd, and step 4 there rules
+    out an odd prime dividing k and every entry. So t * ER(w) has gcd t.
+    2. There are 8 psi(k) primitive quaternions of norm k. Every quaternion
+    of norm k is g w for a unique g >= 1 with g^2 | k and w primitive of
+    norm k/g^2. By Jacobi, r4(k) = 8 sigma(k) for odd k, so Moebius
+    inversion over square divisors gives 8 * sum over g^2 | k of
+    mu(g) sigma(k/g^2): multiplicative, and sigma(p^r) - sigma(p^(r-2)) =
+    p^r + p^(r-1) = psi(p^r) at r >= 2, sigma(p) = p + 1 = psi(p) at r = 1.
+    3. For w, w' primitive of odd norm k, ER(w) and ER(w') span one lattice
+    iff w' = u w with u one of +-1, +-i, +-j, +-k. If: ER(u w) =
+    ER(u) ER(w), a row sign change. Only if: ER(w') = M ER(w) for an
+    integral M of determinant k^3/k^3 = 1, and M = ER(w') ER(w)^T / k^2 is
+    orthogonal, so M is one of the 24 cube rotations. Each of them is
+    ER(u)/N(u) for an integral u of norm 1 (4 rotations), 2 (12) or 4 (8,
+    from u = +-1 +-i +-j +-k). Then ER(w') = ER(u w)/N(u), and the unit
+    quaternions of this rotation give w' = +-u w/sqrt(N(u)). For N(u) = 2
+    that is irrational. For N(u) = 4 and w = a + b i + c j + d k, the real
+    part of u w is +-a +-b +-c +-d, odd because k is odd, so u w/2 is not
+    integral. So N(u) = 1.
+    By 2 and 3 the primitive quaternions of norm k give psi(k) lattices,
+    8 quaternions each, and by 1 distinct odd divisors k give distinct
+    lattices. The enumeration len(_cubic_keys(l)) is the test oracle.
     """
-    count = len(_cubic_keys(l))
+    count = 1
+    for p, r in factorize(l):
+        if p > 2:
+            count *= 1 + (p + 1) * (p**r - 1) // (p - 1)
     if l % 3 == 0:
         return FccCensus(l, count, None, True)
     return FccCensus(l, count, count * 2 * l**3, False)

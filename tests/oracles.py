@@ -7,7 +7,8 @@ pruned and counts by visiting, on conflicts found by comparing every pair
 of sites (conflict_masks_pairwise) rather than by the library's ball
 lookup. Balls come from a cube scan, admissible
 patterns and window insertion sets from plain-list DFSs, densities from
-counting occupied sites in an exact box, and cubic sublattices from a
+counting occupied sites in an exact box, admissibility from a cube-scanned
+ball around every offset (admissible_by_scan) or from every pair in a box, and cubic sublattices from a
 scan over every pair of sphere vectors (orthogonal_triples), where the
 library builds them from integer quaternions; the sublattices, their
 symmetry classes and their close-packed sublattices are told apart by
@@ -20,6 +21,11 @@ perfection from the force collected at every cell site
 vacant cell site (saturated_by_scan), the IIa count from classifying
 every vacant cell site (iia_count_by_scan), and the censuses from the
 canonical form of every translate by a cell site (translates_by_walk).
+
+The closed forms have scans behind them: the sliding witness's removal
+set from the neighbours of every lifted column site
+(sliding_witness_by_scan), and the number of cubic (so of close-packed)
+sublattices from the quaternion enumeration sublattices._cubic_keys.
 
 The package's value types derive from lattice.Record; their twins here are
 frozen dataclasses with the same names, fields, defaults and equality, so
@@ -289,6 +295,12 @@ def naive_density(pc: PeriodicConfiguration) -> Fraction:
     return Fraction(count, n ** 3)
 
 
+def admissible_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
+    """True iff the cube-scanned open d2-ball of no offset holds another
+    occupied site; every occupied pair is a translate of one at an offset."""
+    return all(y == o or not pc.contains(y) for o in pc.offsets for y in brute_ball(d2, o))
+
+
 def box_admissible(pc: PeriodicConfiguration, d2: int) -> bool:
     """Hard-core check on a 2-period box, pairwise and unoptimized."""
     n = 2 * box_side(pc)
@@ -381,6 +393,24 @@ def classify_by_hnf(l: int) -> list[SublatticeClass]:
 def fcc_count_by_hnf(l: int) -> int:
     """Distinct close-packed sublattices of the cubic ones, told apart by HNF."""
     return len({hnf(list(fcc_from_cubic(t))) for t in orthogonal_triples(l)})
+
+
+def sliding_witness_by_scan(l: int, n: int) -> int:
+    """Ambient sites (all coordinates even) outside the box [0, 2(l-1)]^2 x
+    [0, n] that lie closer than 2 to a lifted column site (x, y, z) inside
+    it, x and y even and z odd, scanning the 26 neighbours of every one."""
+    top = 2 * (l - 1)
+    removed = set()
+    for x, y, z in product(range(0, top + 1, 2), range(0, top + 1, 2), range(1, n + 1, 2)):
+        for dx, dy, dz in product((-1, 0, 1), repeat=3):
+            s = (x + dx, y + dy, z + dz)
+            if (dx, dy, dz) == (0, 0, 0) or dx * dx + dy * dy + dz * dz >= 4:
+                continue
+            if any(c % 2 for c in s):
+                continue
+            if not (0 <= s[0] <= top and 0 <= s[1] <= top and 0 <= s[2] <= n):
+                removed.add(s)
+    return len(removed)
 
 
 # --- frozen-dataclass twins of the records ----------------------------------------

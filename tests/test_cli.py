@@ -1,10 +1,11 @@
 """Command-line behavior: exit codes, report shapes, determinism."""
 
 import json
+import time
 
 import pytest
 
-from latticegas import cli, excitations
+from latticegas import cli, excitations, sublattices
 from latticegas.cli import run
 from latticegas.families import build_layered_d5
 from latticegas.reporting import config_payload
@@ -173,6 +174,46 @@ def test_r3_brute_refuses_an_ell_above_the_limit(capsys, monkeypatch):
     assert (code, body["results"]["r3"]) == (0, r3_formula(2001))
 
 
+def _refuse(*args):
+    raise AssertionError("the refused work ran")
+
+
+# Each bounded argument: the argv with {} for its value, its limit, and the
+# work it bounds (module, name) with a stand-in for that work at the limit
+# (None: the work itself, which is fast there).
+BOUNDED_ARGUMENTS = [
+    pytest.param(["sublat", "r3", "--ell", "{}", "--brute"], cli.R3_BRUTE_MAX_ELL,
+                 cli, "r3_brute", lambda n: 0, id="r3-brute"),
+    pytest.param(["sublat", "r3", "--ell", "{}"], cli.FACTORIZE_MAX_ELL,
+                 sublattices, "factorize", None, id="r3"),
+    pytest.param(["sublat", "enumerate", "--ell", "{}", "--fcc"], cli.FACTORIZE_MAX_ELL,
+                 sublattices, "factorize", None, id="enumerate-fcc"),
+    pytest.param(["sublat", "enumerate", "--ell", "{}"], cli.ENUMERATE_MAX_ELL,
+                 sublattices, "_cubic_keys", lambda l: set(), id="enumerate"),
+    pytest.param(["sublat", "classes", "--ell", "{}"], cli.ENUMERATE_MAX_ELL,
+                 sublattices, "_cubic_keys", lambda l: set(), id="classes"),
+    pytest.param(["table", "densities", "--lmax", "{}"], cli.DENSITIES_MAX_LMAX,
+                 sublattices, "factorize", None, id="densities"),
+]
+
+
+@pytest.mark.parametrize("argv, limit, module, name, stand_in", BOUNDED_ARGUMENTS)
+def test_an_argument_above_its_limit_is_refused_before_any_work(
+    capsys, monkeypatch, argv, limit, module, name, stand_in
+):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, _refuse)
+    for value in (limit + 1, 10**30):
+        start = time.monotonic()
+        code, out, err = run_capture(capsys, [a.format(value) for a in argv])
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert str(limit) in err
+    monkeypatch.setattr(module, name, stand_in or real)
+    code, out, _ = run_capture(capsys, [a.format(limit) for a in argv])
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("action", ["enumerate", "classes"])
 def test_sublattice_commands_refuse_ell_zero(capsys, action):
     code, out, _ = run_capture(capsys, ["sublat", action, "--ell", "0"])
@@ -277,6 +318,11 @@ def test_slide_subcommand(capsys):
     code, body = run_json(capsys, ["pc", "slide", "--l", "2", "--n", "9"])
     assert code == 0
     assert body["results"] == {"removed": 4, "bound": 8, "within_bound": True}
+    start = time.monotonic()
+    code, body = run_json(capsys, ["pc", "slide", "--l", str(10**6), "--n", str(10**6 + 1)])
+    assert time.monotonic() - start < 1
+    assert code == 0
+    assert body["results"] == {"removed": 10**12, "bound": 2 * 10**12, "within_bound": True}
 
 
 def _build_hcp(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from latticegas.configs import (
@@ -24,7 +24,13 @@ from latticegas.configs import (
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
 from latticegas.forces import SUPPORTED_D2
 from latticegas.lattice import ball_sites
-from oracles import box_admissible, naive_density, perfect_by_scan, saturated_by_scan
+from oracles import (
+    admissible_by_scan,
+    box_admissible,
+    naive_density,
+    perfect_by_scan,
+    saturated_by_scan,
+)
 from reference_data import CONSTRUCTORS
 
 entry = st.integers(-9, 9)
@@ -201,6 +207,20 @@ def admissible_configs(draw):
         if is_admissible_config(make_config(basis, offsets + [o]), d2):
             offsets.append(o)
     return make_config(basis, offsets), d2
+
+
+@given(
+    d2=st.sampled_from((0, 1) + SUPPORTED_D2),
+    sides=st.tuples(*(st.integers(1, 8) for _ in range(3))),
+    shear=st.tuples(*(st.integers(0, 7) for _ in range(3))),
+    offsets=st.lists(st.tuples(*(st.integers(0, 7) for _ in range(3))), min_size=1, max_size=6),
+)
+# one close pair and one offset far from both
+@example(d2=2, sides=(4, 4, 4), shear=(0, 0, 0), offsets=[(0, 0, 0), (1, 0, 0), (2, 2, 2)])
+def test_admissibility_matches_the_ball_scan(d2, sides, shear, offsets):
+    a, b, c = sides
+    pc = make_config([(a, shear[0], shear[1]), (0, b, shear[2]), (0, 0, c)], offsets)
+    assert is_admissible_config(pc, d2) == admissible_by_scan(pc, d2)
 
 
 @given(case=admissible_configs())

@@ -28,7 +28,7 @@ from latticegas.families import (
 )
 from latticegas.families import _census_seeds, _count_translates
 from latticegas.lattice import oh_elements
-from oracles import translates_by_walk
+from oracles import sliding_witness_by_scan, translates_by_walk
 from reference_data import CENSUS, CONSTRUCTORS, NORMALIZATION
 
 
@@ -192,10 +192,9 @@ def test_densest_density_at_2l2_matches_the_built_packing(l):
 
 def test_sliding_witness_small_values():
     # odd lifts strand one l-by-l face of ambient sites; even lifts none
-    for l in (1, 2, 3):
-        for n in range(1, 8):
-            expected = l * l if n % 2 else 0
-            assert sliding_witness(l, n) == expected
+    for l in range(1, 12):
+        for n in range(1, 14):
+            assert sliding_witness(l, n) == sliding_witness_by_scan(l, n) == (l * l if n % 2 else 0)
 
 
 def test_sliding_witness_within_linear_bound():

@@ -231,6 +231,18 @@ def test_enumeration_and_fcc_census_match_the_hnf_oracles():
         assert fcc_census(l).fcc_sublattices == fcc_count_by_hnf(l), l
 
 
+def test_fcc_census_counts_the_enumerated_cubic_sublattices(monkeypatch):
+    for l in (*range(1, 301), 1155, 2310):
+        assert fcc_census(l).fcc_sublattices == len(_cubic_keys(l)), l
+
+    def refuse(l):
+        raise AssertionError("fcc_census enumerated")
+
+    monkeypatch.setattr(sublattices, "_cubic_keys", refuse)
+    # 10^6 = 2^6 5^6: 1 + 6 (5^6 - 1) / 4 sublattices
+    assert fcc_census(10**6) == sublattices.FccCensus(10**6, 23437, 23437 * 2 * 10**18, False)
+
+
 def test_classes_match_the_hnf_oracle():
     for l in range(1, 41):
         assert classify_classes(l) == classify_by_hnf(l), l
