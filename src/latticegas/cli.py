@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .configs import close_packing_scale, density, hnf, is_admissible_config, is_perfect, shift_count
 from .excitations import (
@@ -38,7 +37,6 @@ from .forces import verify_forces
 from .reporting import (
     ReportEnvelope,
     config_payload,
-    frac_str,
     load_config_file,
     load_site_file,
     sublattice_csv_rows,
@@ -66,8 +64,9 @@ R3_BRUTE_MAX_ELL = 2000
 # trial division, O(sqrt(ell)): 0.1 s for a prime near 10^12, 1 s near 10^14.
 FACTORIZE_MAX_ELL = 10**12
 # `sublat enumerate` and `sublat classes` enumerate the integer quaternions
-# of the divisors of ell, about ell^1.5 work: `classes` takes 5 s at 4725,
-# the ell <= 5000 with the most sublattices, and 8.5 s at 9009.
+# of the divisors of ell, about ell^1.5 work: `enumerate` takes 3-3.5 s and
+# `classes` 2.3 s at 4725, the ell <= 5000 with the most sublattices; the
+# classification alone takes 3.3 s at 9009.
 ENUMERATE_MAX_ELL = 5000
 # `table densities` emits one row per l <= lmax, each factorizing l: 0.4 s
 # and 0.8 MB of JSON at 10^4, 2.9 s and 9 MB at 10^5.
@@ -120,9 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_build = pc_sub.add_parser("build", parents=[common], help="construct a named family member")
     p_build.add_argument("--d2", type=int, required=True)
-    p_build.add_argument("--family", required=True,
-                         choices=["cubic", "fcc", "bcc", "d4", "d5", "d6tri", "d6rh",
-                                  "phi9", "phi10", "2l2"])
+    p_build.add_argument("--family", required=True, choices=_FAMILIES)
     p_build.add_argument("--i", type=int, default=0, help="orientation index (layered and phi families)")
     p_build.add_argument("--seq", default=None, help="layer digit word, e.g. 01 or 012")
     p_build.add_argument("--l", type=int, default=None, help="scale parameter (cubic/fcc/bcc/2l2) or variant (phi families)")
@@ -198,59 +195,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # --- subcommand bodies ---------------------------------------------------------
+#
+# Each handler returns (inputs, results, verified): the parsed parameters the
+# report echoes, the results as library values, and whether the verification
+# the command makes held. run alone renders the report and picks the exit code.
+
+Outcome = tuple[dict[str, Any], dict[str, Any], bool]
 
 
-def _emit(envelope: ReportEnvelope, as_json: bool) -> None:
-    sys.stdout.write(envelope.to_json() if as_json else envelope.to_text())
-
-
-def _cmd_forces_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_forces_verify(args: argparse.Namespace) -> Outcome:
     _progress(f"searching the d2={args.d2} ball exhaustively...")
     report = verify_forces(args.d2)
     results = {
         "d2": report.d2,
         "config_count": report.config_count,
-        "fstar": frac_str(report.fstar),
-        "second_max": frac_str(report.second_max),
+        "fstar": report.fstar,
+        "second_max": report.second_max,
         "max_occupancy": report.max_occupancy,
-        "signatures": [list(sig) for sig in report.signatures],
+        "signatures": report.signatures,
     }
-    _emit(ReportEnvelope(tuple(argv), {"d2": args.d2}, results), args.json)
-    return 0 if report.fstar == Fraction(1) else VERIFICATION_FAILURE
+    return {"d2": args.d2}, results, report.fstar == 1
 
 
-def _build_family(args: argparse.Namespace):
-    fam = args.family
-    if fam == "cubic":
-        _require(args.l is not None, "--family cubic needs --l")
-        return build_cubic(args.l)
-    if fam == "fcc":
-        _require(args.l is not None, "--family fcc needs --l")
-        return build_fcc(args.l)
-    if fam == "bcc":
-        _require(args.l is not None, "--family bcc needs --l (the cube side)")
-        return build_bcc(args.l)
-    if fam == "d4":
-        return build_d4_family()
-    if fam == "d5":
-        _require(args.seq is not None, "--family d5 needs --seq")
-        return build_layered_d5(args.i, args.seq)
-    if fam == "d6tri":
-        _require(args.seq is not None, "--family d6tri needs --seq")
-        return build_layered_d6_tri(args.i, args.seq)
-    if fam == "d6rh":
-        _require(args.seq is not None, "--family d6rh needs --seq")
-        return build_layered_d6_rhombic(args.i, args.seq)
-    if fam == "phi9":
-        _require(args.l in (0, 1), "--family phi9 needs --l 0 or 1")
-        return build_phi9(args.i if args.i else 1, args.l)
-    if fam == "phi10":
-        _require(args.l in (0, 1), "--family phi10 needs --l 0 or 1")
-        return build_phi10(args.i, args.l)
-    if fam == "2l2":
-        _require(args.l is not None and args.seq is not None, "--family 2l2 needs --l and --seq")
-        return build_layered_2l2(args.l, args.i, args.seq)
-    raise AssertionError("unreachable family")
+# Each family's builder and the options it takes, in the builder's argument
+# order. --i defaults to 0, which for phi9 means axis 1.
+_FAMILIES = {
+    "cubic": (build_cubic, ("l",)),
+    "fcc": (build_fcc, ("l",)),
+    "bcc": (build_bcc, ("l",)),
+    "d4": (build_d4_family, ()),
+    "d5": (build_layered_d5, ("i", "seq")),
+    "d6tri": (build_layered_d6_tri, ("i", "seq")),
+    "d6rh": (build_layered_d6_rhombic, ("i", "seq")),
+    "phi9": (lambda i, l: build_phi9(i or 1, l), ("i", "l")),
+    "phi10": (build_phi10, ("i", "l")),
+    "2l2": (build_layered_2l2, ("l", "i", "seq")),
+}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -262,78 +242,70 @@ def _require_in(name: str, value: int, lo: int, hi: int) -> None:
     _require(lo <= value <= hi, f"{name} must be between {lo} and {hi}, got {value}")
 
 
-def _cmd_pc_build(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    pc = _build_family(args)
+def _cmd_pc_build(args: argparse.Namespace) -> Outcome:
+    builder, options = _FAMILIES[args.family]
+    values = [getattr(args, opt) for opt in options]
+    for opt, value in zip(options, values):
+        _require(value is not None, f"--family {args.family} needs --{opt}")
+    pc = builder(*values)
     _require(
         pc.context_d2 in (None, args.d2),
         f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}",
     )
-    results = config_payload(pc, args.d2)
     inputs = {"d2": args.d2, "family": args.family, "i": args.i, "seq": args.seq, "l": args.l}
-    _emit(ReportEnvelope(tuple(argv), inputs, results), args.json)
-    return 0
+    return inputs, config_payload(pc, args.d2), True
 
 
-def _cmd_pc_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_pc_check(args: argparse.Namespace) -> Outcome:
     pc = load_config_file(args.infile, hard_core=False)
     admissible = is_admissible_config(pc, args.d2)
     perfect = admissible and is_perfect(pc, args.d2)
     results = {
         "admissible": admissible,
         "perfect": perfect,
-        "density": frac_str(density(pc)),
+        "density": density(pc),
         "shift_count": shift_count(pc),
     }
-    _emit(ReportEnvelope(tuple(argv), {"d2": args.d2, "in": args.infile}, results), args.json)
-    return 0 if perfect else VERIFICATION_FAILURE
+    return {"d2": args.d2, "in": args.infile}, results, perfect
 
 
-def _cmd_pc_census(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_pc_census(args: argparse.Namespace) -> Outcome:
     _progress(f"enumerating perfect configurations at d2={args.d2}...")
-    count = pc_census(args.d2)
-    _emit(ReportEnvelope(tuple(argv), {"d2": args.d2}, {"census": count}), args.json)
-    return 0
+    return {"d2": args.d2}, {"census": pc_census(args.d2)}, True
 
 
-def _cmd_pc_slide(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_pc_slide(args: argparse.Namespace) -> Outcome:
     removed = sliding_witness(args.l, args.n)
     bound = 2 * args.l * args.l
     results = {"removed": removed, "bound": bound, "within_bound": removed <= bound}
-    _emit(ReportEnvelope(tuple(argv), {"l": args.l, "n": args.n}, results), args.json)
-    return 0 if removed <= bound else VERIFICATION_FAILURE
+    return {"l": args.l, "n": args.n}, results, removed <= bound
 
 
-def _cmd_table_densities(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_table_densities(args: argparse.Namespace) -> Outcome:
     _require_in("--lmax", args.lmax, 0, DENSITIES_MAX_LMAX)
-    rows = table_densities(range(1, args.lmax + 1))
-    results = {"rows": [[d2, marker, frac_str(dens)] for d2, marker, dens in rows]}
-    _emit(ReportEnvelope(tuple(argv), {"lmax": args.lmax}, results), args.json)
-    return 0
+    return {"lmax": args.lmax}, {"rows": table_densities(range(1, args.lmax + 1))}, True
 
 
-def _cmd_exc_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_exc_classify(args: argparse.Namespace) -> Outcome:
     pc = load_config_file(args.pc, args.d2)
     kind = classify_insertion(pc, args.site, args.d2)
-    results = {"site": list(args.site), "type": kind}
-    _emit(ReportEnvelope(tuple(argv), {"d2": args.d2, "pc": args.pc, "site": list(args.site)}, results), args.json)
-    return 0
+    return {"d2": args.d2, "pc": args.pc, "site": args.site}, {"site": args.site, "type": kind}, True
 
 
-def _cmd_exc_report(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_exc_report(args: argparse.Namespace) -> Outcome:
     pc = load_config_file(args.pc, args.d2)
     sites = load_site_file(args.insert)
     insertion = make_insertion(pc, args.d2, sites)
     rep = excitation_report(pc, insertion, args.d2)
     results = {
         "inserted": rep.inserted_count,
-        "repelled": [list(s) for s in rep.repelled],
+        "repelled": rep.repelled,
         "energy": rep.energy,
-        "excesses": [[list(site), frac_str(val)] for site, val in sorted(rep.excesses.items())],
+        "excesses": sorted(rep.excesses.items()),
         "type": rep.type,
         "background_perfect": rep.background_perfect,
     }
-    _emit(ReportEnvelope(tuple(argv), {"d2": args.d2, "pc": args.pc, "insert": args.insert}, results), args.json)
-    return 0
+    return {"d2": args.d2, "pc": args.pc, "insert": args.insert}, results, True
 
 
 def _infer_layer_scale(pc) -> Optional[int]:
@@ -345,16 +317,13 @@ def _infer_layer_scale(pc) -> Optional[int]:
     return l
 
 
-def _cmd_exc_iia_density(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_exc_iia_density(args: argparse.Namespace) -> Outcome:
     pc = load_config_file(args.pc)
-    l = _infer_layer_scale(pc)
-    count, dens = iia_census(pc, l)
-    results = {"count": count, "density": frac_str(dens)}
-    _emit(ReportEnvelope(tuple(argv), {"pc": args.pc}, results), args.json)
-    return 0
+    count, dens = iia_census(pc, _infer_layer_scale(pc))
+    return {"pc": args.pc}, {"count": count, "density": dens}, True
 
 
-def _cmd_exc_window_census(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_exc_window_census(args: argparse.Namespace) -> Outcome:
     if args.pc is not None:
         pc = load_config_file(args.pc, args.d2)
     else:
@@ -365,16 +334,16 @@ def _cmd_exc_window_census(args: argparse.Namespace, argv: Sequence[str]) -> int
     results = {
         "window_sites": census.window_sites,
         "sets_scanned": census.sets_scanned,
-        "survivors": [[list(s) for s in group] for group in census.low_energy_terminal],
+        "survivors": census.low_energy_terminal,
         "all_terminal_iia": census.all_terminal_iia,
     }
     inputs = {"d2": args.d2, "layers": args.layers, "radius": args.radius, "pc": args.pc}
-    _emit(ReportEnvelope(tuple(argv), inputs, results), args.json)
-    return 0 if census.all_terminal_iia else VERIFICATION_FAILURE
+    return inputs, results, census.all_terminal_iia
 
 
-def _cmd_sublat_enumerate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
     _require_in("--ell", args.ell, 1, FACTORIZE_MAX_ELL if args.fcc else ENUMERATE_MAX_ELL)
+    inputs = {"ell": args.ell, "fcc": args.fcc}
     if args.fcc:
         report = fcc_census(args.ell)
         results = {
@@ -382,66 +351,57 @@ def _cmd_sublat_enumerate(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "pcs_total": report.pcs_total,
             "flagged_layered_continuum": report.flagged_layered_continuum,
         }
-        _emit(ReportEnvelope(tuple(argv), {"ell": args.ell, "fcc": True}, results), args.json)
-        return 0
+        return inputs, results, True
     _progress(f"enumerating cubic sublattices of norm {args.ell}...")
     classes = classify_classes(args.ell)
-    if args.format == "csv":
-        sys.stdout.write("\n".join(sublattice_csv_rows(classes)) + "\n")
-        return 0
     results = {
         "count": sum(cl.size for cl in classes),
         "sublattices": [
-            {"basis": [list(r) for r in member], "class_id": idx, "stabilizer_order": cl.stabilizer_order}
+            {"basis": member, "class_id": idx, "stabilizer_order": cl.stabilizer_order}
             for idx, cl in enumerate(classes, start=1)
             for member in cl.members
         ],
     }
-    _emit(ReportEnvelope(tuple(argv), {"ell": args.ell, "fcc": False}, results), args.json)
-    return 0
+    return inputs, results, True
 
 
-def _cmd_sublat_classes(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_sublat_classes(args: argparse.Namespace) -> Outcome:
     _require_in("--ell", args.ell, 1, ENUMERATE_MAX_ELL)
-    classes = classify_classes(args.ell)
     cmp = compare_class_counts(args.ell)
     results = {
         "classes": [
             {
                 "size": cl.size,
                 "stabilizer_order": cl.stabilizer_order,
-                "representative": [list(r) for r in cl.representative],
-                "parameters": list(cl.parameters) if cl.parameters else None,
+                "representative": cl.representative,
+                "parameters": cl.parameters,
             }
-            for cl in classes
+            for cl in cmp.classes
         ],
-        "oracle_histogram": {str(k): v for k, v in sorted(cmp.oracle.items())},
-        "predicted_histogram": {str(k): v for k, v in sorted(cmp.predicted.items())},
-        "mismatched_sizes": list(cmp.mismatched_sizes),
+        "oracle_histogram": cmp.oracle,
+        "predicted_histogram": cmp.predicted,
+        "mismatched_sizes": cmp.mismatched_sizes,
     }
-    _emit(ReportEnvelope(tuple(argv), {"ell": args.ell}, results), args.json)
-    return 0
+    return {"ell": args.ell}, results, True
 
 
-def _cmd_sublat_r3(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_sublat_r3(args: argparse.Namespace) -> Outcome:
     _require_in("--ell", args.ell, 1, R3_BRUTE_MAX_ELL if args.brute else FACTORIZE_MAX_ELL)
     value = r3_brute(args.ell * args.ell) if args.brute else r3_formula(args.ell)
     results = {"ell": args.ell, "r3": value, "method": "brute" if args.brute else "formula"}
-    _emit(ReportEnvelope(tuple(argv), {"ell": args.ell, "brute": args.brute}, results), args.json)
-    return 0
+    return {"ell": args.ell, "brute": args.brute}, results, True
 
 
-def _cmd_sublat_quaternion(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_sublat_quaternion(args: argparse.Namespace) -> Outcome:
     q = Quaternion(*args.quat)
     rows = euler_rodrigues(q)
     results = {
-        "quaternion": list(args.quat),
+        "quaternion": args.quat,
         "norm_sq": q.norm_sq,
-        "matrix": [list(r) for r in rows],
-        "sublattice_basis": [list(r) for r in hnf([list(r) for r in rows])],
+        "matrix": rows,
+        "sublattice_basis": hnf(rows),
     }
-    _emit(ReportEnvelope(tuple(argv), {"quaternion": list(args.quat)}, results), args.json)
-    return 0
+    return {"quaternion": args.quat}, results, True
 
 
 _DISPATCH = {
@@ -463,7 +423,11 @@ _DISPATCH = {
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse, execute and render the report; returns the process exit code.
+
+    The report is the JSON envelope, its --no-json text, or, for
+    `sublat enumerate --format csv`, one CSV row per sublattice entry.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -472,10 +436,17 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     handler = _DISPATCH[(args.group, args.action)]
     try:
-        return handler(args, argv)
+        inputs, results, verified = handler(args)
+        # the --fcc results hold no sublattices and stay a JSON report
+        if getattr(args, "format", None) == "csv" and "sublattices" in results:
+            sys.stdout.write("\n".join(sublattice_csv_rows(results["sublattices"])) + "\n")
+        else:
+            report = ReportEnvelope(tuple(argv), inputs, results)
+            sys.stdout.write(report.to_json() if args.json else report.to_text())
     except (ValueError, OSError) as exc:  # UnsupportedThresholdError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if verified else VERIFICATION_FAILURE
 
 
 def main() -> None:

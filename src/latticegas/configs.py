@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forces import normalization_constant
-from .lattice import Record, Site, SignedPermutation, ball_sites, sq_dist
+from .lattice import Record, Site, SignedPermutation, ball_sites, exact_site, sq_dist
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -43,9 +43,11 @@ def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
     """Row-style Hermite Normal Form of a rank-3 generating set.
 
     Result is upper triangular with positive diagonal; entries above each
-    pivot are reduced into [0, pivot). Raises on rank deficiency.
+    pivot are reduced into [0, pivot). Raises on rank deficiency and on a
+    generator that is not a triple of integers.
     """
-    work = [list(map(int, g)) for g in generators if any(g)]
+    rows = [exact_site(g, "generator") for g in generators]
+    work = [list(r) for r in rows if any(r)]
     pivots: list[list[int]] = []
     for col in range(3):
         while True:
@@ -174,7 +176,7 @@ def make_config(
 ) -> PeriodicConfiguration:
     """Build a configuration: HNF the basis, reduce offsets, sort, dedupe."""
     b = hnf(basis_rows)
-    offs = sorted({_reduce_site((o[0], o[1], o[2]), b) for o in offsets})
+    offs = sorted({_reduce_site(exact_site(o, "offset"), b) for o in offsets})
     if not offs:
         raise ValueError("a periodic configuration needs at least one offset")
     pc = PeriodicConfiguration(b, tuple(offs), context_d2)
@@ -251,41 +253,3 @@ def is_saturated(pc: PeriodicConfiguration, d2: int) -> bool:
     too, so saturation means all det residues are reached.
     """
     return len(pc.reached(d2)) == pc.det
-
-
-_FAMILY_ALPHABETS: dict[str, tuple[int, ...]] = {
-    "d5-triangular": (0, 1, 2),
-    "d6-triangular": (0, 1, 2, 3, 4, 5, 6),
-    "d6-rhombic": (0, 1, 2),
-    "d9-square": (0, 1),
-    "d10-triangular": (0, 1, 2),
-    "2l2-triangular": (0, 1, 2),
-}
-
-
-class LayerSequence(Record):
-    """A periodic word of layer labels for one of the layered families."""
-
-    family: str
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_ALPHABETS:
-            raise ValueError(f"unknown layer family {self.family!r}")
-        if not self.digits:
-            raise ValueError("empty digit sequence")
-        alpha = set(_FAMILY_ALPHABETS[self.family])
-        if not set(self.digits) <= alpha:
-            raise ValueError(f"digits outside the {self.family} alphabet")
-        if self.digits[0] != 0:
-            raise ValueError("layer sequences start at label 0")
-        n = len(self.digits)
-        # the word repeats, so the last label also meets the first (and a
-        # period-1 word meets itself)
-        for k in range(n):
-            if self.digits[k] == self.digits[(k + 1) % n]:
-                raise ValueError("consecutive layer labels must differ")
-
-    @staticmethod
-    def parse(family: str, word: str) -> "LayerSequence":
-        return LayerSequence(family, tuple(int(c) for c in word))

@@ -20,6 +20,7 @@ from .lattice import (
     ball_sites,
     conflict_masks,
     count_independent_sets,
+    exact_site,
     independent_sets,
     is_admissible,
     sq_dist,
@@ -38,7 +39,7 @@ class InsertionSet(Record):
     sites: tuple[Site, ...]
 
     def __post_init__(self) -> None:
-        sites = tuple(sorted(set(self.sites)))
+        sites = tuple(sorted({exact_site(s, "insertion site") for s in self.sites}))
         if len(sites) != len(self.sites):
             raise ValueError("insertion sites must be distinct")
         object.__setattr__(self, "sites", sites)
@@ -57,7 +58,7 @@ class RemovalSet(Record):
     sites: tuple[Site, ...]
 
     def __post_init__(self) -> None:
-        sites = tuple(sorted(set(self.sites)))
+        sites = tuple(sorted({exact_site(s, "removal site") for s in self.sites}))
         if len(sites) != len(self.sites):
             raise ValueError("removal sites must be distinct")
         object.__setattr__(self, "sites", sites)

@@ -20,7 +20,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .configs import (
     MAIN_DIAGONALS,
     NON_MAIN_DIAGONALS,
-    LayerSequence,
     PeriodicConfiguration,
     canonicalize,
     close_packing_scale,
@@ -30,8 +29,6 @@ from .configs import (
 from .forces import SUPPORTED_D2, normalization_constant
 from .lattice import Site, oh_elements
 from .sublattices import fcc_census
-
-SeqLike = Union[str, LayerSequence]
 
 COUNTABLE_MARKER = "ℵ₀"  # countable-infinity marker for continuum rows
 
@@ -77,12 +74,21 @@ def _in_span2(t: Site, u: Site, v: Site) -> bool:
     raise ValueError("degenerate mesh generators")
 
 
-def _coerce_seq(family: str, seq: SeqLike) -> LayerSequence:
-    if isinstance(seq, LayerSequence):
-        if seq.family != family:
-            raise ValueError(f"sequence family {seq.family!r} does not match {family!r}")
-        return seq
-    return LayerSequence.parse(family, seq)
+def _layer_digits(word: str, family: str, labels: int) -> tuple[int, ...]:
+    """The digits of a periodic layer word over the labels 0..labels-1 of a
+    layered family. The word starts at label 0, and no two consecutive
+    labels are equal, the last and the first included."""
+    digits = tuple(int(c) for c in word)
+    if not digits:
+        raise ValueError("empty digit sequence")
+    if max(digits) >= labels:
+        raise ValueError(f"digits outside the {family} alphabet")
+    if digits[0] != 0:
+        raise ValueError("layer sequences start at label 0")
+    # a period-1 word meets itself
+    if any(digits[k] == digits[k - 1] for k in range(len(digits))):
+        raise ValueError("consecutive layer labels must differ")
+    return digits
 
 
 # --- cubic / close-packed / body-centered lattices -------------------------
@@ -122,14 +128,14 @@ def _d5_mesh_data(i: int) -> tuple[Site, Site, Site, dict[int, Site]]:
     return e, u, v, deltas
 
 
-def build_layered_d5(i: int, seq: SeqLike) -> PeriodicConfiguration:
+def build_layered_d5(i: int, seq: str) -> PeriodicConfiguration:
     """Union of triangular meshes stacked along main diagonal i, one per level."""
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
-    ls = _coerce_seq("d5-triangular", seq)
+    digits = _layer_digits(seq, "d5-triangular", 3)
     e, u, v, deltas = _d5_mesh_data(i)
-    p = len(ls.digits)
-    offsets = [_add(_scale(k, e), deltas[ls.digits[k]]) for k in range(p)]
+    p = len(digits)
+    offsets = [_add(_scale(k, e), deltas[digits[k]]) for k in range(p)]
     pc = make_config([u, v, _scale(p, e)], offsets, context_d2=5)
     return canonicalize(pc)
 
@@ -182,19 +188,19 @@ def _d6_tri_mesh_data(i: int) -> tuple[Site, dict[int, Site]]:
     return e, w
 
 
-def build_layered_d6_tri(i: int, seq: SeqLike) -> PeriodicConfiguration:
+def build_layered_d6_tri(i: int, seq: str) -> PeriodicConfiguration:
     """Triangular-mesh stack along main diagonal i with 7 sub-mesh labels per level."""
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
-    ls = _coerce_seq("d6-triangular", seq)
+    digits = _layer_digits(seq, "d6-triangular", 7)
     e, w = _d6_tri_mesh_data(i)
     u, v = w[1], w[2]
-    p = len(ls.digits)
+    p = len(digits)
     if p % 3:
         raise ValueError("period must be a multiple of 3 for integral wrap-around")
     # displayed step rule: the jump to the next mesh is one third of a
     # w-vector with an even label, modulo the mesh lattice
-    offsets = _mesh_offsets(ls.digits, _scale(4, e), w, 3, (2, 4, 6), u, v)
+    offsets = _mesh_offsets(digits, _scale(4, e), w, 3, (2, 4, 6), u, v)
     pc = make_config([u, v, _scale(4 * p // 3, e)], offsets, context_d2=6)
     return canonicalize(pc)
 
@@ -214,16 +220,16 @@ def _d6_rhombic_mesh_data(i: int) -> tuple[Site, Site, Site, dict[int, Site]]:
     return s, g1, g2, doubled
 
 
-def build_layered_d6_rhombic(i: int, seq: SeqLike) -> PeriodicConfiguration:
+def build_layered_d6_rhombic(i: int, seq: str) -> PeriodicConfiguration:
     """Rhombic-mesh stack along non-main diagonal i with 3 sub-mesh labels."""
     if not 0 <= i <= 5:
         raise ValueError("diagonal index must be in 0..5")
-    ls = _coerce_seq("d6-rhombic", seq)
+    digits = _layer_digits(seq, "d6-rhombic", 3)
     s, g1, g2, doubled = _d6_rhombic_mesh_data(i)
-    p = len(ls.digits)
+    p = len(digits)
     if p % 2:
         raise ValueError("period must be even for integral wrap-around")
-    offsets = _mesh_offsets(ls.digits, _scale(3, s), doubled, 2, (1, 2), g1, g2)
+    offsets = _mesh_offsets(digits, _scale(3, s), doubled, 2, (1, 2), g1, g2)
     pc = make_config([g1, g2, _scale(3 * p // 2, s)], offsets, context_d2=6)
     return canonicalize(pc)
 
@@ -264,7 +270,7 @@ def build_phi10(i: int, l: int) -> PeriodicConfiguration:
 # --- layered family at thresholds 2*l^2 --------------------------------------
 
 
-def build_layered_2l2(l: int, i: int, seq: SeqLike) -> PeriodicConfiguration:
+def build_layered_2l2(l: int, i: int, seq: str) -> PeriodicConfiguration:
     """Triangular sqrt(2)*l-mesh stack along main diagonal i at threshold 2*l^2.
 
     Per-level offsets are integral only when the label at level k is k mod 3,
@@ -275,17 +281,17 @@ def build_layered_2l2(l: int, i: int, seq: SeqLike) -> PeriodicConfiguration:
         raise ValueError("l must be >= 1")
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
-    ls = _coerce_seq("2l2-triangular", seq)
+    digits = _layer_digits(seq, "2l2-triangular", 3)
     e = MAIN_DIAGONALS[i]
     s2, s3 = e[1], e[2]
     u = (l, -l * s2, 0)
     v = (l, 0, -l * s3)
     delta_num = {0: (0, 0, 0), 1: (-2 * l, l * s2, l * s3), 2: (2 * l, -l * s2, -l * s3)}
-    p = len(ls.digits)
+    p = len(digits)
     if (2 * l * p) % 3:
         raise ValueError("period incompatible with the diagonal step; wrap-around not integral")
     offsets = []
-    for k, j in enumerate(ls.digits):
+    for k, j in enumerate(digits):
         num = _add(_scale(2 * l * k, e), delta_num[j])
         offsets.append(_div_exact(num, 3, f"level {k} label {j}"))
     d2 = 2 * l * l

@@ -12,12 +12,22 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterable, Optional, Sequence
 
 Site = tuple[int, int, int]
 
 ORIGIN: Site = (0, 0, 0)
+
+
+def exact_site(entry: Sequence, what: str) -> Site:
+    """An integer triple taken exactly: each coordinate goes through
+    operator.index, so a float or a Fraction is refused, never truncated."""
+    try:
+        x, y, z = map(index, entry)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {entry!r} is not a triple of integers") from None
+    return (x, y, z)
 
 
 def sq_dist(a: Site, b: Site) -> int:

@@ -203,13 +203,11 @@ def table_densities(extra_l: Sequence[int] = (3,)) -> list[tuple[int, Union[int,
 SUBLATTICE_CSV_HEADER = "b11,b12,b13,b21,b22,b23,b31,b32,b33,class_id,stabilizer_order"
 
 
-def sublattice_csv_rows(classes: Iterable[Any]) -> list[str]:
-    """One CSV line per sublattice: nine basis integers, class id, stabilizer order."""
+def sublattice_csv_rows(sublattices: Iterable[Mapping[str, Any]]) -> list[str]:
+    """One CSV line per `sublat enumerate` sublattice entry: the nine basis
+    integers, the class id and the stabilizer order."""
     rows = [SUBLATTICE_CSV_HEADER]
-    for idx, cl in enumerate(classes, start=1):
-        for member in cl.members:
-            cells = [str(x) for row in member for x in row]
-            cells.append(str(idx))
-            cells.append(str(cl.stabilizer_order))
-            rows.append(",".join(cells))
+    for entry in sublattices:
+        cells = [*(x for row in entry["basis"] for x in row), entry["class_id"], entry["stabilizer_order"]]
+        rows.append(",".join(map(str, cells)))
     return rows

@@ -320,10 +320,7 @@ def classify_classes(l: int) -> list[SublatticeClass]:
 
 
 def class_size_histogram(l: int) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for cl in classify_classes(l):
-        hist[cl.size] = hist.get(cl.size, 0) + 1
-    return hist
+    return compare_class_counts(l).oracle
 
 
 class ClassCountComparison(Record):
@@ -331,11 +328,16 @@ class ClassCountComparison(Record):
     oracle: dict[int, int]
     predicted: dict[int, int]
     mismatched_sizes: tuple[int, ...]
+    classes: tuple[SublatticeClass, ...]
 
 
 def compare_class_counts(l: int) -> ClassCountComparison:
-    """Oracle orbit counts next to the closed-form predictions, with flags."""
-    oracle = class_size_histogram(l)
+    """Oracle orbit counts next to the closed-form predictions, with flags,
+    and the classes counted (one classification)."""
+    classes = tuple(classify_classes(l))
+    oracle: dict[int, int] = {}
+    for cl in classes:
+        oracle[cl.size] = oracle.get(cl.size, 0) + 1
     predicted = {
         1: 1,
         4: 1 if l % 3 == 0 else 0,
@@ -348,7 +350,7 @@ def compare_class_counts(l: int) -> ClassCountComparison:
         for size in sorted(set(predicted) | set(oracle))
         if size in predicted and predicted[size] != oracle.get(size, 0)
     )
-    return ClassCountComparison(l=l, oracle=oracle, predicted=predicted, mismatched_sizes=mism)
+    return ClassCountComparison(l, oracle, predicted, mism, classes)
 
 
 # --- the four predicted basis templates --------------------------------------------

@@ -7,7 +7,18 @@ import pytest
 
 from latticegas import cli, excitations, sublattices
 from latticegas.cli import run
-from latticegas.families import build_layered_d5
+from latticegas.families import (
+    build_bcc,
+    build_cubic,
+    build_d4_family,
+    build_fcc,
+    build_layered_2l2,
+    build_layered_d5,
+    build_layered_d6_rhombic,
+    build_layered_d6_tri,
+    build_phi9,
+    build_phi10,
+)
 from latticegas.reporting import config_payload
 from latticegas.sublattices import r3_formula
 from test_configs import _supercell_without_one
@@ -272,6 +283,15 @@ def test_sublat_classes_reports_the_flag(capsys):
     assert body["results"]["oracle_histogram"] == {"1": 1, "4": 1, "12": 1}
 
 
+def test_sublat_classes_classifies_once(capsys, monkeypatch):
+    calls = []
+    cubic_keys = sublattices._cubic_keys
+    monkeypatch.setattr(sublattices, "_cubic_keys", lambda l: calls.append(l) or cubic_keys(l))
+    code, _, _ = run_capture(capsys, ["sublat", "classes", "--ell", "45"])
+    assert code == 0
+    assert calls == [45]
+
+
 def test_sublat_quaternion(capsys):
     code, body = run_json(capsys, ["sublat", "quaternion", "1,1,0,0"])
     assert code == 0
@@ -387,3 +407,36 @@ def test_build_refuses_a_threshold_the_family_does_not_have(capsys):
     assert "d2=2" in err
     code, _, _ = run_capture(capsys, ["pc", "build", "--d2", "2", "--family", "fcc", "--l", "1"])
     assert code == 0
+
+
+# Each family of pc build: its options with a valid value, the --d2 to build
+# at, and the library builder call the options stand for. --i has a default,
+# so it is never missing; phi9's default --i 0 means axis 1.
+FAMILY_BUILDS = [
+    pytest.param("cubic", {"--l": "2"}, 4, lambda: build_cubic(2), id="cubic"),
+    pytest.param("fcc", {"--l": "2"}, 8, lambda: build_fcc(2), id="fcc"),
+    pytest.param("bcc", {"--l": "4"}, 12, lambda: build_bcc(4), id="bcc"),
+    pytest.param("d4", {}, 4, build_d4_family, id="d4"),
+    pytest.param("d5", {"--i": "2", "--seq": "012"}, 5, lambda: build_layered_d5(2, "012"), id="d5"),
+    pytest.param("d6tri", {"--i": "1", "--seq": "021"}, 6, lambda: build_layered_d6_tri(1, "021"),
+                 id="d6tri"),
+    pytest.param("d6rh", {"--i": "3", "--seq": "0102"}, 6,
+                 lambda: build_layered_d6_rhombic(3, "0102"), id="d6rh"),
+    pytest.param("phi9", {"--l": "1"}, 9, lambda: build_phi9(1, 1), id="phi9"),
+    pytest.param("phi10", {"--i": "3", "--l": "1"}, 10, lambda: build_phi10(3, 1), id="phi10"),
+    pytest.param("2l2", {"--l": "2", "--i": "1", "--seq": "012"}, 8,
+                 lambda: build_layered_2l2(2, 1, "012"), id="2l2"),
+]
+
+
+@pytest.mark.parametrize("family, options, d2, build", FAMILY_BUILDS)
+def test_pc_build_family_table(capsys, family, options, d2, build):
+    head = ["pc", "build", "--d2", str(d2), "--family", family]
+    code, body = run_json(capsys, head + [a for item in options.items() for a in item])
+    assert code == 0
+    assert body["results"] == config_payload(build(), d2)
+    for missing in set(options) - {"--i"}:
+        rest = [a for opt, value in options.items() if opt != missing for a in (opt, value)]
+        code, out, err = run_capture(capsys, head + rest)
+        assert (code, out) == (2, "")
+        assert f"needs {missing}" in err

@@ -21,6 +21,7 @@ from latticegas.configs import (
     make_config,
     shift_count,
 )
+from latticegas.excitations import RemovalSet, make_insertion
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
 from latticegas.forces import SUPPORTED_D2
 from latticegas.lattice import ball_sites
@@ -106,6 +107,28 @@ def test_make_config_reduces_and_dedupes_offsets():
 def test_make_config_validates_hard_core_rule():
     with pytest.raises(ValueError):
         make_config([(2, 0, 0), (0, 2, 0), (0, 0, 2)], [(0, 0, 0), (1, 0, 0)], context_d2=4)
+
+
+# Each constructor that takes coordinates, with x as one coordinate, and the
+# name its error gives the entry. Every case was accepted, truncated or stored
+# as given, before coordinates went through operator.index.
+EXACT_ENTRY_POINTS = [
+    pytest.param(lambda x: hnf([(x, 0, 0), (0, 1, 0), (0, 0, 1)]), "generator", id="hnf"),
+    pytest.param(lambda x: make_config([(2, 0, 0), (0, 2, 0), (0, 0, 2)], [(x, 0, 0)]), "offset",
+                 id="make_config"),
+    pytest.param(lambda x: make_insertion(build_cubic(2), 1, [(x, 0, 0)]), "insertion site",
+                 id="make_insertion"),
+    pytest.param(lambda x: RemovalSet(build_cubic(1), 1, ((x, 0, 0),)), "removal site",
+                 id="RemovalSet"),
+]
+
+
+@pytest.mark.parametrize("x", [1.0, 2.7, Fraction(1), Fraction(5, 2)], ids=repr)
+@pytest.mark.parametrize("construct, what", EXACT_ENTRY_POINTS)
+def test_a_non_integer_coordinate_is_refused_by_name(construct, what, x):
+    with pytest.raises(ValueError) as info:
+        construct(x)
+    assert str(info.value) == f"{what} {(x, 0, 0)!r} is not a triple of integers"
 
 
 def test_redundant_cell_canonicalizes_away():

@@ -77,17 +77,25 @@ def test_bcc_needs_even_side():
 
 
 def test_layer_words_validate():
-    # adjacent repeats never form a valid stacking
-    with pytest.raises(ValueError):
-        build_layered_d5(0, "00")
-    with pytest.raises(ValueError):
-        build_layered_d5(0, "011")
-    # cyclic adjacency counts too
-    with pytest.raises(ValueError):
-        build_layered_d5(0, "010")
-    # the first digit is pinned
-    with pytest.raises(ValueError):
-        build_layered_d5(0, "12")
+    cases = [
+        (build_layered_d5, "00", "consecutive layer labels must differ"),
+        (build_layered_d5, "011", "consecutive layer labels must differ"),
+        # cyclic adjacency counts too, and a period-1 word meets itself
+        (build_layered_d5, "010", "consecutive layer labels must differ"),
+        (build_layered_d5, "0", "consecutive layer labels must differ"),
+        # the first digit is pinned
+        (build_layered_d5, "12", "layer sequences start at label 0"),
+        (build_layered_d5, "", "empty digit sequence"),
+        (build_layered_d5, "03", "digits outside the d5-triangular alphabet"),
+        (build_layered_d6_tri, "071", "digits outside the d6-triangular alphabet"),
+        (build_layered_d6_rhombic, "03", "digits outside the d6-rhombic alphabet"),
+        (build_layered_d5, "0a", "invalid literal for int"),
+    ]
+    for build, word, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build(0, word)
+    with pytest.raises(ValueError, match="2l2-triangular alphabet"):
+        build_layered_2l2(3, 0, "03")
     with pytest.raises(ValueError):
         build_layered_d5(4, "01")
 

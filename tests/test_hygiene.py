@@ -2,6 +2,7 @@
 or imports inside a function body, every function, class and method it
 defines is referenced somewhere in the package or its tests, and importing
 the CLI loads nothing outside the standard library, nor dataclasses or inspect.
+The executable-line counter (tests/line_count.py) is checked on a snippet.
 
 `__init__.py` is exempt from the unused-import check, since its imports are
 the public re-exports.
@@ -15,6 +16,8 @@ import subprocess
 import sys
 
 import pytest
+
+from line_count import executable_lines
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticegas"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -169,3 +172,28 @@ def test_cli_import_loads_only_the_standard_library():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 9 ms of import
     assert cli_import_adds() & {"dataclasses", "inspect"} == set()
+
+
+LINE_COUNT_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+
+def f(x):
+    """Docstring."""
+    # a comment line
+    y = (x +
+         1)
+    return "not a docstring"
+
+
+class A:
+    """Class docstring."""
+    z = 1
+'''
+
+
+def test_line_counter_counts_only_code():
+    # import, def, the two lines of y, return, class, z
+    assert executable_lines(LINE_COUNT_SAMPLE) == 7

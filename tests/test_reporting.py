@@ -126,7 +126,12 @@ def test_density_table_rows():
 
 
 def test_sublattice_csv_shape():
-    rows = sublattice_csv_rows(classify_classes(3))
+    entries = [
+        {"basis": member, "class_id": idx, "stabilizer_order": cl.stabilizer_order}
+        for idx, cl in enumerate(classify_classes(3), start=1)
+        for member in cl.members
+    ]
+    rows = sublattice_csv_rows(entries)
     assert rows[0].startswith("b11,")
     body = rows[1:]
     assert len(body) == 5
