@@ -218,7 +218,8 @@ def _cmd_forces_verify(args: argparse.Namespace) -> Outcome:
 
 
 # Each family's builder and the options it takes, in the builder's argument
-# order. --i defaults to 0, which for phi9 means axis 1.
+# order. --i defaults to 0, which for phi9 means axis 1. pc build refuses an
+# option its family does not take (for --i, any value but 0).
 _FAMILIES = {
     "cubic": (build_cubic, ("l",)),
     "fcc": (build_fcc, ("l",)),
@@ -244,10 +245,11 @@ def _require_in(name: str, value: int, lo: int, hi: int) -> None:
 
 def _cmd_pc_build(args: argparse.Namespace) -> Outcome:
     builder, options = _FAMILIES[args.family]
-    values = [getattr(args, opt) for opt in options]
-    for opt, value in zip(options, values):
-        _require(value is not None, f"--family {args.family} needs --{opt}")
-    pc = builder(*values)
+    for opt, default in (("i", 0), ("seq", None), ("l", None)):
+        value, taken = getattr(args, opt), opt in options
+        _require(not taken or value is not None, f"--family {args.family} needs --{opt}")
+        _require(taken or value == default, f"--family {args.family} does not take --{opt}")
+    pc = builder(*(getattr(args, opt) for opt in options))
     _require(
         pc.context_d2 in (None, args.d2),
         f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}",
@@ -342,6 +344,7 @@ def _cmd_exc_window_census(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
+    _require(not (args.fcc and args.format == "csv"), "--fcc reports a census, which has no CSV form")
     _require_in("--ell", args.ell, 1, FACTORIZE_MAX_ELL if args.fcc else ENUMERATE_MAX_ELL)
     inputs = {"ell": args.ell, "fcc": args.fcc}
     if args.fcc:
@@ -437,8 +440,7 @@ def run(argv: Sequence[str]) -> int:
     handler = _DISPATCH[(args.group, args.action)]
     try:
         inputs, results, verified = handler(args)
-        # the --fcc results hold no sublattices and stay a JSON report
-        if getattr(args, "format", None) == "csv" and "sublattices" in results:
+        if getattr(args, "format", None) == "csv":
             sys.stdout.write("\n".join(sublattice_csv_rows(results["sublattices"])) + "\n")
         else:
             report = ReportEnvelope(tuple(argv), inputs, results)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forces import normalization_constant
-from .lattice import Record, Site, SignedPermutation, ball_sites, exact_site, sq_dist
+from .lattice import Record, Site, SignedPermutation, ball_sites, exact_site
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -95,11 +95,6 @@ def _reduce_site(site: Site, basis: Matrix) -> Site:
     return (x[0], x[1], x[2])
 
 
-def _crange(lo: int, hi: int, base: int, step: int) -> range:
-    """Integers c with lo <= base + c*step <= hi (step > 0)."""
-    return range(-((base - lo) // step), (hi - base) // step + 1)
-
-
 class PeriodicConfiguration(Record):
     """An infinite periodic occupied set: lattice basis rows + cell offsets."""
 
@@ -131,17 +126,25 @@ class PeriodicConfiguration(Record):
 
         The HNF basis is upper triangular, so coordinate t of a site depends
         only on coefficients 0..t; the coefficient ranges are exact and no
-        post-filtering is needed.
+        post-filtering is needed. For an offset o, the site o + c0 b0 +
+        c1 b1 + c2 b2 has first coordinate o0 + c0 a, in the box for c0 from
+        ceil((lo0 - o0) / a) = -((o0 - lo0) // a) to floor((hi0 - o0) / a);
+        then second coordinate y + c1 d, y = o1 + c0 b01, likewise; and the
+        third runs over lo2 <= z <= hi2 in steps of f, starting at the first
+        such z congruent to o2 + c0 b02 + c1 b12 mod f.
         """
-        b = self.basis
+        (a, b01, b02), (_, d, b12), (_, _, f) = self.basis
+        (lo0, lo1, lo2), (hi0, hi1, hi2) = lo, hi
         out: list[Site] = []
-        for o in self.offsets:
-            for c0 in _crange(lo[0], hi[0], o[0], b[0][0]):
-                y1 = o[1] + c0 * b[0][1]
-                for c1 in _crange(lo[1], hi[1], y1, b[1][1]):
-                    y2 = o[2] + c0 * b[0][2] + c1 * b[1][2]
-                    for c2 in _crange(lo[2], hi[2], y2, b[2][2]):
-                        out.append((o[0] + c0 * b[0][0], y1 + c1 * b[1][1], y2 + c2 * b[2][2]))
+        for o0, o1, o2 in self.offsets:
+            for c0 in range(-((o0 - lo0) // a), (hi0 - o0) // a + 1):
+                x = o0 + c0 * a
+                y = o1 + c0 * b01
+                z = o2 + c0 * b02
+                for c1 in range(-((y - lo1) // d), (hi1 - y) // d + 1):
+                    y1 = y + c1 * d
+                    for z2 in range(lo2 + (z + c1 * b12 - lo2) % f, hi2 + 1, f):
+                        out.append((x, y1, z2))
         return out
 
     def occupied_near(self, center: Site, radius_sq: int) -> list[Site]:
@@ -149,10 +152,10 @@ class PeriodicConfiguration(Record):
         if radius_sq < 1:
             return []
         r = math.isqrt(radius_sq - 1)
-        lo = [center[t] - r for t in range(3)]
-        hi = [center[t] + r for t in range(3)]
+        cx, cy, cz = center
+        box = self.occupied_in_box((cx - r, cy - r, cz - r), (cx + r, cy + r, cz + r))
         return sorted(
-            s for s in self.occupied_in_box(lo, hi) if sq_dist(s, center) < radius_sq
+            s for s in box if (s[0] - cx) ** 2 + (s[1] - cy) ** 2 + (s[2] - cz) ** 2 < radius_sq
         )
 
     def translate(self, v: Site) -> "PeriodicConfiguration":

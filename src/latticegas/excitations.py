@@ -1,6 +1,9 @@
 """Insertion and removal excitations over perfect configurations.
 
-Energies are exact integers, excesses exact rationals. The classification
+Energies are exact integers, excesses exact rationals. The force sums
+behind them run on the integer weights of forces.ForceTable (f(q) * den),
+so an excess is the integer deficit den - sum of weights, and a Fraction
+is built once per reported excess. The classification
 of single insertions (types I, IIa, IIb, IIc) applies to the layered
 families whose occupied sites form triangular meshes stacked along a main
 diagonal; it is detected from the configuration itself, never assumed.
@@ -156,19 +159,20 @@ def excitation_report(
     """
     d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
     eta_sorted = tuple(sorted(eta))
-    excesses: dict[Site, Fraction] = {}
-    for y in eta_sorted:
-        pulled = Fraction(0)
-        for x in xi:
-            q = sq_dist(x, y)
-            if q < ft.ball_radius_sq:
-                pulled += ft.force(q)
-        excesses[y] = 1 - pulled
+    w, den, rsq = ft.weights, ft.den, ft.ball_radius_sq
+    deficits = []  # den * excess of each repelled site, in eta_sorted order
+    for y0, y1, y2 in eta_sorted:
+        deficit = den
+        for x0, x1, x2 in xi:
+            q = (x0 - y0) ** 2 + (x1 - y1) ** 2 + (x2 - y2) ** 2
+            if q < rsq:
+                deficit -= w[q]
+        deficits.append(deficit)
     energy = len(eta_sorted) - len(xi)
     perfect = is_perfect(pc, d2)
     if perfect:
-        assert sum(excesses.values(), Fraction(0)) == energy, "excess identity violated"
-        assert all(e >= 0 for e in excesses.values()), "negative excess on perfect background"
+        assert sum(deficits) == energy * den, "excess identity violated"
+        assert min(deficits, default=0) >= 0, "negative excess on perfect background"
     kind = None
     if insertion is not None and removal is None and len(xi) == 1:
         try:
@@ -179,7 +183,7 @@ def excitation_report(
         inserted_count=len(xi),
         repelled=eta_sorted,
         energy=energy,
-        excesses=excesses,
+        excesses={y: Fraction(d, den) for y, d in zip(eta_sorted, deficits)},
         type=kind,
         background_perfect=perfect,
     )
@@ -332,32 +336,25 @@ def peierls_check(
     is H(X) >= gap * v(X) / |ball|; returns (holds, exact slack).
     """
     d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
-    rsq = ft.ball_radius_sq
-    changed = eta.union(xi)
-    candidates = set()
-    for y in changed:
-        candidates.update(ball_sites(rsq, y))
-    ham = Fraction(0)
-    support = 0
-    one = Fraction(1)
-    for x in sorted(candidates):
-        total = Fraction(0)
+    w, den, rsq = ft.weights, ft.den, ft.ball_radius_sq
+    candidates = {x for y in eta.union(xi) for x in ball_sites(rsq, y)}
+    ham = support = 0  # H(X) * den and v(X)
+    for x in candidates:
+        x0, x1, x2 = x
+        total = 0
         for z in pc.occupied_near(x, rsq):
             if z not in eta:
-                total += ft.force(sq_dist(x, z))
-        for z in xi:
-            q = sq_dist(x, z)
+                total += w[(x0 - z[0]) ** 2 + (x1 - z[1]) ** 2 + (x2 - z[2]) ** 2]
+        for z0, z1, z2 in xi:
+            q = (x0 - z0) ** 2 + (x1 - z1) ** 2 + (x2 - z2) ** 2
             if q < rsq:
-                total += ft.force(q)
-        if total != one:
+                total += w[q]
+        if total != den:
             support += 1
-            ham += one - total
-    c = normalization_constant(d2)
-    energy = len(eta) - len(xi)
-    assert ham == c * energy, "force-deficit total disagrees with the excitation energy"
-    ball_size = len(ball_sites(rsq))
-    bound = peierls_gap(d2) * support / ball_size
-    slack = ham - bound
+            ham += den - total
+    c, energy = normalization_constant(d2), len(eta) - len(xi)
+    assert ham * c.denominator == c.numerator * energy * den, "H(X) disagrees with C * energy"
+    slack = Fraction(ham, den) - peierls_gap(d2) * support / len(ball_sites(rsq))
     return slack >= 0, slack
 
 

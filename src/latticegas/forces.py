@@ -6,8 +6,11 @@ checked exhaustively here, is that the maximum total force collected at the
 ball center over ALL admissible occupancy patterns of the ball is exactly 1,
 and the patterns achieving 1 are the locally densest ones.
 
-All arithmetic is exact (fractions.Fraction, and integers inside the
-search); nothing here is floating point.
+All arithmetic is exact and nothing here is floating point. Every table
+has a small common denominator (at most 24), so the arithmetic runs on
+integers: a ForceTable holds f(q) * den, den the least common denominator
+of the table, and every force sum is an integer sum. Fractions are built
+only at the boundary, for the values the API returns.
 """
 
 from __future__ import annotations
@@ -65,34 +68,37 @@ class UnsupportedThresholdError(ValueError):
 
 
 class ForceTable(Record):
-    """A rational force profile f(q) on the ball of a given exclusion threshold."""
+    """A rational force profile f(q) on the ball of a given exclusion threshold,
+    held as integers: f(q) = weights[q] / den for 0 <= q < ball_radius_sq,
+    den the least common denominator of the table's forces."""
 
     d2: int
     ball_radius_sq: int
-    values: tuple[tuple[int, Fraction], ...]  # (squared distance, force), ascending
+    den: int
+    weights: tuple[int, ...]
 
     def force(self, q: int) -> Fraction:
         """Force at squared distance q; zero outside the supported range."""
-        for dist, f in self.values:
-            if dist == q:
-                return f
-        return Fraction(0)
+        return Fraction(self.weights[q] if 0 <= q < self.ball_radius_sq else 0, self.den)
 
 
+@lru_cache(maxsize=None)
 def force_table(d2: int) -> ForceTable:
     if d2 not in FORCE_TABLES:
         raise UnsupportedThresholdError(
             f"no repelling-force table known for d2={d2}; supported: {SUPPORTED_D2}"
         )
-    table = FORCE_TABLES[d2]
-    return ForceTable(d2, BALL_RADIUS_SQ[d2], tuple(sorted(table.items())))
+    table = FORCE_TABLES[d2]  # keyed by every q < BALL_RADIUS_SQ[d2], in order
+    den = math.lcm(*(f.denominator for f in table.values()))
+    return ForceTable(d2, BALL_RADIUS_SQ[d2], den, tuple(int(f * den) for f in table.values()))
 
 
 @lru_cache(maxsize=None)
 def normalization_constant(d2: int) -> Fraction:
     """Total force collected over the whole ball: sum of f(sq_dist) over ball sites."""
     ft = force_table(d2)
-    return sum((ft.force(sq_dist(s, ORIGIN)) for s in ball_sites(ft.ball_radius_sq)), Fraction(0))
+    w = ft.weights
+    return Fraction(sum(w[sq_dist(s, ORIGIN)] for s in ball_sites(ft.ball_radius_sq)), ft.den)
 
 
 def total_force(d2: int, occupied: Iterable[Site], center: Site = ORIGIN) -> Fraction:
@@ -108,7 +114,7 @@ def total_force(d2: int, occupied: Iterable[Site], center: Site = ORIGIN) -> Fra
             raise ValueError(f"occupied site {y} lies outside the ball around {center}")
     if not is_admissible(pts, d2):
         raise ValueError("occupied set violates the hard-core exclusion rule")
-    return sum((ft.force(sq_dist(y, center)) for y in pts), Fraction(0))
+    return Fraction(sum(ft.weights[sq_dist(y, center)] for y in pts), ft.den)
 
 
 def enumerate_ball_acs(
@@ -157,14 +163,14 @@ def verify_forces(d2: int) -> BallSearchReport:
     pattern size, and signatures the sorted squared-distance multisets of
     the patterns whose total force equals 1 exactly.
 
-    The search runs on integers: every force is scaled by the least common
-    denominator of the table, so a total of exactly 1 reads as `den`.
+    The search runs on the table's integer weights, so a total of exactly 1
+    reads as ft.den.
     """
     ft = force_table(d2)
+    den = ft.den
     sites = ball_sites(ft.ball_radius_sq)
     dists = [sq_dist(s, ORIGIN) for s in sites]
-    den = math.lcm(*(f.denominator for _, f in ft.values))
-    weights = [int(ft.force(q) * den) for q in dists]
+    weights = [ft.weights[q] for q in dists]
 
     count = 0
     max_occ = 0

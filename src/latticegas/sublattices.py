@@ -232,6 +232,8 @@ def _cubic_keys(l: int) -> set[frozenset[Site]]:
     z.a >= |z.b|, |z.c|, |z.d| loses nothing: ER(-z) = ER(z), and z, i z, j z
     and k z (a-coordinates a, -b, -c, -d) span one lattice, because
     ER(u z) = ER(u) ER(z) and ER(i), ER(j), ER(k) are diagonal sign matrices.
+    The filter runs on the coordinate tuples of _sphere_points, before a
+    Quaternion is built, and z.a >= 1 because z is not zero.
     Proof that these keys are exactly the cubic l-sublattices:
 
     Each t * ER(z) is cubic: the rows of ER(z) are pairwise orthogonal of
@@ -271,11 +273,12 @@ def _cubic_keys(l: int) -> set[frozenset[Site]]:
     if l < 1:
         raise ValueError("l must be >= 1")
     return {
-        _key([(t * r0, t * r1, t * r2) for r0, r1, r2 in euler_rodrigues(z)])
+        _key([(t * r0, t * r1, t * r2) for r0, r1, r2 in euler_rodrigues(Quaternion(a, b, c, d))])
         for t in range(1, l + 1)
         if l % t == 0
-        for z in quaternions_of_norm(l // t)
-        if z.a >= max(abs(z.b), abs(z.c), abs(z.d))
+        for a in range(1, math.isqrt(l // t) + 1)
+        for b, c, d in _sphere_points(l // t - a * a)
+        if a >= max(abs(b), abs(c), abs(d))
     }
 
 

@@ -27,6 +27,11 @@ set from the neighbours of every lifted column site
 (sliding_witness_by_scan), and the number of cubic (so of close-packed)
 sublattices from the quaternion enumeration sublattices._cubic_keys.
 
+The force sums have Fraction twins: the library sums the integer weights
+of forces.force_table, while excesses_by_fractions, peierls_by_fractions,
+perfect_by_scan and force_extremes add Fractions read from the literal
+forces.FORCE_TABLES, one site at a time, on cube-scanned balls.
+
 The package's value types derive from lattice.Record; their twins here are
 frozen dataclasses with the same names, fields, defaults and equality, so
 a test can hold Record to what the dataclass it replaced did.
@@ -49,7 +54,7 @@ from latticegas.excitations import (
     make_insertion,
     reduce_insertions,
 )
-from latticegas.forces import force_table
+from latticegas.forces import BALL_RADIUS_SQ, FORCE_TABLES, peierls_gap
 from latticegas.lattice import independent_sets, oh_elements
 from latticegas.sublattices import SublatticeClass, fcc_from_cubic, predicted_class_bases
 
@@ -95,9 +100,8 @@ def force_extremes(d2: int):
     with the empty pattern included in the count, exactly like the library
     claims to do.
     """
-    ft = force_table(d2)
-    sites = brute_ball(ft.ball_radius_sq)
-    fvals = [ft.force(s[0] ** 2 + s[1] ** 2 + s[2] ** 2) for s in sites]
+    sites = brute_ball(BALL_RADIUS_SQ[d2])
+    fvals = [FORCE_TABLES[d2][s[0] ** 2 + s[1] ** 2 + s[2] ** 2] for s in sites]
     dists = [s[0] ** 2 + s[1] ** 2 + s[2] ** 2 for s in sites]
     n = len(sites)
 
@@ -247,15 +251,61 @@ def perfect_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
     """
     if d2 == 1:
         return all(pc.contains(x) for x in cell(pc))
-    ft = force_table(d2)
+    table = FORCE_TABLES[d2]
     for x in cell(pc):
         total = Fraction(0)
-        for y in brute_ball(ft.ball_radius_sq, x):
+        for y in brute_ball(BALL_RADIUS_SQ[d2], x):
             if pc.contains(y):
-                total += ft.force((x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 + (x[2] - y[2]) ** 2)
+                total += table[(x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 + (x[2] - y[2]) ** 2]
         if total != 1:
             return False
     return True
+
+
+def _sq(a: Site, b: Site) -> int:
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
+
+
+def _repelled(pc: PeriodicConfiguration, d2: int, inserted, removed) -> set:
+    """The removed sites and the occupied sites of the cube-scanned open
+    d2-ball of every inserted site."""
+    return set(removed) | {y for x in inserted for y in brute_ball(d2, x) if pc.contains(y)}
+
+
+def excesses_by_fractions(pc: PeriodicConfiguration, d2: int, inserted=(), removed=()):
+    """(excesses, energy) of an excitation: each repelled or removed site's
+    excess is 1 minus the force it collects from the inserted sites, added
+    one Fraction at a time from the literal FORCE_TABLES; the energy is
+    |repelled| - |inserted|."""
+    table = FORCE_TABLES[d2]
+    eta = _repelled(pc, d2, inserted, removed)
+    excesses = {
+        y: 1 - sum((table.get(_sq(x, y), Fraction(0)) for x in inserted), Fraction(0))
+        for y in sorted(eta)
+    }
+    return excesses, len(eta) - len(inserted)
+
+
+def peierls_by_fractions(pc: PeriodicConfiguration, d2: int, inserted=(), removed=()):
+    """(holds, slack) of the contour bound H(X) >= gap * v(X) / |ball| for the
+    excited configuration X (repelled and removed particles gone, inserted
+    ones added). The force at every site of the cube-scanned ball around a
+    changed site is added one Fraction at a time from the literal
+    FORCE_TABLES; H is the total deficit from 1, v the number of deficient
+    sites. The gap is forces.peierls_gap, which force_extremes checks."""
+    table, rsq = FORCE_TABLES[d2], BALL_RADIUS_SQ[d2]
+    eta = _repelled(pc, d2, inserted, removed)
+    ham, support = Fraction(0), 0
+    for x in sorted({x for y in eta | set(inserted) for x in brute_ball(rsq, y)}):
+        total = Fraction(0)
+        for z in brute_ball(rsq, x):
+            if (pc.contains(z) and z not in eta) or z in inserted:
+                total += table[_sq(x, z)]
+        if total != 1:
+            support += 1
+            ham += 1 - total
+    slack = ham - peierls_gap(d2) * support / len(brute_ball(rsq))
+    return slack >= 0, slack
 
 
 def saturated_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:

@@ -422,7 +422,7 @@ FAMILY_BUILDS = [
                  id="d6tri"),
     pytest.param("d6rh", {"--i": "3", "--seq": "0102"}, 6,
                  lambda: build_layered_d6_rhombic(3, "0102"), id="d6rh"),
-    pytest.param("phi9", {"--l": "1"}, 9, lambda: build_phi9(1, 1), id="phi9"),
+    pytest.param("phi9", {"--i": "0", "--l": "1"}, 9, lambda: build_phi9(1, 1), id="phi9"),
     pytest.param("phi10", {"--i": "3", "--l": "1"}, 10, lambda: build_phi10(3, 1), id="phi10"),
     pytest.param("2l2", {"--l": "2", "--i": "1", "--seq": "012"}, 8,
                  lambda: build_layered_2l2(2, 1, "012"), id="2l2"),
@@ -440,3 +440,31 @@ def test_pc_build_family_table(capsys, family, options, d2, build):
         code, out, err = run_capture(capsys, head + rest)
         assert (code, out) == (2, "")
         assert f"needs {missing}" in err
+
+
+# Each option combination a command refuses with exit 2 and no output: the
+# argv and a fragment of the message. pc build refuses every option its
+# family does not take (an --i only when it is not the default 0).
+FOREIGN_OPTIONS = {"--l": "1", "--seq": "01", "--i": "1"}
+REFUSED_OPTIONS = [
+    pytest.param(["sublat", "enumerate", "--ell", "7", "--fcc", "--format", "csv"], "--fcc",
+                 id="enumerate-fcc-csv"),
+    *(
+        pytest.param(
+            ["pc", "build", "--d2", str(d2), "--family", family,
+             *(a for item in options.items() for a in item), opt, value],
+            f"does not take {opt}", id=f"build-{family}{opt}")
+        for family, options, d2, _ in (p.values for p in FAMILY_BUILDS)
+        for opt, value in FOREIGN_OPTIONS.items() if opt not in options
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_OPTIONS)
+def test_an_option_the_command_does_not_take_is_refused(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    if argv[:2] == ["pc", "build"] and argv[-2] == "--i":
+        code, out, _ = run_capture(capsys, argv[:-1] + ["0"])
+        assert code == 0 and out

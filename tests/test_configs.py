@@ -28,6 +28,7 @@ from latticegas.lattice import ball_sites
 from oracles import (
     admissible_by_scan,
     box_admissible,
+    brute_ball,
     naive_density,
     perfect_by_scan,
     saturated_by_scan,
@@ -174,17 +175,33 @@ def test_membership_after_reduction():
     assert not pc.contains((1, 0, 0))
 
 
-def test_occupied_in_box_exact():
-    pc = build_layered_d5(0, "01")
-    lo, hi = (-4, -4, -4), (4, 4, 4)
-    brute = [
-        (x, y, z)
-        for x in range(lo[0], hi[0] + 1)
-        for y in range(lo[1], hi[1] + 1)
-        for z in range(lo[2], hi[2] + 1)
-        if pc.contains((x, y, z))
+@st.composite
+def boxed_configs(draw):
+    """A configuration whose HNF basis has a nonzero entry above the
+    diagonal, with 1-4 offsets, and a box that may reach below zero or be
+    empty (lo > hi in some coordinate)."""
+    pc = make_config(draw(nonsingular_rows()), draw(st.lists(row, min_size=1, max_size=4)))
+    assume(any(pc.basis[0][1:]) or pc.basis[1][2])
+    lo = draw(st.tuples(*[st.integers(-7, 3)] * 3))
+    hi = tuple(c + draw(st.integers(-2, 6)) for c in lo)
+    return pc, lo, hi
+
+
+@given(boxed_configs(), st.tuples(*[st.integers(-5, 5)] * 3), st.integers(0, 14))
+@example((build_layered_d5(0, "01"), (-4, -4, -4), (4, 4, 4)), (0, 0, 0), 5)
+@example(
+    (make_config([(2, 1, 3), (0, 3, 2), (0, 0, 5)], [(0, 0, 0)]), (-3, -3, 1), (3, 3, 0)),
+    (0, 0, 0),
+    0,
+)
+def test_box_and_ball_queries_match_the_cube_scan(boxed, center, radius_sq):
+    pc, lo, hi = boxed
+    assert sorted(pc.occupied_in_box(lo, hi)) == [
+        s for s in product(*(range(lo[t], hi[t] + 1) for t in range(3))) if pc.contains(s)
     ]
-    assert sorted(pc.occupied_in_box(lo, hi)) == brute
+    assert pc.occupied_near(center, radius_sq) == [
+        s for s in brute_ball(radius_sq, center) if pc.contains(s)
+    ]
 
 
 def test_perfection_basics():

@@ -168,6 +168,44 @@ def test_peierls_bound_on_samples():
         assert ok and slack >= 0, d2
 
 
+# One perfect background per threshold, and its vacant sites near the origin.
+BACKGROUNDS = {d2: entries[0][1]() for d2, entries in CONSTRUCTORS.items()}
+VACANT = {
+    d2: [s for s in oracles.brute_ball(13) if not pc.contains(s)] for d2, pc in BACKGROUNDS.items()
+}
+
+
+@st.composite
+def excitations_by_threshold(draw):
+    """(pc, d2, insertion, removal): 1-3 admissible vacant insertions, or a
+    gamma1 removal at a drawn offset, or the gamma2 removal."""
+    d2 = draw(st.sampled_from(sorted(BACKGROUNDS)))
+    pc = BACKGROUNDS[d2]
+    kind = draw(st.sampled_from(["insert", "gamma1", "gamma2"]))
+    if kind == "gamma1":
+        return pc, d2, None, gamma1(pc, d2, draw(st.sampled_from(pc.offsets)))
+    if kind == "gamma2":
+        return pc, d2, None, gamma2(pc, d2)
+    sites: list = []
+    for s in draw(st.lists(st.sampled_from(VACANT[d2]), min_size=1, max_size=3, unique=True)):
+        if all(sq_dist(s, t) >= d2 for t in sites):
+            sites.append(s)
+    return pc, d2, make_insertion(pc, d2, sites), None
+
+
+@given(excitations_by_threshold())
+def test_integer_force_sums_match_the_fraction_oracles(case):
+    pc, d2, insertion, removal = case
+    inserted = insertion.sites if insertion is not None else ()
+    removed = removal.sites if removal is not None else ()
+    rep = excitation_report(pc, insertion, d2, removal)
+    assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(pc, d2, inserted, removed)
+    assert list(rep.excesses) == sorted(rep.excesses)
+    assert peierls_check(pc, insertion, d2, removal) == oracles.peierls_by_fractions(
+        pc, d2, inserted, removed
+    )
+
+
 def test_peierls_known_slacks():
     ok, slack = peierls_check(build_fcc(1), removal=gamma1(build_fcc(1), 2), d2=2)
     assert ok and slack == Fraction(11, 6)

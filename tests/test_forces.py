@@ -1,5 +1,6 @@
 """Force tables and the exhaustive ball search."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from latticegas.forces import (
     BALL_RADIUS_SQ,
+    FORCE_TABLES,
     SUPPORTED_D2,
     UnsupportedThresholdError,
     enumerate_ball_acs,
@@ -39,6 +41,16 @@ def test_force_values_match_reference(d2):
     expected = FORCE_VALUES[d2]
     for q in range(ft.ball_radius_sq):
         assert ft.force(q) == expected.get(q, Fraction(0)), (d2, q)
+
+
+@pytest.mark.parametrize("d2", SUPPORTED_D2)
+def test_integer_weights_scale_the_literal_table(d2):
+    ft, table = force_table(d2), FORCE_TABLES[d2]
+    assert ft.den == math.lcm(*(f.denominator for f in table.values()))
+    assert len(ft.weights) == ft.ball_radius_sq == max(table) + 1
+    for q in range(ft.ball_radius_sq):
+        assert Fraction(ft.weights[q], ft.den) == table[q] == ft.force(q), (d2, q)
+    assert ft.force(ft.ball_radius_sq) == ft.force(-1) == 0
 
 
 def test_unsupported_thresholds_raise():
