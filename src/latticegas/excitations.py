@@ -11,9 +11,10 @@ diagonal; it is detected from the configuration itself, never assumed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, close_packing_scale, is_perfect
 from .forces import ForceTable, force_table, normalization_constant, peierls_gap
@@ -24,6 +25,7 @@ from .lattice import (
     conflict_masks,
     count_independent_sets,
     exact_site,
+    fold_independent_sets,
     independent_sets,
     is_admissible,
     sq_dist,
@@ -380,24 +382,57 @@ class WindowCensus(Record):
 # supercell at 1 layer and squared radius 30 has 555,467 to reduce.
 WINDOW_VISITS_MAX = 10**7
 WINDOW_REDUCTIONS_MAX = 5000
+# The most window sites a census takes; a larger window is refused before
+# any site's repelled set is looked up. Of the nine backgrounds of the
+# benchmark, three have a layering (fcc at d2 = 2 and 8, hcp at 5), and the
+# largest windows their budgets accept, over every number of layers, are
+# 4,716 sites (fcc at d2 = 2, 2 layers, squared radius 2603: no two window
+# sites conflict, and the search visits 9,992,866 sets), 270 (hcp, 1 layer,
+# squared radius 218) and 181 (fcc at d2 = 8, 2 layers, squared radius 25),
+# the state budget refusing each larger hcp and fcc d2 = 8 window tried.
+WINDOW_SITES_MAX = 5000
+
+
+def _slab_sites(center: Site, e: Site, hi: int, radius_sq: int) -> Iterator[Site]:
+    """The sites x with sq_dist(x, center) <= radius_sq and 0 <= e.x <= hi, e
+    a main diagonal, lazily and level by level, each once.
+
+    With y = x - center, k = e.y, s = e[0] y[0] and t = e[1] y[1], the last
+    term e[2] y[2] of e.y is m - t, m = k - s, so x is in the ball iff
+    s^2 + t^2 + (m - t)^2 <= radius_sq. That is (2t - m)^2 <= D(s), with
+    D(s) = 2 (radius_sq - s^2) - m^2, and some real t has it iff
+    D(s) >= 0, that is (3s - k)^2 <= 6 radius_sq - 2 k^2; a level meets the
+    ball only if k^2 <= 3 radius_sq. An integer's square is at most D iff
+    its absolute value is at most isqrt(D), so each range below is exact.
+    """
+    ec, rk = _dot(e, center), math.isqrt(3 * radius_sq)
+    for level in range(max(0, ec - rk), min(hi, ec + rk) + 1):
+        k = level - ec
+        rs = math.isqrt(6 * radius_sq - 2 * k * k)
+        for s in range(-((rs - k) // 3), (rs + k) // 3 + 1):
+            m = k - s
+            rt = math.isqrt(2 * (radius_sq - s * s) - m * m)
+            for t in range(-((rt - m) // 2), (rt + m) // 2 + 1):
+                yield (center[0] + e[0] * s, center[1] + e[1] * t, center[2] + e[2] * (m - t))
 
 
 def _window(
     pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int, center: Site
 ) -> tuple[list[Site], list[int], list[int]]:
     """The window of a census (see window_census), its conflict masks, and
-    each window site's repelled set as a bitmask over the repelled particles."""
+    each window site's repelled set as a bitmask over the repelled particles.
+    A window of more than WINDOW_SITES_MAX sites is refused before any site's
+    repelled set is looked up."""
     if layers < 1:
         raise ValueError(f"a window census needs at least one layer, got {layers}")
     if radius_sq < 0:
         raise ValueError(f"a window census needs a squared radius >= 0, got {radius_sq}")
     e, h, _ = _detect_layering(pc, d2)
-    hi = h * (layers - 1)
-    window = [
-        x
-        for x in ball_sites(radius_sq + 1, center)
-        if 0 <= _dot(x, e) <= hi and not pc.contains(x)
-    ]
+    vacant = (x for x in _slab_sites(center, e, h * (layers - 1), radius_sq) if not pc.contains(x))
+    window = sorted(itertools.islice(vacant, WINDOW_SITES_MAX + 1))
+    if len(window) > WINDOW_SITES_MAX:
+        raise ValueError(f"a window census takes at most {WINDOW_SITES_MAX} window sites; the "
+                         f"window of layers={layers}, radius_sq={radius_sq} has more")
     near = [pc.occupied_near(x, d2) for x in window]
     index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
     cover = [sum(1 << index[y] for y in ys) for ys in near]
@@ -408,17 +443,15 @@ def _energy_weights(conflict: list[int], cover: list[int]) -> tuple[list[int], i
     """Integer weights w and a scale D with E(X) >= sum(w[x] for x in X) / D.
 
     K_p is the size of the largest conflict-free set of window sites that
-    repel particle p; w[x] = D * (sum of 1/K_p over the particles x repels,
+    repel particle p, the highest set size the fold of those sites with
+    unit 1 finds; w[x] = D * (sum of 1/K_p over the particles x repels,
     minus 1), with D = lcm(K_p). See window_census for the proof.
     """
     most = []
     for p in range(max(cover, default=0).bit_length()):  # every particle bit is in some cover
         members = [k for k, c in enumerate(cover) if c >> p & 1]
         sub = [sum(1 << b for b, j in enumerate(members) if conflict[k] >> j & 1) for k in members]
-        sizes = {0}
-        zeros = [0] * len(members)
-        independent_sets(sub, zeros, zeros, lambda chosen, total, covered: sizes.add(len(chosen)))
-        most.append(max(sizes))
+        most.append(fold_independent_sets(sub, [1] * len(members))[1].bit_length() - 1)
     den = math.lcm(*most)
     return [sum(den // k for p, k in enumerate(most) if c >> p & 1) - den for c in cover], den
 

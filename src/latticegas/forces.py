@@ -4,7 +4,9 @@ For each supported exclusion threshold d2 there is a rational force table
 f(q) on squared distances q inside a finite ball. The defining property,
 checked exhaustively here, is that the maximum total force collected at the
 ball center over ALL admissible occupancy patterns of the ball is exactly 1,
-and the patterns achieving 1 are the locally densest ones.
+and the patterns achieving 1 are the locally densest ones. The check is a
+fold over merged states that accounts for every pattern without visiting
+one (verify_forces); the per-pattern search is the oracle of the tests.
 
 All arithmetic is exact and nothing here is floating point. Every table
 has a small common denominator (at most 24), so the arithmetic runs on
@@ -15,7 +17,9 @@ only at the boundary, for the values the API returns.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
@@ -27,6 +31,7 @@ from .lattice import (
     ball_sites,
     conflict_masks,
     count_independent_sets,
+    fold_independent_sets,
     independent_sets,
     is_admissible,
     sq_dist,
@@ -124,23 +129,15 @@ def enumerate_ball_acs(
 
     Patterns are subsets of the ball (the empty set included) whose pairwise
     squared distances are all >= d2. The visitor, if given, is called once
-    per pattern with the sites in lexicographic order. Returns the count;
-    without a visitor the patterns are counted, not visited.
+    per pattern with the sites in lexicographic order. Returns the count,
+    which lattice.count_independent_sets takes without visiting.
     """
     sites = ball_sites(force_table(d2).ball_radius_sq)
     conflict = conflict_masks(sites, d2)
-    if visitor is None:
-        return count_independent_sets(conflict)
-    zeros = [0] * len(sites)
-    count = 0
-
-    def visit(chosen: list[int], total: int, covered: int) -> None:
-        nonlocal count
-        count += 1
-        visitor(tuple(sites[i] for i in chosen))
-
-    independent_sets(conflict, zeros, zeros, visit)
-    return count
+    if visitor is not None:
+        zeros = [0] * len(sites)
+        independent_sets(conflict, zeros, zeros, lambda chosen, *_: visitor(tuple(sites[i] for i in chosen)))
+    return count_independent_sets(conflict)
 
 
 class BallSearchReport(Record):
@@ -154,47 +151,73 @@ class BallSearchReport(Record):
     signatures: tuple[tuple[int, ...], ...]
 
 
+def _clique_cover(conflict: list[int], members: list[int]) -> int:
+    """The number of cliques a greedy pass splits members into: each member
+    joins the first clique whose every member it conflicts with."""
+    cliques: list[int] = []
+    for i in members:
+        for k, clique in enumerate(cliques):
+            if not clique & ~conflict[i]:
+                cliques[k] |= 1 << i
+                break
+        else:
+            cliques.append(1 << i)
+    return len(cliques)
+
+
 @lru_cache(maxsize=None)
 def verify_forces(d2: int) -> BallSearchReport:
-    """Exhaustively search the ball and report the force extremes.
+    """Exhaustively check the ball's admissible patterns and report the force extremes.
 
     fstar is the maximum total force over all admissible patterns,
     second_max the largest strictly smaller total, max_occupancy the largest
     pattern size, and signatures the sorted squared-distance multisets of
     the patterns whose total force equals 1 exactly.
 
-    The search runs on the table's integer weights, so a total of exactly 1
+    Every admissible pattern is accounted for, yet none is visited: the
+    fold of lattice.fold_independent_sets runs over merged states and
+    returns the count and the set of signatures, a pattern's signature being
+    the sum of place[q] over its sites, q each site's squared distance.
+    Everything reported is a function of the distance multiset, that is of
+    the counts n[q] of the pattern's sites on each shell q. The fold obeys
+    lattice.COUNT_STATES_MAX; the balls take at most 3,761 states (d2 = 8).
+
+    No digit carries. The sites of shell q are split greedily into
+    cliques of pairwise conflicting sites, base[q] is one more than their
+    number, and place[q] is the product of base[q'] over q' > q. An
+    admissible pattern holds no two conflicting sites, so at most one site
+    of each clique: n[q] < base[q]. The signature sum of n[q] * place[q] is
+    then the mixed-radix numeral with digits n[q], so distinct multisets
+    have distinct signatures and divmod by the bases reads the counts back.
+    The outer shells take the low places, which keeps the carried bitsets
+    narrower than the other way round (at most 26,460 bits, at d2 = 8).
+
+    The totals run on the table's integer weights, so a total of exactly 1
     reads as ft.den.
     """
     ft = force_table(d2)
-    den = ft.den
+    den, shells = ft.den, range(ft.ball_radius_sq)
     sites = ball_sites(ft.ball_radius_sq)
     dists = [sq_dist(s, ORIGIN) for s in sites]
-    weights = [ft.weights[q] for q in dists]
-
-    count = 0
-    max_occ = 0
-    totals: set[int] = set()
-    sigs: set[tuple[int, ...]] = set()
-
-    def visit(chosen: list[int], total: int, covered: int) -> None:
-        nonlocal count, max_occ
-        count += 1
-        totals.add(total)
-        if len(chosen) > max_occ:
-            max_occ = len(chosen)
-        if total == den:
-            sigs.add(tuple(sorted(dists[i] for i in chosen)))
-
-    independent_sets(conflict_masks(sites, d2), weights, [0] * len(sites), visit)
+    conflict = conflict_masks(sites, d2)
+    bases = [1 + _clique_cover(conflict, [i for i, q in enumerate(dists) if q == shell]) for shell in shells]
+    place = list(itertools.accumulate(reversed(bases), operator.mul, initial=1))[-2::-1]
+    count, sigs = fold_independent_sets(conflict, [place[q] for q in dists])
+    totals: dict[int, list[list[int]]] = {}  # total weight -> the shell counts of its patterns
+    while sigs:
+        sig = sigs.bit_length() - 1
+        sigs ^= 1 << sig
+        counts = [sig // place[q] % bases[q] for q in shells]
+        totals.setdefault(sum(map(operator.mul, counts, ft.weights)), []).append(counts)
     best = max(totals)
+    multisets = (tuple(sorted(q for q in shells for _ in range(c[q]))) for c in totals.get(den, ()))
     return BallSearchReport(
         d2=d2,
         config_count=count,
         fstar=Fraction(best, den),
-        second_max=Fraction(max(totals - {best}), den),
-        max_occupancy=max_occ,
-        signatures=tuple(sorted(sigs)),
+        second_max=Fraction(max(totals.keys() - {best}), den),
+        max_occupancy=max(sum(counts) for group in totals.values() for counts in group),
+        signatures=tuple(sorted(multisets)),
     )
 
 

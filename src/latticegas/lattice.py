@@ -146,12 +146,20 @@ def independent_sets(
     rec((1 << n) - 1, 0, 0)
 
 
-# The most states count_independent_sets expands before it refuses with
-# ValueError. The force balls take at most 3,761. The hcp windows of a
+# The most states count_independent_sets or fold_independent_sets expands
+# before it refuses with ValueError. The force balls take at most 3,761. The hcp windows of a
 # census with 3 layers take 98,987 at squared radius 13 (0.07 s on a 2-vCPU
 # host) and 909,128 at squared radius 14 (0.9 s); at squared radius 40 the
 # states fill more than 5 GB.
 COUNT_STATES_MAX = 200_000
+
+
+def _within_budget(expanded: int, n: int) -> int:
+    """expanded, if at most COUNT_STATES_MAX; else ValueError."""
+    if expanded > COUNT_STATES_MAX:
+        raise ValueError(f"counting the conflict-free sets of {n} indices takes more than "
+                         f"{COUNT_STATES_MAX} states")
+    return expanded
 
 
 def count_independent_sets(conflict: Sequence[int]) -> int:
@@ -160,40 +168,77 @@ def count_independent_sets(conflict: Sequence[int]) -> int:
     Counts without visiting. A state is the set A of indices still
     available once every index below its lowest one, v, is decided; it
     splits into A - v (v left out) and A - N[v] (v taken), N[v] being v
-    with its conflicts, and a state left empty ends one set. Equal states
-    are merged, each carrying the number of ways to reach it, and are
-    expanded in order of v, so each is expanded once and nothing recurses.
-    More than COUNT_STATES_MAX states raise ValueError.
+    with its conflicts, and the empty state ends a set. Equal states are
+    merged, each carrying the number of ways to reach it, and are expanded
+    in order of v, so each is expanded once and nothing recurses. The
+    lowest index of the empty state reads as -1, so it waits in the last
+    slot, which is never expanded; the sets that end by taking v, the most
+    common end, are summed at once. More than COUNT_STATES_MAX states raise
+    ValueError.
     """
     n = len(conflict)
-    if not n:
-        return 1
-    waiting: list = [{} for _ in range(n)]  # states by lowest index, with their ways
+    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index, with their ways
     waiting[0][(1 << n) - 1] = 1
     done = expanded = 0
     for v in range(n):
         level, waiting[v] = waiting[v], None
-        expanded += len(level)
-        if expanded > COUNT_STATES_MAX:
-            raise ValueError(
-                f"counting the conflict-free sets of {n} indices takes more than "
-                f"{COUNT_STATES_MAX} states"
-            )
+        expanded = _within_budget(expanded + len(level), n)
         bit, keep = 1 << v, ~conflict[v]
         for avail, ways in level.items():
             left_out = avail ^ bit
             taken = left_out & keep
-            if left_out:
-                w = waiting[(left_out & -left_out).bit_length() - 1]
-                w[left_out] = w.get(left_out, 0) + ways
-            else:
-                done += ways
+            w = waiting[(left_out & -left_out).bit_length() - 1]
+            w[left_out] = w.get(left_out, 0) + ways
             if taken:
                 w = waiting[(taken & -taken).bit_length() - 1]
                 w[taken] = w.get(taken, 0) + ways
             else:
                 done += ways
-    return done
+    return done + waiting[n].get(0, 0)
+
+
+def fold_independent_sets(conflict: Sequence[int], unit: Sequence[int]) -> tuple[int, int]:
+    """The number of index sets with no two members in conflict, the empty
+    set included, and the bitset of their signatures: bit s is set iff some
+    such set X has s == sum(unit[i] for i in X), the units being >= 0.
+
+    The states are those of count_independent_sets, each carrying
+    [ways, sigs]: sigs has bit s set iff some prefix reaching the state has
+    signature s. Leaving v out passes both on, taking v shifts sigs up by
+    unit[v], and a merge adds the ways and ORs the sigs. A set's signature
+    is the sum over the prefixes along its path, so the empty state's
+    bitset holds every signature and no other. Expanded in order of v, each
+    state once and nothing recursing; more than COUNT_STATES_MAX states
+    raise ValueError. Counting alone is left to count_independent_sets,
+    which carries no sigs.
+    """
+    n = len(conflict)
+    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index, with [ways, sigs]
+    waiting[0][(1 << n) - 1] = [1, 1]
+    expanded = 0
+    for v in range(n):
+        level, waiting[v] = waiting[v], None
+        expanded = _within_budget(expanded + len(level), n)
+        bit, keep, shift = 1 << v, ~conflict[v], unit[v]
+        for avail, carried in level.items():
+            ways, sigs = carried
+            left_out = avail ^ bit
+            w = waiting[(left_out & -left_out).bit_length() - 1]
+            into = w.get(left_out)
+            if into is None:
+                w[left_out] = carried  # the level is dropped, so its lists can move on
+            else:
+                into[0] += ways
+                into[1] |= sigs
+            taken = left_out & keep
+            w = waiting[(taken & -taken).bit_length() - 1]
+            into = w.get(taken)
+            if into is None:
+                w[taken] = [ways, sigs << shift]
+            else:
+                into[0] += ways
+                into[1] |= sigs << shift
+    return tuple(waiting[n][0])
 
 
 _set = object.__setattr__

@@ -7,6 +7,7 @@ import pytest
 
 from latticegas import cli, excitations, sublattices
 from latticegas.cli import run
+from latticegas.configs import PeriodicConfiguration
 from latticegas.families import (
     build_bcc,
     build_cubic,
@@ -189,31 +190,51 @@ def _refuse(*args):
     raise AssertionError("the refused work ran")
 
 
-# Each bounded argument: the argv with {} for its value, its limit, and the
-# work it bounds (module, name) with a stand-in for that work at the limit
-# (None: the work itself, which is fast there).
+_occupied_near = PeriodicConfiguration.occupied_near
+
+
+def _refuse_window_lookups(pc, site, d2):
+    """occupied_near for the background's admissibility check, which asks
+    about its own offsets; a lookup at any other site is window work."""
+    return _occupied_near(pc, site, d2) if site in pc.offsets else _refuse()
+
+
+def bounded(argv, limit, module, name, stand_in=None, accepted=None, refusal=_refuse, id=None):
+    """A bounded argument: the argv with {} for its value, its limit, the work
+    it bounds (module, name), replaced by refusal while a value above the
+    limit is refused, and by stand_in (None: the work itself, which is fast
+    there) while the largest value accepted (None: the limit) runs."""
+    return pytest.param(argv, limit, module, name, stand_in, accepted, refusal, id=id)
+
+
+# The window census bounds its window's sites, not the radius: any radius
+# above the site limit gives a window above it at 3 layers, while squared
+# radius 10 gives 73 sites and a census of 0.1 s.
 BOUNDED_ARGUMENTS = [
-    pytest.param(["sublat", "r3", "--ell", "{}", "--brute"], cli.R3_BRUTE_MAX_ELL,
-                 cli, "r3_brute", lambda n: 0, id="r3-brute"),
-    pytest.param(["sublat", "r3", "--ell", "{}"], cli.FACTORIZE_MAX_ELL,
-                 sublattices, "factorize", None, id="r3"),
-    pytest.param(["sublat", "enumerate", "--ell", "{}", "--fcc"], cli.FACTORIZE_MAX_ELL,
-                 sublattices, "factorize", None, id="enumerate-fcc"),
-    pytest.param(["sublat", "enumerate", "--ell", "{}"], cli.ENUMERATE_MAX_ELL,
-                 sublattices, "_cubic_keys", lambda l: set(), id="enumerate"),
-    pytest.param(["sublat", "classes", "--ell", "{}"], cli.ENUMERATE_MAX_ELL,
-                 sublattices, "_cubic_keys", lambda l: set(), id="classes"),
-    pytest.param(["table", "densities", "--lmax", "{}"], cli.DENSITIES_MAX_LMAX,
-                 sublattices, "factorize", None, id="densities"),
+    bounded(["sublat", "r3", "--ell", "{}", "--brute"], cli.R3_BRUTE_MAX_ELL,
+            cli, "r3_brute", lambda n: 0, id="r3-brute"),
+    bounded(["sublat", "r3", "--ell", "{}"], cli.FACTORIZE_MAX_ELL,
+            sublattices, "factorize", id="r3"),
+    bounded(["sublat", "enumerate", "--ell", "{}", "--fcc"], cli.FACTORIZE_MAX_ELL,
+            sublattices, "factorize", id="enumerate-fcc"),
+    bounded(["sublat", "enumerate", "--ell", "{}"], cli.ENUMERATE_MAX_ELL,
+            sublattices, "_cubic_keys", lambda l: set(), id="enumerate"),
+    bounded(["sublat", "classes", "--ell", "{}"], cli.ENUMERATE_MAX_ELL,
+            sublattices, "_cubic_keys", lambda l: set(), id="classes"),
+    bounded(["table", "densities", "--lmax", "{}"], cli.DENSITIES_MAX_LMAX,
+            sublattices, "factorize", id="densities"),
+    bounded(["exc", "window-census", "--layers", "3", "--radius", "{}"], excitations.WINDOW_SITES_MAX,
+            PeriodicConfiguration, "occupied_near", accepted=10, refusal=_refuse_window_lookups,
+            id="window-census"),
 ]
 
 
-@pytest.mark.parametrize("argv, limit, module, name, stand_in", BOUNDED_ARGUMENTS)
+@pytest.mark.parametrize("argv, limit, module, name, stand_in, accepted, refusal", BOUNDED_ARGUMENTS)
 def test_an_argument_above_its_limit_is_refused_before_any_work(
-    capsys, monkeypatch, argv, limit, module, name, stand_in
+    capsys, monkeypatch, argv, limit, module, name, stand_in, accepted, refusal
 ):
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(module, name, refusal)
     for value in (limit + 1, 10**30):
         start = time.monotonic()
         code, out, err = run_capture(capsys, [a.format(value) for a in argv])
@@ -221,7 +242,7 @@ def test_an_argument_above_its_limit_is_refused_before_any_work(
         assert (code, out) == (2, "")
         assert str(limit) in err
     monkeypatch.setattr(module, name, stand_in or real)
-    code, out, _ = run_capture(capsys, [a.format(limit) for a in argv])
+    code, out, _ = run_capture(capsys, [a.format(limit if accepted is None else accepted) for a in argv])
     assert code == 0 and out
 
 

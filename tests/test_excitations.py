@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticegas import excitations
-from latticegas.configs import is_perfect
+from latticegas.configs import MAIN_DIAGONALS, is_perfect
 from latticegas.excitations import (
     InsertionSet,
     InsertionType,
@@ -24,7 +24,7 @@ from latticegas.excitations import (
     repelled_set,
     window_census,
 )
-from latticegas.excitations import _energy_weights, _window
+from latticegas.excitations import _energy_weights, _slab_sites, _window
 from latticegas.families import (
     build_bcc,
     build_fcc,
@@ -331,6 +331,21 @@ def test_window_energy_is_at_least_the_weight_sum(seed, whole):
     ins = make_insertion(HCP, 5, [window[k] for k in chosen])
     energy = len(repelled_set(HCP, ins, 5)) - len(ins.sites)
     assert energy >= sum(Fraction(weight[k], den) for k in chosen)
+
+
+@given(
+    center=st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+    e=st.sampled_from(MAIN_DIAGONALS),
+    hi=st.integers(-3, 14),
+    radius_sq=st.integers(0, 40),
+)
+def test_the_slab_sites_are_the_cube_scan_of_the_slab(center, e, hi, radius_sq):
+    slab = list(_slab_sites(center, e, hi, radius_sq))
+    assert len(slab) == len(set(slab))
+    assert sorted(slab) == sorted(
+        x for x in oracles.brute_ball(radius_sq + 1, center)
+        if 0 <= sum(a * b for a, b in zip(x, e)) <= hi
+    )
 
 
 def test_window_census_needs_a_layer():

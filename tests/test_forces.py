@@ -20,6 +20,7 @@ from latticegas.forces import (
     total_force,
     verify_forces,
 )
+from latticegas import lattice
 from latticegas.lattice import ball_sites, is_admissible
 from oracles import force_extremes
 from reference_data import (
@@ -87,6 +88,14 @@ def test_search_matches_independent_oracle(d2):
         r.max_occupancy,
         r.signatures,
     )
+
+
+def test_the_ball_search_obeys_the_state_budget(monkeypatch):
+    # d2 = 8 folds 3,761 states, so a budget of 1,000 refuses it
+    verify_forces.cache_clear()
+    monkeypatch.setattr(lattice, "COUNT_STATES_MAX", 1000)
+    with pytest.raises(ValueError, match="more than 1000 states"):
+        verify_forces(8)
 
 
 @pytest.mark.parametrize("d2", sorted(EXPECTED_SIGNATURES))

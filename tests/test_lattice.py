@@ -20,6 +20,7 @@ from latticegas.lattice import (
     ball_sites,
     conflict_masks,
     count_independent_sets,
+    fold_independent_sets,
     independent_sets,
     is_admissible,
     oh_elements,
@@ -152,18 +153,37 @@ def test_count_independent_sets_matches_the_sets_visited(pts, d2):
     assert count_independent_sets(conflict) == len(seen)
 
 
+@given(pts=point_sets_st, d2=st.integers(1, 12), data=st.data())
+def test_the_fold_matches_the_sets_visited(pts, d2, data):
+    conflict = conflict_masks(pts, d2)
+    unit = data.draw(st.lists(st.integers(0, 40), min_size=len(pts), max_size=len(pts)))
+    sums = []
+    independent_sets(
+        conflict, unit, [0] * len(pts), lambda chosen, total, covered: sums.append(total)
+    )
+    ways, sigs = fold_independent_sets(conflict, unit)
+    assert ways == len(sums)
+    assert {s for s in range(sigs.bit_length()) if sigs >> s & 1} == set(sums)
+
+
 def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
     # index i conflicts with i + k only: each of the k pairs is empty, its
     # first or its second index, and the count expands about 2^k states
     def pairs(k):
         return [1 << (i + k) if i < k else 1 << (i - k) for i in range(2 * k)]
 
+    def fold(conflict):  # its signatures are the set sizes 0 .. max size
+        return fold_independent_sets(conflict, [1] * len(conflict))
+
     assert count_independent_sets(pairs(12)) == 3 ** 12
+    assert fold(pairs(12)) == (3 ** 12, (1 << 13) - 1)
     assert count_independent_sets([0] * 2000) == 2 ** 2000  # 2,000 levels deep
+    assert fold([0] * 2000) == (2 ** 2000, (1 << 2001) - 1)
     monkeypatch.setattr(lattice, "COUNT_STATES_MAX", 1000)
-    assert count_independent_sets(pairs(8)) == 3 ** 8
-    with pytest.raises(ValueError, match="more than 1000 states"):
-        count_independent_sets(pairs(12))
+    assert count_independent_sets(pairs(8)) == fold(pairs(8))[0] == 3 ** 8
+    for kernel in (count_independent_sets, fold):
+        with pytest.raises(ValueError, match="more than 1000 states"):
+            kernel(pairs(12))
 
 
 @given(pts=point_sets_st, d2=st.integers(1, 12), limit=st.integers(-40, 60), data=st.data())
