@@ -101,7 +101,6 @@ from .sublattices import (  # noqa: E402
     quaternions_of_norm,
     r3_brute,
     r3_formula,
-    r_residual,
     s2,
     s2_hat,
     s2_tilde,

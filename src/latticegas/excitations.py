@@ -372,14 +372,16 @@ class WindowCensus(Record):
 
 # Work bounds of a window census's search, which stops with ValueError when
 # it passes either. On one 2-vCPU host (Python 3.11) a visited set costs
-# 0.9-1.4 us on every background tried (hcp, 2l2 at d2 = 8 and 18, and the
-# 2x2x2 supercells of hcp and of 2l2 at d2 = 8 with one offset removed), so
-# the visits take at most about 14 s; hcp at 3 layers and squared radius 13
-# visits 8.3e6 sets. A reduction costs 0.05 ms for a single site and about
-# 0.5 ms on average for the sets of energy <= 2 near a vacancy (the holed
-# hcp supercell at 1 layer and squared radius 24), so the reductions take at
-# most about 3 s; hcp windows reduce at most 27 sets, but the holed hcp
-# supercell at 1 layer and squared radius 30 has 555,467 to reduce.
+# 0.9-1.4 us on narrow windows (hcp, 2l2 at d2 = 8 and 18, and the 2x2x2
+# supercells of hcp and of 2l2 at d2 = 8 with one offset removed; hcp at 3
+# layers and squared radius 13 visits 8.3e6 sets), but about 3.4 us where
+# each visit ORs and counts covers thousands of bits wide: the largest
+# window accepted (below) visits 9,992,866 sets in about 35 s. So the visits
+# take at most about 35 s. A reduction costs 0.05 ms for a single site and
+# about 0.5 ms on average for the sets of energy <= 2 near a vacancy (the
+# holed hcp supercell at 1 layer and squared radius 24), so the reductions
+# take at most about 3 s; hcp windows reduce at most 27 sets, but the holed
+# hcp supercell at 1 layer and squared radius 30 has 555,467 to reduce.
 WINDOW_VISITS_MAX = 10**7
 WINDOW_REDUCTIONS_MAX = 5000
 # The most window sites a census takes; a larger window is refused before
@@ -445,15 +447,25 @@ def _energy_weights(conflict: list[int], cover: list[int]) -> tuple[list[int], i
     K_p is the size of the largest conflict-free set of window sites that
     repel particle p, the highest set size the fold of those sites with
     unit 1 finds; w[x] = D * (sum of 1/K_p over the particles x repels,
-    minus 1), with D = lcm(K_p). See window_census for the proof.
+    minus 1), with D = lcm(K_p). See window_census for the proof. The
+    sites repelling each particle are indexed in one pass over the set bits
+    of the covers, so the work is linear in those bits.
     """
+    by_particle: list[list[int]] = [[] for _ in range(max(cover, default=0).bit_length())]
+    for k, c in enumerate(cover):
+        while c:
+            by_particle[(c & -c).bit_length() - 1].append(k)
+            c &= c - 1
     most = []
-    for p in range(max(cover, default=0).bit_length()):  # every particle bit is in some cover
-        members = [k for k, c in enumerate(cover) if c >> p & 1]
+    for members in by_particle:  # every particle bit is in some cover
         sub = [sum(1 << b for b, j in enumerate(members) if conflict[k] >> j & 1) for k in members]
         most.append(fold_independent_sets(sub, [1] * len(members))[1].bit_length() - 1)
     den = math.lcm(*most)
-    return [sum(den // k for p, k in enumerate(most) if c >> p & 1) - den for c in cover], den
+    weight = [-den] * len(cover)
+    for members, most_p in zip(by_particle, most):
+        for k in members:
+            weight[k] += den // most_p
+    return weight, den
 
 
 def window_census(

@@ -14,10 +14,12 @@ Dedekind's psi over the odd divisors of l, from the factorization of l
 (see fcc_census for the proof), and the enumeration is its test oracle.
 factorize divides by trial, so its cost grows as sqrt(l).
 
-The closed-form class-count predictions are computed alongside the orbit
-partition and compared; they are known to over-count when degenerate
-parameter choices collapse into smaller classes, so mismatches are reported
-as flags, never silently patched.
+Each predicted 4-, 6-, 8- or 12-element class is generated from one
+template basis per parameter choice, as the rotation orbit of its key
+(predicted_class_bases). The closed-form class-count predictions are
+computed alongside the orbit partition and compared; they are known to
+over-count when degenerate parameter choices collapse into smaller
+classes, so mismatches are reported as flags, never silently patched.
 """
 
 from __future__ import annotations
@@ -184,22 +186,6 @@ def s2_tilde(l: int) -> int:
     return _class_count_product(l, lambda p: p % 8 in (1, 3))
 
 
-def r_residual(l: int) -> int:
-    """Leftover sphere-point count feeding the 24-class lower bound.
-
-    May be negative when the closed-form inputs over-count (degenerate
-    parameter collapses); it is surfaced only as 144 * (lower bound).
-    """
-    return (
-        r3_formula(l)
-        - 30
-        + 24 * (l * l % 3)
-        - 12 * s2(l)
-        - 24 * s2_hat(l)
-        - 36 * s2_tilde(l)
-    )
-
-
 # --- cubic sublattices, identified by their minimal vectors ---------------------
 
 
@@ -303,7 +289,11 @@ def classify_classes(l: int) -> list[SublatticeClass]:
     """Partition of all cubic l-sublattices into point-symmetry orbits."""
     group = rotation_elements()
     remaining = _cubic_keys(l)
-    predicted = {_key(basis): (size, params) for size, params, basis in predicted_class_bases(l)}
+    predicted = {
+        key: (size, params)
+        for size, params, basis in predicted_class_bases(l)
+        for key in _orbit(_key(basis), group)
+    }
     classes = []
     while remaining:
         orbit = _orbit(next(iter(remaining)), group)
@@ -360,75 +350,31 @@ def compare_class_counts(l: int) -> ClassCountComparison:
 
 
 def predicted_class_bases(l: int) -> list[tuple[int, tuple[int, int, int], Matrix]]:
-    """Symbolic bases for the 4-, 6-, 8-, and 12-element classes.
+    """Template bases of the predicted 4-, 6-, 8- and 12-element classes.
 
-    One entry per basis: (class size, (a, b, t), basis rows). The 4-element
-    class is parametrized by t alone and reported as (0, 0, t).
+    One entry per parameter choice: (class size, (a, b, t), basis rows). The
+    class is the rotation orbit of the template (_orbit), which has `size`
+    members, so no other member is listed. The 4-element class is
+    parametrized by t alone and reported as (0, 0, t).
     """
     out: list[tuple[int, tuple[int, int, int], Matrix]] = []
     if l % 3 == 0:
         t = l // 3
-        out.extend(
-            (4, (0, 0, t), basis)
-            for basis in (
-                ((-t, 2 * t, 2 * t), (2 * t, -t, 2 * t), (2 * t, 2 * t, -t)),
-                ((t, 2 * t, 2 * t), (-2 * t, -t, 2 * t), (-2 * t, 2 * t, -t)),
-                ((-t, -2 * t, 2 * t), (2 * t, t, 2 * t), (2 * t, -2 * t, -t)),
-                ((-t, 2 * t, -2 * t), (2 * t, -t, -2 * t), (2 * t, 2 * t, t)),
-            )
-        )
+        out.append((4, (0, 0, t), ((-t, 2 * t, 2 * t), (2 * t, -t, 2 * t), (2 * t, 2 * t, -t))))
     for a, b, t in _param_triples(l, lambda a, b: a * a + b * b, lambda a, b: a > b):
         n, k = (a * a - b * b) * t, 2 * a * b * t
         assert n * n + k * k == l * l
-        out.extend(
-            (6, (a, b, t), basis)
-            for basis in (
-                ((l, 0, 0), (0, n, k), (0, -k, n)),
-                ((l, 0, 0), (0, k, n), (0, n, -k)),
-                ((0, l, 0), (k, 0, n), (n, 0, -k)),
-                ((0, l, 0), (n, 0, k), (-k, 0, n)),
-                ((0, 0, l), (n, k, 0), (-k, n, 0)),
-                ((0, 0, l), (k, n, 0), (n, -k, 0)),
-            )
-        )
+        out.append((6, (a, b, t), ((l, 0, 0), (0, n, k), (0, -k, n))))
     for a, b, t in _param_triples(l, lambda a, b: a * a + b * b - a * b, lambda a, b: a > 2 * b):
         m, n, k = (a * a - a * b) * t, a * b * t, (b * b - a * b) * t
         assert (m - k) ** 2 + (n - k) ** 2 - (m - k) * (n - k) == l * l
-        out.extend(
-            (8, (a, b, t), basis)
-            for basis in (
-                ((m, n, k), (k, m, n), (n, k, m)),
-                ((m, k, n), (n, m, k), (k, n, m)),
-                ((n, -m, k), (m, -k, n), (k, -n, m)),
-                ((k, -m, n), (m, -n, k), (n, -k, m)),
-                ((-m, -n, k), (-k, -m, n), (-n, -k, m)),
-                ((-m, -k, n), (-n, -m, k), (-k, -n, m)),
-                ((-n, m, k), (-m, k, n), (-k, n, m)),
-                ((-k, m, n), (-m, n, k), (-n, k, m)),
-            )
-        )
+        out.append((8, (a, b, t), ((m, n, k), (k, m, n), (n, k, m))))
     for a, b, t in _param_triples(
         l, lambda a, b: a * a + 2 * b * b, lambda a, b: a != b and a != 2 * b
     ):
         m, n, k = a * a * t, 2 * b * b * t, 2 * a * b * t
         assert (m - n) ** 2 + 2 * k * k == l * l
-        out.extend(
-            (12, (a, b, t), basis)
-            for basis in (
-                ((m, n, k), (n, m, -k), (-k, k, m - n)),
-                ((m, n, -k), (n, m, k), (k, -k, m - n)),
-                ((n, -m, k), (m, -n, -k), (k, k, m - n)),
-                ((n, -m, -k), (m, -n, k), (-k, -k, m - n)),
-                ((k, m, n), (-k, n, m), (m - n, -k, k)),
-                ((-k, m, n), (k, n, m), (m - n, k, -k)),
-                ((k, n, -m), (-k, m, -n), (m - n, k, k)),
-                ((-k, n, -m), (k, m, -n), (m - n, -k, -k)),
-                ((n, k, m), (m, -k, n), (k, m - n, -k)),
-                ((n, -k, m), (m, k, n), (-k, m - n, k)),
-                ((-m, k, n), (-n, -k, m), (k, m - n, k)),
-                ((-m, -k, n), (-n, k, m), (-k, m - n, -k)),
-            )
-        )
+        out.append((12, (a, b, t), ((m, n, k), (n, m, -k), (-k, k, m - n))))
     return out
 
 

@@ -418,10 +418,17 @@ def cubic_sublattices_by_hnf(l: int) -> list[Matrix]:
 
 def classify_by_hnf(l: int) -> list[SublatticeClass]:
     """Orbits of cubic_sublattices_by_hnf(l) under the 48 signed permutations,
-    each image brought to HNF, with the predicted parameters matched by HNF."""
+    each image brought to HNF, with the predicted parameters matched by HNF.
+    Each template of predicted_class_bases is expanded to its class by the
+    same action, so a later parameter choice overrides an earlier one for
+    the lattices they share."""
     group = oh_elements()
     remaining = set(cubic_sublattices_by_hnf(l))
-    predicted = {hnf(list(b)): (size, params) for size, params, b in predicted_class_bases(l)}
+    predicted = {
+        hnf([g.apply(row) for row in b]): (size, params)
+        for size, params, b in predicted_class_bases(l)
+        for g in group
+    }
     classes = []
     while remaining:
         rep = min(remaining)

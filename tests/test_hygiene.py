@@ -2,6 +2,7 @@
 or imports inside a function body, every function, class and method it
 defines is referenced somewhere in the package or its tests, and importing
 the CLI loads nothing outside the standard library, nor dataclasses or inspect.
+Every package name the benchmark (perfbench/workloads.py) uses is bound.
 The executable-line counter (tests/line_count.py) is checked on a snippet.
 
 `__init__.py` is exempt from the unused-import check, since its imports are
@@ -17,11 +18,14 @@ import sys
 
 import pytest
 
+import latticegas
+import latticegas.cli
 from line_count import executable_lines
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticegas"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = pathlib.Path(__file__).resolve().parent
+WORKLOADS = TESTS.parent / "perfbench" / "workloads.py"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -139,6 +143,30 @@ def test_every_definition_is_referenced():
 def test_checker_catches_an_unreferenced_definition():
     tree = ast.parse("class A:\n    def used(self): pass\n    def dead(self): pass\n    def __repr__(self): pass\nA().used()\n")
     assert defined_names(tree) - referenced_names(tree) == {"dead"}
+
+
+def test_the_benchmark_uses_only_names_the_package_binds():
+    # An API trim that drops one of these breaks the benchmark's set-up, and a
+    # CLI_WRAPPED key the CLI no longer binds silently drops a traced layer.
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    used = {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "lg"
+    }
+    assert {"quadruples", "gamma1", "gamma2"} <= used
+    builders = {  # looked up by name: getattr(lg, builder)
+        n.value for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("build_")
+    }
+    missing = sorted(name for name in used | builders if not hasattr(latticegas, name))
+    assert not missing, f"the benchmark uses names latticegas does not bind: {missing}"
+    wrapped = next(
+        ast.literal_eval(n.value) for n in tree.body
+        if isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_WRAPPED" for t in n.targets)
+    )
+    unbound = sorted(name for name in wrapped if not hasattr(latticegas.cli, name))
+    assert not unbound, f"CLI_WRAPPED names latticegas.cli does not bind: {unbound}"
 
 
 IMPORT_PROBE = """

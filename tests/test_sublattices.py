@@ -26,7 +26,6 @@ from latticegas.sublattices import (
     quaternions_of_norm,
     r3_brute,
     r3_formula,
-    r_residual,
     s2,
     s2_hat,
     s2_tilde,
@@ -146,7 +145,6 @@ def test_class_count_helpers():
     assert s2_hat(7) == 2
     assert s2_tilde(11) == 2
     assert s2(3) == 0
-    assert r_residual(9) == -72
 
 
 def test_cubic_basis_predicate():
@@ -189,11 +187,13 @@ def test_parameters_annotated_on_predicted_classes():
 
 
 def test_predicted_bases_solve_their_equations():
-    for l in (3, 5, 7, 9, 11, 13):
+    rotations = rotation_elements()
+    for l in (3, 5, 7, 9, 10, 11, 13, 34, 50, 225):
         for size, params, basis in predicted_class_bases(l):
             assert size in (4, 6, 8, 12)
             assert abs(det3(list(basis))) == l ** 3
             assert is_cubic_basis(tuple(tuple(r) for r in basis))
+            assert len(_orbit(_key(basis), rotations)) == size, (l, params)
 
 
 # per-class new-solution counts: the axis class owns 6 quadruples, each
