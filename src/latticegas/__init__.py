@@ -29,7 +29,6 @@ from .forces import (  # noqa: E402
     UnsupportedThresholdError,
     enumerate_ball_acs,
     force_table,
-    maximal_signatures,
     normalization_constant,
     peierls_gap,
     total_force,

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Optional
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, close_packing_scale, is_perfect
 from .forces import ForceTable, force_table, normalization_constant, peierls_gap
 from .lattice import (
+    ORIGIN,
     Record,
     Site,
     ball_sites,
@@ -419,7 +420,7 @@ def _slab_sites(center: Site, e: Site, hi: int, radius_sq: int) -> Iterator[Site
 
 
 def _window(
-    pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int, center: Site
+    pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int
 ) -> tuple[list[Site], list[int], list[int]]:
     """The window of a census (see window_census), its conflict masks, and
     each window site's repelled set as a bitmask over the repelled particles.
@@ -430,7 +431,7 @@ def _window(
     if radius_sq < 0:
         raise ValueError(f"a window census needs a squared radius >= 0, got {radius_sq}")
     e, h, _ = _detect_layering(pc, d2)
-    vacant = (x for x in _slab_sites(center, e, h * (layers - 1), radius_sq) if not pc.contains(x))
+    vacant = (x for x in _slab_sites(ORIGIN, e, h * (layers - 1), radius_sq) if not pc.contains(x))
     window = sorted(itertools.islice(vacant, WINDOW_SITES_MAX + 1))
     if len(window) > WINDOW_SITES_MAX:
         raise ValueError(f"a window census takes at most {WINDOW_SITES_MAX} window sites; the "
@@ -473,11 +474,10 @@ def window_census(
     d2: int = 5,
     layers: int = 2,
     radius_sq: int = 8,
-    center: Site = (0, 0, 0),
 ) -> WindowCensus:
     """Reduce every admissible insertion set of energy <= 2 in a bounded window.
 
-    The window holds the vacant sites of the radius_sq ball around center
+    The window holds the vacant sites of the radius_sq ball around the origin
     whose level along the layering diagonal lies in the first `layers`
     layers. A nonempty admissible set X of window sites has the energy
     E(X) = |C(X)| - |X|, C(X) being the particles it repels. The sets are
@@ -511,7 +511,7 @@ def window_census(
     search with that ceiling (lattice.independent_sets) visits it. The
     exact energy is tested before any set is reduced.
     """
-    window, conflict, cover = _window(pc, d2, layers, radius_sq, center)
+    window, conflict, cover = _window(pc, d2, layers, radius_sq)
     sets = count_independent_sets(conflict) - 1
     weight, den = _energy_weights(conflict, cover)
     survivors: set[tuple[Site, ...]] = set()

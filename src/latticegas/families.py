@@ -1,10 +1,12 @@
 """Constructors for the dense-packing families, their censuses, and sliding.
 
 Each builder returns a canonicalized PeriodicConfiguration whose context_d2
-is set when the family is tied to a specific exclusion threshold. Layered
-builders validate the sequence alphabet, the per-level integrality of the
-mesh offsets, and the displayed transition rules; violations raise instead
-of being silently repaired.
+is set when the family is tied to a specific exclusion threshold. The four
+layered families (d5, the d6 triangular and rhombic stacks, and 2l2) are
+one construction, built by _stack: a mesh repeated level by level along a
+diagonal, level k shifted by (k * step + label) / den. It checks that every
+offset and the period row are integral and runs the displayed step rule;
+violations raise instead of being silently repaired.
 
 The sliding witness and the close-packed census at d2 = 2 l^2 are closed
 forms, proved in sliding_witness and sublattices.fcc_census; the scans
@@ -59,8 +61,8 @@ def _div_exact(v: Site, d: int, what: str) -> Site:
     return (v[0] // d, v[1] // d, v[2] // d)
 
 
-def _in_span2(t: Site, u: Site, v: Site) -> bool:
-    """Is t an integer combination of the independent vectors u and v?"""
+def _in_mesh(t: Site, den: int, u: Site, v: Site) -> bool:
+    """Is t in den times the lattice of the independent vectors u and v?"""
     n = _cross(u, v)
     if t[0] * n[0] + t[1] * n[1] + t[2] * n[2] != 0:
         return False
@@ -70,7 +72,7 @@ def _in_span2(t: Site, u: Site, v: Site) -> bool:
             if d:
                 m_num = t[i] * v[j] - t[j] * v[i]
                 n_num = u[i] * t[j] - u[j] * t[i]
-                return m_num % d == 0 and n_num % d == 0
+                return m_num % (den * d) == 0 and n_num % (den * d) == 0
     raise ValueError("degenerate mesh generators")
 
 
@@ -116,16 +118,44 @@ def build_bcc(side: int) -> PeriodicConfiguration:
     return make_config([(side, 0, 0), (0, side, 0), (h, h, h)], [(0, 0, 0)])
 
 
-# --- layered family at threshold 5 ------------------------------------------
+# --- the layered families -----------------------------------------------------
 
 
-def _d5_mesh_data(i: int) -> tuple[Site, Site, Site, dict[int, Site]]:
-    e = MAIN_DIAGONALS[i]
-    s2, s3 = e[1], e[2]
-    u = (1, -2 * s2, s3)
-    v = (-1, -s2, 2 * s3)
-    deltas = {0: (0, 0, 0), 1: (0, s2, -s3), 2: (0, -s2, s3)}
-    return e, u, v, deltas
+def _stack(
+    digits: Sequence[int],
+    step: Site,
+    label: Sequence[Site],
+    den: int,
+    jumps: tuple[int, ...],
+    u: Site,
+    v: Site,
+    d2: int,
+) -> PeriodicConfiguration:
+    """The canonical stack of the mesh lattice L = (u, v) whose level k,
+    with label j = digits[k], is shifted by (k * step + label[j]) / den.
+
+    The period row is len(digits) * step / den; a non-integral offset or
+    period row raises. Each transition j -> jn must satisfy the step rule:
+    label[jn] - label[j] - label[jp] lies in den * L for a jump label jp.
+    With no jumps the rule is not run, and the d5 and 2l2 stacks pass none
+    because there it always holds, with jumps (1, 2).
+
+    Proof. Their labels have label[1] + label[2] = 0 and 2 label[1] -
+    label[2] = -den (u + v). With a = label[1], 3a = -den (u + v) lies in
+    den * L and label[2] = 2a - 3a, so modulo den * L the labels 0, a, 2a
+    form Z/3 and label[jn] - label[j] = (jn - j) a = label[(jn - j) mod 3].
+    Consecutive labels differ, so that label is 1 or 2.
+    """
+    p = len(digits)
+    period = _div_exact(_scale(p, step), den, "period row")
+    offsets = []
+    for k, j in enumerate(digits):
+        offsets.append(_div_exact(_add(_scale(k, step), label[j]), den, f"level {k} label {j}"))
+        jn = digits[(k + 1) % p]
+        jump = _add(label[jn], _neg(label[j]))
+        if jumps and not any(_in_mesh(_add(jump, _neg(label[jp])), den, u, v) for jp in jumps):
+            raise ValueError(f"transition {j} -> {jn} violates the mesh step rule")
+    return canonicalize(make_config([u, v, period], offsets, context_d2=d2))
 
 
 def build_layered_d5(i: int, seq: str) -> PeriodicConfiguration:
@@ -133,11 +163,10 @@ def build_layered_d5(i: int, seq: str) -> PeriodicConfiguration:
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
     digits = _layer_digits(seq, "d5-triangular", 3)
-    e, u, v, deltas = _d5_mesh_data(i)
-    p = len(digits)
-    offsets = [_add(_scale(k, e), deltas[digits[k]]) for k in range(p)]
-    pc = make_config([u, v, _scale(p, e)], offsets, context_d2=5)
-    return canonicalize(pc)
+    e = MAIN_DIAGONALS[i]
+    s2, s3 = e[1], e[2]
+    label = ((0, 0, 0), (0, s2, -s3), (0, -s2, s3))
+    return _stack(digits, e, label, 1, (), (1, -2 * s2, s3), (-1, -s2, 2 * s3), 5)
 
 
 def hcp_census() -> int:
@@ -145,67 +174,25 @@ def hcp_census() -> int:
     return _count_translates(build_layered_d5(i, word) for i in range(4) for word in ("01", "02"))
 
 
-# --- layered families at threshold 6 -----------------------------------------
-
-
-def _mesh_offsets(
-    digits: Sequence[int],
-    step: Site,
-    label: dict[int, Site],
-    den: int,
-    jumps: tuple[int, ...],
-    u: Site,
-    v: Site,
-) -> list[Site]:
-    """The offset (k * step + label[j]) / den of level k with label j.
-
-    Each transition j -> jn must satisfy the step rule: label[jn] - label[j]
-    is label[jp] plus den times a vector of the mesh lattice (u, v) for a
-    jump label jp. A non-integral offset or a broken rule raises.
-    """
-    offsets = []
-    for k, j in enumerate(digits):
-        offsets.append(_div_exact(_add(_scale(k, step), label[j]), den, f"level {k} label {j}"))
-        jn = digits[(k + 1) % len(digits)]
-        for jp in jumps:
-            r = [label[jn][t] - label[j][t] - label[jp][t] for t in range(3)]
-            if all(c % den == 0 for c in r) and _in_span2(
-                (r[0] // den, r[1] // den, r[2] // den), u, v
-            ):
-                break
-        else:
-            raise ValueError(f"transition {j} -> {jn} violates the mesh step rule")
-    return offsets
-
-
-def _d6_tri_mesh_data(i: int) -> tuple[Site, dict[int, Site]]:
-    e = MAIN_DIAGONALS[i]
-    s2, s3 = e[1], e[2]
-    w1 = (1, -2 * s2, s3)
-    w2 = (-1, -s2, 2 * s3)
-    w3 = (-2, s2, s3)
-    w = {0: (0, 0, 0), 1: w1, 2: w2, 3: w3, 4: _neg(w1), 5: _neg(w2), 6: _neg(w3)}
-    return e, w
-
-
 def build_layered_d6_tri(i: int, seq: str) -> PeriodicConfiguration:
     """Triangular-mesh stack along main diagonal i with 7 sub-mesh labels per level."""
     if not 0 <= i <= 3:
         raise ValueError("diagonal index must be in 0..3")
     digits = _layer_digits(seq, "d6-triangular", 7)
-    e, w = _d6_tri_mesh_data(i)
-    u, v = w[1], w[2]
-    p = len(digits)
-    if p % 3:
-        raise ValueError("period must be a multiple of 3 for integral wrap-around")
+    e = MAIN_DIAGONALS[i]
+    s2, s3 = e[1], e[2]
+    w1, w2, w3 = (1, -2 * s2, s3), (-1, -s2, 2 * s3), (-2, s2, s3)
+    w = ((0, 0, 0), w1, w2, w3, _neg(w1), _neg(w2), _neg(w3))
     # displayed step rule: the jump to the next mesh is one third of a
     # w-vector with an even label, modulo the mesh lattice
-    offsets = _mesh_offsets(digits, _scale(4, e), w, 3, (2, 4, 6), u, v)
-    pc = make_config([u, v, _scale(4 * p // 3, e)], offsets, context_d2=6)
-    return canonicalize(pc)
+    return _stack(digits, _scale(4, e), w, 3, (2, 4, 6), w1, w2, 6)
 
 
-def _d6_rhombic_mesh_data(i: int) -> tuple[Site, Site, Site, dict[int, Site]]:
+def build_layered_d6_rhombic(i: int, seq: str) -> PeriodicConfiguration:
+    """Rhombic-mesh stack along non-main diagonal i with 3 sub-mesh labels."""
+    if not 0 <= i <= 5:
+        raise ValueError("diagonal index must be in 0..5")
+    digits = _layer_digits(seq, "d6-rhombic", 3)
     s = NON_MAIN_DIAGONALS[i]
     s1, s2, s3 = s
     a = (1 - abs(s1), 1 - abs(s2), 1 - abs(s3))
@@ -216,22 +203,8 @@ def _d6_rhombic_mesh_data(i: int) -> tuple[Site, Site, Site, dict[int, Site]]:
     )
     g1 = _add(_scale(2, a), tb)
     g2 = _add(_scale(2, a), _neg(tb))
-    doubled = {0: (0, 0, 0), 1: g1, 2: g2}  # numerators of 0, a+b, a-b over 2
-    return s, g1, g2, doubled
-
-
-def build_layered_d6_rhombic(i: int, seq: str) -> PeriodicConfiguration:
-    """Rhombic-mesh stack along non-main diagonal i with 3 sub-mesh labels."""
-    if not 0 <= i <= 5:
-        raise ValueError("diagonal index must be in 0..5")
-    digits = _layer_digits(seq, "d6-rhombic", 3)
-    s, g1, g2, doubled = _d6_rhombic_mesh_data(i)
-    p = len(digits)
-    if p % 2:
-        raise ValueError("period must be even for integral wrap-around")
-    offsets = _mesh_offsets(digits, _scale(3, s), doubled, 2, (1, 2), g1, g2)
-    pc = make_config([g1, g2, _scale(3 * p // 2, s)], offsets, context_d2=6)
-    return canonicalize(pc)
+    # labels 0, a+b, a-b, doubled over the denominator 2
+    return _stack(digits, _scale(3, s), ((0, 0, 0), g1, g2), 2, (1, 2), g1, g2, 6)
 
 
 # --- deformed close-packed lattices at thresholds 9 and 10 -------------------
@@ -284,19 +257,9 @@ def build_layered_2l2(l: int, i: int, seq: str) -> PeriodicConfiguration:
     digits = _layer_digits(seq, "2l2-triangular", 3)
     e = MAIN_DIAGONALS[i]
     s2, s3 = e[1], e[2]
-    u = (l, -l * s2, 0)
-    v = (l, 0, -l * s3)
-    delta_num = {0: (0, 0, 0), 1: (-2 * l, l * s2, l * s3), 2: (2 * l, -l * s2, -l * s3)}
-    p = len(digits)
-    if (2 * l * p) % 3:
-        raise ValueError("period incompatible with the diagonal step; wrap-around not integral")
-    offsets = []
-    for k, j in enumerate(digits):
-        num = _add(_scale(2 * l * k, e), delta_num[j])
-        offsets.append(_div_exact(num, 3, f"level {k} label {j}"))
-    d2 = 2 * l * l
-    pc = make_config([u, v, _scale(2 * l * p // 3, e)], offsets, context_d2=d2)
-    return canonicalize(pc)
+    label = ((0, 0, 0), (-2 * l, l * s2, l * s3), (2 * l, -l * s2, -l * s3))
+    u, v = (l, -l * s2, 0), (l, 0, -l * s3)
+    return _stack(digits, _scale(2 * l, e), label, 3, (), u, v, 2 * l * l)
 
 
 # --- threshold-4 structures ---------------------------------------------------

@@ -221,11 +221,6 @@ def verify_forces(d2: int) -> BallSearchReport:
     )
 
 
-def maximal_signatures(d2: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted squared-distance multisets of the ball patterns with total force 1."""
-    return verify_forces(d2).signatures
-
-
 def peierls_gap(d2: int) -> Fraction:
     """1 minus the second largest total force; the energy cost per deficient site."""
     return Fraction(1) - verify_forces(d2).second_max

@@ -22,12 +22,15 @@ ORIGIN: Site = (0, 0, 0)
 
 def exact_site(entry: Sequence, what: str) -> Site:
     """An integer triple taken exactly: each coordinate goes through
-    operator.index, so a float or a Fraction is refused, never truncated."""
+    operator.index, so a float or a Fraction is refused, never truncated.
+    A bool, which operator.index takes as 1 or 0, is refused too."""
     try:
-        x, y, z = map(index, entry)
+        x, y, z = entry
+        if bool in (type(x), type(y), type(z)):
+            raise TypeError
+        return (index(x), index(y), index(z))
     except (TypeError, ValueError):
         raise ValueError(f"{what} {entry!r} is not a triple of integers") from None
-    return (x, y, z)
 
 
 def sq_dist(a: Site, b: Site) -> int:

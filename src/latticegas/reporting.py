@@ -16,7 +16,7 @@ from . import __version__
 from .configs import PeriodicConfiguration, make_config
 from .families import census_marker, densest_density
 from .forces import SUPPORTED_D2
-from .lattice import Record
+from .lattice import Record, exact_site
 
 # Provenance tag: every figure is computed on the spot by enumeration or
 # algebra; none is read off a frozen table.
@@ -156,8 +156,7 @@ def _json_int(value: Any, what: str) -> int:
 def _int_triple(entry: Any, what: str) -> tuple[int, int, int]:
     if not isinstance(entry, (list, tuple)) or len(entry) != 3:
         raise ValueError(f"each {what} must be a 3-element integer array, got {entry!r}")
-    x, y, z = (_json_int(c, f"{what} entry") for c in entry)
-    return (x, y, z)
+    return exact_site(entry, what)
 
 
 def load_config_file(

@@ -5,7 +5,8 @@ line per criterion. Runtime ceilings are asserted where the claim carries
 one. Criterion 3 asserts the published per-ball occupancy table verbatim;
 the exhaustive search disagrees with it at d2=6 (8 versus the stated 7),
 so that single test is expected to fail. The discrepancy is real, not a
-tool defect: the witness pattern is checked admissible right here.
+tool defect: an 8-point witness pattern is checked right here, by a
+separate test that passes.
 """
 
 import random
@@ -32,6 +33,7 @@ from latticegas.sublattices import (
     r3_brute,
     r3_formula,
 )
+import oracles
 from reference_data import (
     CENSUS,
     CLASS_HISTOGRAMS,
@@ -63,6 +65,19 @@ def test_criterion_02_unit_maximum_for_all_nine_thresholds():
 def test_criterion_03_stated_occupancy_table():
     computed = {d2: verify_forces(d2).max_occupancy for d2 in SUPPORTED_D2}
     assert computed == STATED_MAX_OCCUPANCY
+
+
+# an admissible 8-point pattern in the d2 = 6 ball, where the table says 7
+CRITERION_03_WITNESS = [
+    (-2, -1, 0), (-1, 0, -2), (-1, 1, 1), (0, -2, 1),
+    (0, 2, -1), (1, -1, -1), (1, 0, 2), (2, 1, 0),
+]
+
+
+def test_criterion_03_witness_pattern():
+    assert oracles.pairwise_admissible(CRITERION_03_WITNESS, 6)
+    assert set(CRITERION_03_WITNESS) <= set(oracles.brute_ball(6))
+    assert len(set(CRITERION_03_WITNESS)) == verify_forces(6).max_occupancy == 8
 
 
 def test_criterion_04_normalization_and_reciprocal_density():

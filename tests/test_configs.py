@@ -124,7 +124,7 @@ EXACT_ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("x", [1.0, 2.7, Fraction(1), Fraction(5, 2)], ids=repr)
+@pytest.mark.parametrize("x", [1.0, 2.7, Fraction(1), Fraction(5, 2), True], ids=repr)
 @pytest.mark.parametrize("construct, what", EXACT_ENTRY_POINTS)
 def test_a_non_integer_coordinate_is_refused_by_name(construct, what, x):
     with pytest.raises(ValueError) as info:

@@ -309,7 +309,7 @@ def test_window_census_stops_at_its_search_budget(pc, radius_sq, budget, used, m
         window_census(pc, 5, 2, radius_sq)
 
 
-WINDOW_3_10 = _window(HCP, 5, 3, 10, (0, 0, 0))
+WINDOW_3_10 = _window(HCP, 5, 3, 10)
 WEIGHTS_3_10 = _energy_weights(*WINDOW_3_10[1:])
 
 

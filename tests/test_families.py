@@ -1,6 +1,7 @@
 """The named dense families, their censuses, and the sliding witness."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -90,12 +91,15 @@ def test_layer_words_validate():
         (build_layered_d6_tri, "071", "digits outside the d6-triangular alphabet"),
         (build_layered_d6_rhombic, "03", "digits outside the d6-rhombic alphabet"),
         (build_layered_d5, "0a", "invalid literal for int"),
+        (partial(build_layered_2l2, 3), "03", "digits outside the 2l2-triangular alphabet"),
+        # the period row len(word) * step / den must be integral
+        (build_layered_d6_tri, "0102", "period row"),
+        (build_layered_d6_rhombic, "012", "period row"),
+        (partial(build_layered_2l2, 2), "01", "period row"),
     ]
     for build, word, message in cases:
         with pytest.raises(ValueError, match=message):
             build(0, word)
-    with pytest.raises(ValueError, match="2l2-triangular alphabet"):
-        build_layered_2l2(3, 0, "03")
     with pytest.raises(ValueError):
         build_layered_d5(4, "01")
 
@@ -104,14 +108,6 @@ def test_d6_word_level_classes():
     # level k = 1 must carry an even digit
     with pytest.raises(ValueError):
         build_layered_d6_tri(0, "012")
-    # period must keep the stacking integral
-    with pytest.raises(ValueError):
-        build_layered_d6_rhombic(0, "012")
-
-
-def test_2l2_wraparound_rejected_when_period_breaks():
-    with pytest.raises(ValueError):
-        build_layered_2l2(2, 0, "01")
 
 
 def test_d4_combined_shifts_stay_perfect():

@@ -14,7 +14,6 @@ from latticegas.forces import (
     UnsupportedThresholdError,
     enumerate_ball_acs,
     force_table,
-    maximal_signatures,
     normalization_constant,
     peierls_gap,
     total_force,
@@ -100,13 +99,13 @@ def test_the_ball_search_obeys_the_state_budget(monkeypatch):
 
 @pytest.mark.parametrize("d2", sorted(EXPECTED_SIGNATURES))
 def test_signatures_match_reference_lists(d2):
-    assert set(maximal_signatures(d2)) == EXPECTED_SIGNATURES[d2]
+    assert set(verify_forces(d2).signatures) == EXPECTED_SIGNATURES[d2]
 
 
 def test_signatures_234_match_golden():
     stored = golden("signatures_234.json")
     for d2 in (2, 3, 4):
-        assert [list(s) for s in maximal_signatures(d2)] == stored[str(d2)]
+        assert [list(s) for s in verify_forces(d2).signatures] == stored[str(d2)]
 
 
 @pytest.mark.parametrize("d2", SUPPORTED_D2)

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
 or imports inside a function body, every function, class and method it
-defines is referenced somewhere in the package or its tests, and importing
+defines is referenced somewhere in the package or its tests (a re-export
+from `__init__.py` is not a reference), and importing
 the CLI loads nothing outside the standard library, nor dataclasses or inspect.
 Every package name the benchmark (perfbench/workloads.py) uses is bound.
 The executable-line counter (tests/line_count.py) is checked on a snippet.
@@ -111,15 +112,16 @@ def defined_names(tree: ast.Module) -> set[str]:
     }
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Names, attribute names and import aliases a module mentions."""
+def referenced_names(tree: ast.Module, aliases: bool = True) -> set[str]:
+    """Names, attribute names and, unless aliases is False, import aliases a
+    module mentions."""
     out: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif aliases and isinstance(node, ast.alias):
             out.add(node.name)
             if node.asname:
                 out.add(node.asname)
@@ -129,7 +131,10 @@ def referenced_names(tree: ast.Module) -> set[str]:
 def test_every_definition_is_referenced():
     sources = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
-    referenced = set().union(*map(referenced_names, trees.values()))
+    # a definition kept alive only by its re-export from __init__ counts as dead
+    referenced = set().union(*(
+        referenced_names(tree, path != PACKAGE / "__init__.py") for path, tree in trees.items()
+    ))
     dead = sorted(
         f"{path.name}: {name}"
         for path, tree in trees.items()
@@ -143,6 +148,14 @@ def test_every_definition_is_referenced():
 def test_checker_catches_an_unreferenced_definition():
     tree = ast.parse("class A:\n    def used(self): pass\n    def dead(self): pass\n    def __repr__(self): pass\nA().used()\n")
     assert defined_names(tree) - referenced_names(tree) == {"dead"}
+
+
+def test_checker_does_not_count_a_reexport_as_a_use():
+    module = ast.parse("def used(): pass\ndef exported(): pass\nused()\n")
+    init = ast.parse("from .module import exported, used\n")
+    assert defined_names(module) - referenced_names(module) - referenced_names(init) == set()
+    unused = defined_names(module) - referenced_names(module) - referenced_names(init, False)
+    assert unused == {"exported"}
 
 
 def test_the_benchmark_uses_only_names_the_package_binds():
