@@ -134,11 +134,17 @@ def _excitation_sets(
     removal: Optional[RemovalSet],
 ) -> tuple[int, ForceTable, tuple[Site, ...], set[Site]]:
     """The threshold (defaulting to the excitation's own), its force table, the
-    inserted sites xi and eta: the repelled particles plus the removed ones."""
+    inserted sites xi and eta: the repelled particles plus the removed ones.
+    An excitation over another configuration, or an insertion made at another
+    threshold, is refused: its sites need not be vacant, occupied or admissible here."""
     if insertion is None and removal is None:
         raise ValueError("need an insertion, a removal, or both")
     if d2 is None:
         d2 = insertion.d2 if insertion is not None else removal.d2
+    if insertion is not None and (insertion.pc != pc or insertion.d2 != d2):
+        raise ValueError(f"the insertion was not made over this configuration at d2={d2}")
+    if removal is not None and removal.pc != pc:
+        raise ValueError("the removal was made over another configuration")
     ft = force_table(d2)
     xi = insertion.sites if insertion is not None else ()
     eta = set(repelled_set(pc, insertion, d2)) if insertion is not None else set()
@@ -176,18 +182,13 @@ def excitation_report(
     if perfect:
         assert sum(deficits) == energy * den, "excess identity violated"
         assert min(deficits, default=0) >= 0, "negative excess on perfect background"
-    kind = None
-    if insertion is not None and removal is None and len(xi) == 1:
-        try:
-            kind = classify_insertion(pc, xi[0], d2)
-        except ValueError:
-            kind = None
+    single = insertion is not None and removal is None and len(xi) == 1
     return ExcitationReport(
         inserted_count=len(xi),
         repelled=eta_sorted,
         energy=energy,
         excesses={y: Fraction(d, den) for y, d in zip(eta_sorted, deficits)},
-        type=kind,
+        type=_insertion_type(pc, xi[0], d2) if single else None,
         background_perfect=perfect,
     )
 
@@ -263,13 +264,13 @@ def classify_insertion(pc: PeriodicConfiguration, site: Site, d2: int) -> str:
     return InsertionType.IIC
 
 
-def _is_iia(pc: PeriodicConfiguration, site: Site, d2: int) -> bool:
-    """Is the single insertion at site of type IIa? A site classify_insertion
-    rejects (say, a vacancy of an imperfect background) is not."""
+def _insertion_type(pc: PeriodicConfiguration, site: Site, d2: int) -> Optional[str]:
+    """classify_insertion's type, or None for a site it rejects (say, a
+    vacancy of an imperfect background, or any site of an unlayered one)."""
     try:
-        return classify_insertion(pc, site, d2) == InsertionType.IIA
+        return classify_insertion(pc, site, d2)
     except ValueError:
-        return False
+        return None
 
 
 def iia_census(
@@ -285,11 +286,8 @@ def iia_census(
     if l is not None and l % 3:
         raise ValueError("in-plane triangle centers are integral only when 3 divides l")
     e, h, _ = _detect_layering(pc, d2)
-    count = sum(
-        1
-        for x in pc.reached(d2)
-        if _dot(x, e) % h == 0 and not pc.contains(x) and _is_iia(pc, x, d2)
-    )
+    count = sum(1 for x in pc.reached(d2) if _dot(x, e) % h == 0 and not pc.contains(x)
+                and _insertion_type(pc, x, d2) == InsertionType.IIA)
     return count, Fraction(count, pc.det)
 
 
@@ -309,7 +307,7 @@ def reduce_insertions(
     sites = list(insertion.sites)
     near = {x: pc.occupied_near(x, d2) for x in sites}
     while sites:
-        if len(sites) == 1 and _is_iia(pc, sites[0], d2):
+        if len(sites) == 1 and _insertion_type(pc, sites[0], d2) == InsertionType.IIA:
             break
         repellers: dict[Site, list[Site]] = {}
         for x in sites:
@@ -333,31 +331,32 @@ def peierls_check(
 ) -> tuple[bool, Fraction]:
     """Verify the force-deficit bound on the excited configuration.
 
-    The excited configuration X drops the repelled and removed particles and
-    gains the inserted ones. H(X) is the total force deficit over all ball
-    centers, v(X) the number of centers with any deficit. The bound checked
-    is H(X) >= gap * v(X) / |ball|; returns (holds, exact slack).
+    The excited configuration X drops the repelled and removed particles eta
+    and gains the inserted ones xi. H(X) is the total force deficit over all
+    ball centers, v(X) the number of centers with any deficit. The bound
+    checked is H(X) >= gap * v(X) / |ball|; returns (holds, exact slack).
+
+    A background not perfect at d2 is refused. On a perfect one every site x
+    gets exactly den, so, eta being occupied and xi vacant (_excitation_sets
+    ensures both), the deficit at x in X is the sum of the integer weights
+    w(x - z) over z in eta minus that over z in xi. Summed over x, each z
+    gives C * den, C = normalization_constant(d2), so H(X) = C * E(X) with
+    E(X) = |eta| - |xi|, and only v(X) is counted: the sites where those
+    signed weights, added over the balls around eta and xi, do not cancel.
     """
     d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
-    w, den, rsq = ft.weights, ft.den, ft.ball_radius_sq
-    candidates = {x for y in eta.union(xi) for x in ball_sites(rsq, y)}
-    ham = support = 0  # H(X) * den and v(X)
-    for x in candidates:
-        x0, x1, x2 = x
-        total = 0
-        for z in pc.occupied_near(x, rsq):
-            if z not in eta:
-                total += w[(x0 - z[0]) ** 2 + (x1 - z[1]) ** 2 + (x2 - z[2]) ** 2]
-        for z0, z1, z2 in xi:
-            q = (x0 - z0) ** 2 + (x1 - z1) ** 2 + (x2 - z2) ** 2
-            if q < rsq:
-                total += w[q]
-        if total != den:
-            support += 1
-            ham += den - total
-    c, energy = normalization_constant(d2), len(eta) - len(xi)
-    assert ham * c.denominator == c.numerator * energy * den, "H(X) disagrees with C * energy"
-    slack = Fraction(ham, den) - peierls_gap(d2) * support / len(ball_sites(rsq))
+    if not is_perfect(pc, d2):
+        raise ValueError(f"the contour bound needs a background perfect at d2={d2}")
+    w, ball = ft.weights, ball_sites(ft.ball_radius_sq)
+    ball_w = [(b0, b1, b2, w[b0 * b0 + b1 * b1 + b2 * b2]) for b0, b1, b2 in ball]
+    deficit: dict[Site, int] = {}  # den * deficit of each site near a change
+    for sign, zs in ((1, eta), (-1, xi)):
+        for z0, z1, z2 in zs:
+            for b0, b1, b2, wb in ball_w:
+                x = (z0 + b0, z1 + b1, z2 + b2)
+                deficit[x] = deficit.get(x, 0) + sign * wb
+    support = sum(1 for v in deficit.values() if v)
+    slack = normalization_constant(d2) * (len(eta) - len(xi)) - peierls_gap(d2) * support / len(ball)
     return slack >= 0, slack
 
 
@@ -543,5 +542,5 @@ def window_census(
         window_sites=len(window),
         sets_scanned=sets,
         low_energy_terminal=tuple(uniq),
-        all_terminal_iia=all(len(s) == 1 and _is_iia(pc, s[0], d2) for s in uniq),
+        all_terminal_iia=all(len(s) == 1 and _insertion_type(pc, s[0], d2) == InsertionType.IIA for s in uniq),
     )

@@ -1,5 +1,6 @@
 """Count the executable lines of Python sources: lines that hold a token of
-code, leaving out blank lines, comments and docstrings.
+code, leaving out blank lines, comments and docstrings. Raw lines, every
+line of the file as `wc -l` counts them, are printed beside them.
 
 A docstring is the string-constant statement that opens a module, class or
 function body; all its lines are left out. A statement spread over several
@@ -8,7 +9,8 @@ lines counts each line that holds code.
     python3 tests/line_count.py [PATH ...]
 
 Each PATH is a file or a directory searched for *.py; the default is the
-package, src/latticegas. Prints one line per file and the total.
+package, src/latticegas. Prints one line per file and the total, each
+as executable lines, raw lines and the path.
 """
 
 from __future__ import annotations
@@ -46,16 +48,22 @@ def executable_lines(source: str) -> int:
     return len(code - docstring_lines(ast.parse(source)))
 
 
+def raw_lines(source: str) -> int:
+    return len(source.splitlines())
+
+
 def main(paths: list[str]) -> None:
     files = []
     for p in map(pathlib.Path, paths or [str(PACKAGE)]):
         files.extend(sorted(p.glob("*.py")) if p.is_dir() else [p])
-    total = 0
+    total = raw_total = 0
     for f in files:
-        n = executable_lines(f.read_text(encoding="utf-8"))
+        source = f.read_text(encoding="utf-8")
+        n, raw = executable_lines(source), raw_lines(source)
         total += n
-        print(f"{n:6d} {f}")
-    print(f"{total:6d} total")
+        raw_total += raw
+        print(f"{n:6d} {raw:6d} {f}")
+    print(f"{total:6d} {raw_total:6d} total")
 
 
 if __name__ == "__main__":

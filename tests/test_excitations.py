@@ -168,20 +168,23 @@ def test_peierls_bound_on_samples():
         assert ok and slack >= 0, d2
 
 
-# One perfect background per threshold, and its vacant sites near the origin.
+# One perfect background per threshold, its vacant sites near the origin, and
+# its occupied sites in a ball wide enough that some lie out of their reach.
 BACKGROUNDS = {d2: entries[0][1]() for d2, entries in CONSTRUCTORS.items()}
 VACANT = {
     d2: [s for s in oracles.brute_ball(13) if not pc.contains(s)] for d2, pc in BACKGROUNDS.items()
 }
+OCCUPIED = {d2: [s for s in oracles.brute_ball(64) if pc.contains(s)] for d2, pc in BACKGROUNDS.items()}
 
 
 @st.composite
 def excitations_by_threshold(draw):
-    """(pc, d2, insertion, removal): 1-3 admissible vacant insertions, or a
-    gamma1 removal at a drawn offset, or the gamma2 removal."""
+    """(pc, d2, insertion, removal): 1-3 admissible vacant insertions, a
+    gamma1 removal at a drawn offset, the gamma2 removal, or insertions plus
+    a gamma1 at a drawn occupied site out of their reach."""
     d2 = draw(st.sampled_from(sorted(BACKGROUNDS)))
     pc = BACKGROUNDS[d2]
-    kind = draw(st.sampled_from(["insert", "gamma1", "gamma2"]))
+    kind = draw(st.sampled_from(["insert", "gamma1", "gamma2", "both"]))
     if kind == "gamma1":
         return pc, d2, None, gamma1(pc, d2, draw(st.sampled_from(pc.offsets)))
     if kind == "gamma2":
@@ -190,7 +193,11 @@ def excitations_by_threshold(draw):
     for s in draw(st.lists(st.sampled_from(VACANT[d2]), min_size=1, max_size=3, unique=True)):
         if all(sq_dist(s, t) >= d2 for t in sites):
             sites.append(s)
-    return pc, d2, make_insertion(pc, d2, sites), None
+    removal = None
+    if kind == "both":
+        away = [y for y in OCCUPIED[d2] if all(sq_dist(y, s) >= d2 for s in sites)]
+        removal = gamma1(pc, d2, draw(st.sampled_from(away)))
+    return pc, d2, make_insertion(pc, d2, sites), removal
 
 
 @given(excitations_by_threshold())
@@ -213,6 +220,48 @@ def test_peierls_known_slacks():
     assert ok and slack == Fraction(329, 19)
     ok, slack = peierls_check(HCP, removal=gamma2(HCP, 5), d2=5)
     assert ok and slack == Fraction(330, 19)
+
+
+HOLED = _supercell_without_one(HCP, 5)  # HCP.offsets[0] is its hole
+
+
+def test_the_contour_bound_refuses_an_imperfect_background():
+    # sites near the hole get force below 1 from the background, so H(X) =
+    # C * E(X) fails for an excitation there and says nothing for one away
+    assert not HOLED.contains(HCP.offsets[0]) and HOLED.contains((1, 5, 9))
+    with pytest.raises(ValueError, match="perfect at d2=5"):
+        peierls_check(HOLED, make_insertion(HOLED, 5, [HCP.offsets[0]]), 5)
+    with pytest.raises(ValueError, match="perfect at d2=5"):
+        peierls_check(HOLED, removal=gamma1(HOLED, 5, (1, 5, 9)))
+
+
+def test_the_excitation_report_flags_an_imperfect_background():
+    rep = excitation_report(HOLED, make_insertion(HOLED, 5, [HCP.offsets[0]]), 5)
+    assert not rep.background_perfect
+    assert rep.energy == len(rep.repelled) - 1
+
+
+FCC1 = build_fcc(1)
+FCC2 = build_fcc(2)
+HCP_02 = build_layered_d5(0, "02")
+
+
+@pytest.mark.parametrize("pc,insertion,d2,removal,refusal", [
+    # fcc(1) is not admissible at 3
+    (FCC1, None, 3, gamma1(FCC1, 2), "not d2=3 admissible"),
+    # (0, 2, 1) is occupied in the "02" stack and vacant in hcp
+    (HCP, None, 5, gamma1(HCP_02, 5, (0, 2, 1)), "removal was made over another configuration"),
+    # three sites admissible at 2 that conflict at 8
+    (FCC2, make_insertion(FCC2, 2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 8, None,
+     "insertion was not made over this configuration at d2=8"),
+    (HCP, make_insertion(HCP_02, 5, [(0, 0, 1)]), 5, None,
+     "insertion was not made over this configuration at d2=5"),
+], ids=["fcc1-at-3", "removal-from-02", "insertion-at-2-read-at-8", "insertion-into-02"])
+def test_an_excitation_the_accounting_does_not_cover_is_refused(pc, insertion, d2, removal, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        excitation_report(pc, insertion, d2, removal)
+    with pytest.raises(ValueError, match=refusal):
+        peierls_check(pc, insertion, d2, removal)
 
 
 def test_gap_feeds_the_bound():

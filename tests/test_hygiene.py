@@ -4,7 +4,7 @@ defines is referenced somewhere in the package or its tests (a re-export
 from `__init__.py` is not a reference), and importing
 the CLI loads nothing outside the standard library, nor dataclasses or inspect.
 Every package name the benchmark (perfbench/workloads.py) uses is bound.
-The executable-line counter (tests/line_count.py) is checked on a snippet.
+The line counter (tests/line_count.py) is checked on a snippet.
 
 `__init__.py` is exempt from the unused-import check, since its imports are
 the public re-exports.
@@ -21,7 +21,7 @@ import pytest
 
 import latticegas
 import latticegas.cli
-from line_count import executable_lines
+from line_count import executable_lines, raw_lines
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticegas"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -238,3 +238,5 @@ class A:
 def test_line_counter_counts_only_code():
     # import, def, the two lines of y, return, class, z
     assert executable_lines(LINE_COUNT_SAMPLE) == 7
+    # every line, the blank ones, comments and docstrings too
+    assert raw_lines(LINE_COUNT_SAMPLE) == 17
