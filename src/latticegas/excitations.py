@@ -26,7 +26,6 @@ from .lattice import (
     conflict_masks,
     count_independent_sets,
     exact_site,
-    fold_independent_sets,
     independent_sets,
     is_admissible,
     sq_dist,
@@ -371,27 +370,31 @@ class WindowCensus(Record):
 
 
 # Work bounds of a window census's search, which stops with ValueError when
-# it passes either. On one 2-vCPU host (Python 3.11) a visited set costs
-# 0.9-1.4 us on narrow windows (hcp, 2l2 at d2 = 8 and 18, and the 2x2x2
-# supercells of hcp and of 2l2 at d2 = 8 with one offset removed; hcp at 3
-# layers and squared radius 13 visits 8.3e6 sets), but about 3.4 us where
-# each visit ORs and counts covers thousands of bits wide: the largest
-# window accepted (below) visits 9,992,866 sets in about 35 s. So the visits
-# take at most about 35 s. A reduction costs 0.05 ms for a single site and
-# about 0.5 ms on average for the sets of energy <= 2 near a vacancy (the
-# holed hcp supercell at 1 layer and squared radius 24), so the reductions
-# take at most about 3 s; hcp windows reduce at most 27 sets, but the holed
-# hcp supercell at 1 layer and squared radius 30 has 555,467 to reduce.
+# it passes either. The search prunes by the energy of the chosen set, so
+# it visits few sets on a perfect background (hcp at 3 layers and squared
+# radius 13: 2,435; fcc at d2 = 2 near the site limit below: 4,651-4,995),
+# but each visit recomputes the bounds of the sites near the chosen set.
+# On one shared 2-vCPU host (Python 3.11) a visited set costs about 5-20
+# us, and 14-22 us on average, reductions included, on the 2x2x2
+# supercell of hcp with one offset removed, where the most visits were
+# seen: 5.6e6 at 2 layers and squared radius 22, in 80-125 s. So the
+# visits take at most about 4 minutes. A reduction costs 0.05 ms for a
+# single site and about 0.5 ms on average for the sets of energy <= 2
+# near a vacancy (the holed hcp supercell at 1 layer and squared radius
+# 24), so the reductions take at most about 3 s; hcp windows reduce at
+# most 27 sets, but the holed hcp supercell at 1 layer and squared radius
+# 30 has 555,467 to reduce.
 WINDOW_VISITS_MAX = 10**7
 WINDOW_REDUCTIONS_MAX = 5000
 # The most window sites a census takes; a larger window is refused before
 # any site's repelled set is looked up. Of the nine backgrounds of the
-# benchmark, three have a layering (fcc at d2 = 2 and 8, hcp at 5), and the
-# largest windows their budgets accept, over every number of layers, are
-# 4,716 sites (fcc at d2 = 2, 2 layers, squared radius 2603: no two window
-# sites conflict, and the search visits 9,992,866 sets), 270 (hcp, 1 layer,
-# squared radius 218) and 181 (fcc at d2 = 8, 2 layers, squared radius 25),
-# the state budget refusing each larger hcp and fcc d2 = 8 window tried.
+# benchmark, three have a layering (fcc at d2 = 2 and 8, hcp at 5). On fcc
+# at d2 = 2 the other budgets accept windows up to this limit (5,000 sites
+# at 40 layers and squared radius 284: the search visits 4,995 sets, and
+# the census takes about 0.4 s); on hcp and on fcc at d2 = 8 the largest
+# windows accepted, over every number of layers, have 270 sites (1 layer,
+# squared radius 218) and 181 (2 layers, squared radius 25), the state
+# budget refusing each larger window tried.
 WINDOW_SITES_MAX = 5000
 
 
@@ -441,33 +444,6 @@ def _window(
     return window, conflict_masks(window, d2), cover
 
 
-def _energy_weights(conflict: list[int], cover: list[int]) -> tuple[list[int], int]:
-    """Integer weights w and a scale D with E(X) >= sum(w[x] for x in X) / D.
-
-    K_p is the size of the largest conflict-free set of window sites that
-    repel particle p, the highest set size the fold of those sites with
-    unit 1 finds; w[x] = D * (sum of 1/K_p over the particles x repels,
-    minus 1), with D = lcm(K_p). See window_census for the proof. The
-    sites repelling each particle are indexed in one pass over the set bits
-    of the covers, so the work is linear in those bits.
-    """
-    by_particle: list[list[int]] = [[] for _ in range(max(cover, default=0).bit_length())]
-    for k, c in enumerate(cover):
-        while c:
-            by_particle[(c & -c).bit_length() - 1].append(k)
-            c &= c - 1
-    most = []
-    for members in by_particle:  # every particle bit is in some cover
-        sub = [sum(1 << b for b, j in enumerate(members) if conflict[k] >> j & 1) for k in members]
-        most.append(fold_independent_sets(sub, [1] * len(members))[1].bit_length() - 1)
-    den = math.lcm(*most)
-    weight = [-den] * len(cover)
-    for members, most_p in zip(by_particle, most):
-        for k in members:
-            weight[k] += den // most_p
-    return weight, den
-
-
 def window_census(
     pc: PeriodicConfiguration,
     d2: int = 5,
@@ -491,32 +467,26 @@ def window_census(
     lattice.COUNT_STATES_MAX states to count. The search then stops when it
     has visited more than WINDOW_VISITS_MAX sets or reduced more than
     WINDOW_REDUCTIONS_MAX. Its time depends on what it visits, not on how
-    many sets the window has. How much the ceiling below prunes depends on
-    the background: at 2 layers and squared radius 16, hcp has 1.4e9 sets
-    and the search visits 2.6e6 of them, while the holed hcp supercell has
-    1.5e9 and the search would visit 1.45e8 (149 s). Each refusal raises
+    many sets the window has. How much its bounds prune depends on the
+    background: at 2 layers and squared radius 16, hcp has 1.4e9 sets and
+    the search visits 1,609 of them, while the holed hcp supercell has
+    1.5e9 and the search visits 76,841 (about 2 s). Each refusal raises
     ValueError.
 
-    Only sets that can have energy <= 2 are searched. For a repelled
-    particle p let K_p be the size of the largest admissible set of window
-    sites that all repel p. An admissible X has at most K_p members that
-    repel p, so counting each p in C(X) once,
-
-        |C(X)| >= sum over x in X of (sum over p in C(x) of 1/K_p),
-
-    and E(X) >= sum over x in X of w(x), with w(x) the sum of 1/K_p over
-    the particles x repels, minus 1. Scaled by D = lcm(K_p) the weights are
-    integers, and every X with E(X) <= 2 has total weight <= 2 D, so the
-    search with that ceiling (lattice.independent_sets) visits it. The
-    exact energy is tested before any set is reduced.
+    Only sets that can have energy <= 2 are searched. With the window
+    sites as indices and the particles each repels as its cover, E(X) is
+    the excess of lattice.independent_sets, and its search with limit 2
+    visits every X with E(X) <= 2. It prunes by two lower bounds on the
+    energy of the sets below a node, the energy X already has and the
+    least that each site can add to it, whose proof its docstring gives.
+    The exact energy is tested before any set is reduced.
     """
     window, conflict, cover = _window(pc, d2, layers, radius_sq)
     sets = count_independent_sets(conflict) - 1
-    weight, den = _energy_weights(conflict, cover)
     survivors: set[tuple[Site, ...]] = set()
     visits = reductions = 0
 
-    def visit(chosen: list[int], total: int, covered: int) -> None:
+    def visit(chosen: list[int], covered: int) -> None:
         nonlocal visits, reductions
         visits += 1
         if visits > WINDOW_VISITS_MAX:
@@ -536,7 +506,7 @@ def window_census(
             if red.sites:
                 survivors.add(red.sites)
 
-    independent_sets(conflict, weight, cover, visit, limit=2 * den)
+    independent_sets(conflict, cover, visit, limit=2)
     uniq = sorted(survivors)
     return WindowCensus(
         window_sites=len(window),

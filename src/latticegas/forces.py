@@ -135,8 +135,7 @@ def enumerate_ball_acs(
     sites = ball_sites(force_table(d2).ball_radius_sq)
     conflict = conflict_masks(sites, d2)
     if visitor is not None:
-        zeros = [0] * len(sites)
-        independent_sets(conflict, zeros, zeros, lambda chosen, *_: visitor(tuple(sites[i] for i in chosen)))
+        independent_sets(conflict, [0] * len(sites), lambda chosen, _: visitor(tuple(sites[i] for i in chosen)))
     return count_independent_sets(conflict)
 
 

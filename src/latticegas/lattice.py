@@ -13,7 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from operator import attrgetter, index
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Site = tuple[int, int, int]
 
@@ -92,61 +92,143 @@ def conflict_masks(sites: Sequence[Site], d2: int) -> list[int]:
     return masks
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The indices of the set bits of x >= 0, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _at_most(key: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The keys in increasing order, and masks such that for any b,
+    masks[bisect_right(keys, b)] has bit i set iff key[i] <= b."""
+    order = sorted(range(len(key)), key=key.__getitem__)
+    masks = [0]
+    for i in order:
+        masks.append(masks[-1] | 1 << i)
+    return [key[i] for i in order], masks
+
+
+def _covering(conflict: Sequence[int], cover: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """For each bit p set in some cover: the mask of the indices whose covers
+    have p, and K_p, the most of them that an independent set holds (the
+    highest set size the fold of those indices with unit 1 finds)."""
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(cover):
+        for p in _bits(c):
+            members.setdefault(p, []).append(i)
+    out = {}
+    for p, ks in members.items():
+        sub = [sum(1 << b for b, j in enumerate(ks) if conflict[k] >> j & 1) for k in ks]
+        out[p] = (sum(1 << k for k in ks), fold_independent_sets(sub, [1] * len(ks))[1].bit_length() - 1)
+    return out
+
+
 def independent_sets(
     conflict: Sequence[int],
-    weight: Sequence[int],
     cover: Sequence[int],
-    visit: Callable[[list[int], int, int], None],
+    visit: Callable[[list[int], int], None],
     limit: Optional[int] = None,
 ) -> None:
     """Visit index sets with no two members in conflict, the empty set first.
 
     Depth-first, lowest index first, so the sets arrive in lexicographic
-    order of their sorted index tuples. visit(chosen, total, covered) gets
-    the chosen indices in increasing order (a list reused between calls),
-    the integer sum of weight over them and the OR of cover over them.
+    order of their sorted index tuples. visit(chosen, covered) gets the
+    chosen indices X in increasing order (a list reused between calls) and
+    C(X), the OR of cover over them; the set bits of a cover are the
+    particles its index covers.
 
-    Without a limit every independent set is visited. With one, the search
-    enters the child that adds index i only if
-    total + weight[i] + sum(min(0, weight[j]) for j > i) <= limit, so the
-    sets visited are the empty set and exactly the independent X with
-    total(X) + sum(min(0, weight[j]) for j > max X) <= limit. That bound is
-    monotone along the chain of prefixes of X, so no such X is cut off
-    above it, and it is at most total(X): every independent X with
-    total(X) <= limit is visited.
+    Without a limit every independent set is visited. With one, every
+    independent X whose excess E(X) = |C(X)| - |X| is at most limit is
+    visited, and the search enters a subtree only if two lower bounds on
+    the excess of its sets allow it. K_p is the most members of an
+    independent set whose covers have bit p (_covering), D = lcm(K_p) and
+    s_p = D / K_p. At the node X, A is the set of indices above max X in
+    conflict with nothing in X, and the marginal of an index y is
+    D m_X(y) = (sum of s_p over p in C(y) - C(X)) - D.
+
+    Lemma: every independent Y within A has
+    D E(X + Y) >= D E(X) + sum over y in Y of D m_X(y). Proof: C(X + Y) is
+    C(X) and the bits of C(Y) - C(X). Each such bit p is in the covers of
+    at most K_p members of Y, so D = K_p s_p is at least s_p times their
+    number, and summed over p, D |C(Y) - C(X)| >= sum over y in Y of the
+    sum of s_p over p in C(y) - C(X). Subtracting D |Y| gives the lemma.
+
+    The child that adds index i to X is entered only if both
+        D E(X) + D m_X(i) + sum over y in A above i of min(0, D m_X(y)) <= D limit,
+        w(X) + w(i) + sum over j > i of min(0, w(j)) <= D limit,
+    the weight w(y) being the marginal of y at the empty set, and w(X) the
+    sum of the weights over X. Every set below that child is X + {i} + Y
+    with Y within A and above i, so the lemma at X bounds its D E from
+    below by the first left side, and the lemma at the empty set by the
+    second. A set of
+    excess <= limit passes both tests at each of its prefixes and is
+    visited. An index y that shares no bit with C(X) has m_X(y) = w(y), so
+    a node recomputes only the marginals of the indices near X.
     """
     n = len(conflict)
     # child i may use only the indices above i that do not conflict with it
     keep = [~(conflict[i] | ((2 << i) - 1)) for i in range(n)]
     chosen: list[int] = []
-    if limit is None:
-        fits = None
-    else:
-        # fits[k] is the mask of the k indices of least key, key[i] being
-        # weight[i] plus the negative weights above i; the children a node
-        # may enter under a budget b are those in fits[bisect_right(keys, b)]
-        lows = [0] * (n + 1)
+    weight, reach = [0] * n, [0] * n  # reach[i]: the indices sharing a bit with i
+    if limit is not None:
+        covering = _covering(conflict, cover)
+        den = math.lcm(*(k for _, k in covering.values()))
+        cap, share = den * limit, [0] * max(cover, default=0).bit_length()  # share[p]: s_p
+        for p, (mask, k) in covering.items():
+            share[p] = den // k
+            for i in _bits(mask):
+                reach[i] |= mask
+                weight[i] += share[p]
+        weight = [w - den for w in weight]
+        key, lows = [0] * n, 0  # key[i]: w(i) plus the negative weights above i
         for i in range(n - 1, -1, -1):
-            lows[i] = lows[i + 1] + min(0, weight[i])
-        key = [weight[i] + lows[i + 1] for i in range(n)]
-        order = sorted(range(n), key=key.__getitem__)
-        keys = [key[i] for i in order]
-        fits = [0] * (n + 1)
-        for k, i in enumerate(order):
-            fits[k + 1] = fits[k] | (1 << i)
+            key[i], lows = weight[i] + lows, lows + min(0, weight[i])
+        keys, fits = _at_most(key)
+        weights, light = _at_most(weight)
+        negative = sum(1 << i for i in range(n) if weight[i] < 0)
 
-    def rec(avail: int, total: int, covered: int) -> None:
-        visit(chosen, total, covered)
-        todo = avail if fits is None else avail & fits[bisect_right(keys, limit - total)]
+    def admitted(avail: int, total: int, covered: int, near: int) -> int:
+        """The children of the node chosen that both tests admit; near is
+        the mask of the indices sharing a bit with C(chosen)."""
+        todo = avail & fits[bisect_right(keys, cap - total)]
+        if not todo:
+            return 0
+        # from the top down, room is D limit - D E(X) minus the negative
+        # marginals above, and child i is admitted iff D m_X(i) <= room;
+        # only the indices near X or of negative weight are taken one by one
+        ok, top, room = 0, n, cap - den * (covered.bit_count() - len(chosen))
+        far, t = todo & ~near, avail & (near | negative)
+        while t:
+            y = t.bit_length() - 1
+            t ^= 1 << y
+            m, shared = weight[y], cover[y] & covered
+            while shared:
+                low = shared & -shared
+                m -= share[low.bit_length() - 1]
+                shared ^= low
+            if m <= room:
+                ok |= 1 << y
+            if m < 0:
+                between = far & ((1 << top) - (2 << y))
+                if between:
+                    ok |= light[bisect_right(weights, room)] & between
+                room, top = room - m, y
+        return todo & (ok | light[bisect_right(weights, room)] & far & ((1 << top) - 1))
+
+    def rec(avail: int, total: int, covered: int, near: int) -> None:
+        visit(chosen, covered)
+        todo = avail if limit is None else admitted(avail, total, covered, near)
         while todo:
             low = todo & -todo
             i = low.bit_length() - 1
             todo ^= low
             chosen.append(i)
-            rec(avail & keep[i], total + weight[i], covered | cover[i])
+            rec(avail & keep[i], total + weight[i], covered | cover[i], near | reach[i])
             chosen.pop()
 
-    rec((1 << n) - 1, 0, 0)
+    rec((1 << n) - 1, 0, 0, 0)
 
 
 # The most states count_independent_sets or fold_independent_sets expands

@@ -222,7 +222,7 @@ def window_census_exhaustive(
     scanned = 0
     survivors: set = set()
 
-    def visit(chosen: list[int], total: int, covered: int) -> None:
+    def visit(chosen: list[int], covered: int) -> None:
         nonlocal scanned
         if not chosen:
             return
@@ -233,7 +233,7 @@ def window_census_exhaustive(
             if red.sites:
                 survivors.add(red.sites)
 
-    independent_sets(conflict_masks_pairwise(window, d2), [0] * len(window), cover, visit)
+    independent_sets(conflict_masks_pairwise(window, d2), cover, visit)
     uniq = tuple(sorted(survivors))
     return WindowCensus(len(window), scanned, uniq, _all_iia(pc, d2, uniq))
 

@@ -416,6 +416,8 @@ def test_window_census_refuses_a_window_above_the_limit(capsys, monkeypatch):
         raise AssertionError("a refused window census must not search")
 
     monkeypatch.setattr(excitations, "independent_sets", no_search)
+    with pytest.raises(AssertionError, match="must not search"):  # the guard sees a search
+        run_capture(capsys, ["exc", "window-census", "--layers", "2", "--radius", "6"])
     code, out, err = run_capture(capsys, ["exc", "window-census", "--layers", "3", "--radius", "14"])
     assert (code, out) == (2, "")
     assert "more than 200000 states" in err

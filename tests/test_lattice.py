@@ -2,6 +2,7 @@
 Record base of the package's value types."""
 
 import dataclasses
+import math
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -115,21 +116,18 @@ point_sets_st = st.lists(
 @given(pts=point_sets_st, d2=st.integers(1, 12), data=st.data())
 def test_independent_sets_matches_filtered_combinations(pts, d2, data):
     n = len(pts)
-    weight = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
     cover = data.draw(st.lists(st.integers(0, 2 ** 16 - 1), min_size=n, max_size=n))
     seen = []
     independent_sets(
-        conflict_masks(pts, d2), weight, cover,
-        lambda chosen, total, covered: seen.append((tuple(chosen), total, covered)),
+        conflict_masks(pts, d2), cover, lambda chosen, covered: seen.append((tuple(chosen), covered))
     )
     # lexicographic order of the index tuples is the depth-first visiting order
     expected = sorted(
         c for r in range(n + 1) for c in combinations(range(n), r)
         if pairwise_admissible([pts[i] for i in c], d2)
     )
-    assert [c for c, _, _ in seen] == expected
-    for c, total, covered in seen:
-        assert total == sum(weight[i] for i in c)
+    assert [c for c, _ in seen] == expected
+    for c, covered in seen:
         assert covered == reduce(or_, (cover[i] for i in c), 0)
 
 
@@ -147,9 +145,8 @@ def test_conflict_masks_match_the_pairwise_comparison(pts, d2):
 @given(pts=point_sets_st, d2=st.integers(1, 12))
 def test_count_independent_sets_matches_the_sets_visited(pts, d2):
     conflict = conflict_masks(pts, d2)
-    zeros = [0] * len(pts)
     seen = []
-    independent_sets(conflict, zeros, zeros, lambda chosen, total, covered: seen.append(1))
+    independent_sets(conflict, [0] * len(pts), lambda chosen, covered: seen.append(1))
     assert count_independent_sets(conflict) == len(seen)
 
 
@@ -159,7 +156,7 @@ def test_the_fold_matches_the_sets_visited(pts, d2, data):
     unit = data.draw(st.lists(st.integers(0, 40), min_size=len(pts), max_size=len(pts)))
     sums = []
     independent_sets(
-        conflict, unit, [0] * len(pts), lambda chosen, total, covered: sums.append(total)
+        conflict, [0] * len(pts), lambda chosen, covered: sums.append(sum(unit[i] for i in chosen))
     )
     ways, sigs = fold_independent_sets(conflict, unit)
     assert ways == len(sums)
@@ -186,26 +183,54 @@ def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
             kernel(pairs(12))
 
 
-@given(pts=point_sets_st, d2=st.integers(1, 12), limit=st.integers(-40, 60), data=st.data())
+@given(pts=point_sets_st, d2=st.integers(1, 12), limit=st.integers(-2, 6), data=st.data())
 def test_the_ceiling_visits_exactly_the_sets_its_bound_admits(pts, d2, limit, data):
+    # both tests of the kernel, written out from its docstring with K_p
+    # found by trying every independent set
     n = len(pts)
-    weight = data.draw(st.lists(st.integers(-20, 30), min_size=n, max_size=n))
+    conflict = conflict_masks(pts, d2)
+    cover = data.draw(st.lists(st.integers(0, 2 ** 8 - 1), min_size=n, max_size=n))
     seen = []
     independent_sets(
-        conflict_masks(pts, d2), weight, [0] * n,
-        lambda chosen, total, covered: seen.append((tuple(chosen), total)),
-        limit=limit,
+        conflict, cover, lambda chosen, covered: seen.append((tuple(chosen), covered)), limit=limit
     )
 
-    def bound(c):
-        return sum(weight[i] for i in c) + sum(min(0, w) for w in weight[c[-1] + 1:])
+    def admissible(c):
+        return pairwise_admissible([pts[i] for i in c], d2)
 
-    expected = [()] + sorted(
-        c for r in range(1, n + 1) for c in combinations(range(n), r)
-        if pairwise_admissible([pts[i] for i in c], d2) and bound(c) <= limit
-    )
+    def covers(c):
+        return reduce(or_, (cover[i] for i in c), 0)
+
+    independent = sorted(c for r in range(n + 1) for c in combinations(range(n), r) if admissible(c))
+    most = {p: max(sum(cover[i] >> p & 1 for i in c) for c in independent)
+            for p in range(8) if covers(range(n)) >> p & 1}
+    assert {p: k for p, (_, k) in lattice._covering(conflict, cover).items()} == most
+    den = math.lcm(*most.values())
+
+    def marginal(x, y):  # D m_x(y)
+        return sum(den // k for p, k in most.items() if (cover[y] & ~covers(x)) >> p & 1) - den
+
+    weight = [marginal((), y) for y in range(n)]
+
+    def tests(c):  # (marginal test, weight ceiling) for entering c from its prefix
+        x, i = c[:-1], c[-1]
+        avail = [y for y in range(i + 1, n) if admissible(x + (y,))]
+        return (
+            den * (covers(x).bit_count() - len(x)) + marginal(x, i)
+            + sum(min(0, marginal(x, y)) for y in avail) <= den * limit,
+            sum(weight[j] for j in c) + sum(min(0, w) for w in weight[i + 1:]) <= den * limit,
+        )
+
+    passed = {(): (True, True)}
+    for c in independent[1:]:  # each after its prefixes
+        passed[c] = tuple(a and b for a, b in zip(passed[c[:-1]], tests(c)))
+    expected = [c for c in independent if all(passed[c])]
     assert [c for c, _ in seen] == expected
-    assert all(total == sum(weight[i] for i in c) for c, total in seen)
+    assert all(covered == covers(c) for c, covered in seen)
+    # every set of excess <= limit is visited, and none the weight ceiling
+    # alone would not visit
+    low = {c for c in independent if covers(c).bit_count() - len(c) <= limit}
+    assert low <= set(expected) <= {c for c in independent if passed[c][1]}
 
 
 small_st = st.integers(-1, 1)
