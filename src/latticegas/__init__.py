@@ -37,9 +37,7 @@ from .forces import (  # noqa: E402
 from .configs import (  # noqa: E402
     PeriodicConfiguration,
     canonicalize,
-    configs_equal,
     density,
-    det3,
     hnf,
     is_admissible_config,
     is_perfect,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forces import normalization_constant
-from .lattice import Record, Site, SignedPermutation, ball_sites, exact_site
+from .lattice import Record, Site, SignedPermutation, exact_site, half_ball, origin_ball, outgrows_ball
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -29,14 +29,6 @@ NON_MAIN_DIAGONALS: tuple[Site, ...] = (
     (0, 1, 1),
     (0, -1, 1),
 )
-
-
-def det3(m: Sequence[Sequence[int]]) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
@@ -96,11 +88,18 @@ def _reduce_site(site: Site, basis: Matrix) -> Site:
 
 
 class PeriodicConfiguration(Record):
-    """An infinite periodic occupied set: lattice basis rows + cell offsets."""
+    """An infinite periodic occupied set: lattice basis rows + cell offsets.
+
+    Each instance also keeps its offsets as a set, built once when it is
+    made. The set is no field, so equality, hash and repr leave it out.
+    """
 
     basis: Matrix
     offsets: tuple[Site, ...]
     context_d2: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_occupied", frozenset(self.offsets))
 
     @property
     def det(self) -> int:
@@ -110,15 +109,19 @@ class PeriodicConfiguration(Record):
         return _reduce_site(site, self.basis)
 
     def contains(self, site: Site) -> bool:
-        return self.reduce(site) in self.offsets
+        """Whether the site is occupied: one reduction and one lookup in the
+        set of offsets. There is one path and no crossover, since the set
+        costs the same whatever the number of offsets."""
+        return _reduce_site(site, self.basis) in self._occupied
 
     def reached(self, d2: int) -> set[Site]:
         """The residues of all sites closer than sqrt(d2) to an occupied site,
         the offsets included (d2 >= 1): len(offsets) * |ball| reductions,
         whatever the size of the cell."""
-        ball = ball_sites(d2)
+        basis = self.basis
         return {
-            self.reduce((o[0] + b[0], o[1] + b[1], o[2] + b[2])) for o in self.offsets for b in ball
+            _reduce_site((o[0] + b[0], o[1] + b[1], o[2] + b[2]), basis)
+            for o in self.offsets for b in origin_ball(d2)
         }
 
     def occupied_in_box(self, lo: Sequence[int], hi: Sequence[int]) -> list[Site]:
@@ -148,11 +151,30 @@ class PeriodicConfiguration(Record):
         return out
 
     def occupied_near(self, center: Site, radius_sq: int) -> list[Site]:
-        """All occupied sites within squared distance < radius_sq of center."""
+        """All occupied sites within squared distance < radius_sq of center,
+        in lexicographic order.
+
+        On a cell of more offsets than lattice.SMALL_INPUT plus the sites of
+        the radius_sq ball (lattice.outgrows_ball), each site center + b of
+        the ball is reduced and looked up in the set of offsets: |ball|
+        reductions, whatever the number of offsets. The ball
+        (lattice.origin_ball) is in lexicographic order and adding center
+        keeps that order, so the hits come out sorted without a sort. The
+        whole ball is asked, not half: every occupied site near center is
+        wanted, not just a yes or no. On a smaller cell the ball's bounding
+        box is walked from every offset (occupied_in_box) and the hits
+        inside the ball are sorted; walking every offset costs less than a
+        ball of reductions while the offsets are about as few as the ball's
+        sites.
+        """
         if radius_sq < 1:
             return []
-        r = math.isqrt(radius_sq - 1)
         cx, cy, cz = center
+        if outgrows_ball(len(self.offsets), radius_sq, 1):
+            basis, occupied = self.basis, self._occupied
+            ball = [(cx + b0, cy + b1, cz + b2) for b0, b1, b2 in origin_ball(radius_sq)]
+            return [s for s in ball if _reduce_site(s, basis) in occupied]
+        r = math.isqrt(radius_sq - 1)
         box = self.occupied_in_box((cx - r, cy - r, cz - r), (cx + r, cy + r, cz + r))
         return sorted(
             s for s in box if (s[0] - cx) ** 2 + (s[1] - cy) ** 2 + (s[2] - cz) ** 2 < radius_sq
@@ -189,11 +211,33 @@ def make_config(
 
 
 def is_admissible_config(pc: PeriodicConfiguration, d2: int) -> bool:
-    """No two occupied sites closer than sqrt(d2): the open d2-ball of each
-    offset holds no occupied site but the offset. Every occupied pair is a
-    translate of one with an offset in it, so the offsets' balls see them
-    all. Always true for d2 <= 1."""
-    return d2 <= 1 or all(pc.occupied_near(o, d2) == [o] for o in pc.offsets)
+    """No two occupied sites closer than sqrt(d2). Always true for d2 <= 1.
+
+    On a cell of more than lattice.SMALL_INPUT + |ball_sites(d2)| / 4
+    offsets (lattice.outgrows_ball), the residue of o + b is looked up in
+    the set of offsets for every offset o and every b of
+    lattice.half_ball(d2): len(offsets) * |ball| / 2 reductions, and a yes
+    or no, so nothing to sort. The half ball suffices, as in
+    lattice.conflict_masks: a close pair x, y of occupied sites has y - x or
+    x - y above the origin, say b, and its lower site, in that order, is a
+    translate of an offset o; o + b is then a translate of the other site,
+    so its residue is an offset. Conversely such a hit is a pair at squared
+    distance |b|^2 < d2, even where o + b reduces to o itself (a lattice
+    vector shorter than sqrt(d2)).
+
+    On a smaller cell, the open d2-ball of each offset must hold no occupied
+    site but the offset (occupied_near, which walks every offset once per
+    call): every occupied pair is a translate of one with an offset in it.
+    """
+    if d2 <= 1:
+        return True
+    if outgrows_ball(len(pc.offsets), d2, 4):
+        basis, occupied, half = pc.basis, pc._occupied, half_ball(d2)
+        return not any(
+            _reduce_site((o0 + b0, o1 + b1, o2 + b2), basis) in occupied
+            for o0, o1, o2 in pc.offsets for b0, b1, b2 in half
+        )
+    return all(pc.occupied_near(o, d2) == [o] for o in pc.offsets)
 
 
 def density(pc: PeriodicConfiguration) -> Fraction:
@@ -225,10 +269,6 @@ def canonicalize(pc: PeriodicConfiguration) -> PeriodicConfiguration:
 def shift_count(pc: PeriodicConfiguration) -> int:
     """Number of distinct translates; equals the canonical basis determinant."""
     return canonicalize(pc).det
-
-
-def configs_equal(a: PeriodicConfiguration, b: PeriodicConfiguration) -> bool:
-    return canonicalize(a).canonical_key() == canonicalize(b).canonical_key()
 
 
 def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:

@@ -28,6 +28,9 @@ from .lattice import (
     exact_site,
     independent_sets,
     is_admissible,
+    origin_ball,
+    outgrows_ball,
+    site_keys,
     sq_dist,
 )
 
@@ -152,6 +155,38 @@ def _excitation_sets(
     return d2, ft, xi, eta
 
 
+def _deficits(eta: tuple[Site, ...], xi: tuple[Site, ...], ft: ForceTable) -> list[int]:
+    """den minus the integer force weights the inserted sites xi put on each
+    repelled site of eta, in the order of eta.
+
+    An insertion of more than lattice.SMALL_INPUT sites plus a quarter of
+    the force ball's (lattice.outgrows_ball) scatters: each inserted site x
+    subtracts its weight from every repelled site x + b, b in the ball,
+    found through a site index of eta (lattice.site_keys), so len(xi) *
+    |ball| lookups. A smaller one, such as the one to three sites of a
+    single excitation, gathers pair by pair, len(eta) * len(xi) distances.
+    """
+    w, rsq = ft.weights, ft.ball_radius_sq
+    deficits = [ft.den] * len(eta)
+    if outgrows_ball(len(xi), rsq, 4):
+        ball = origin_ball(rsq)
+        keys, steps = site_keys(eta + xi, ball)
+        at = {key: j for j, key in enumerate(keys[:len(eta)])}
+        weights = [w[b0 * b0 + b1 * b1 + b2 * b2] for b0, b1, b2 in ball]
+        for key in keys[len(eta):]:
+            for step, wb in zip(steps, weights):
+                j = at.get(key + step)
+                if j is not None:
+                    deficits[j] -= wb
+        return deficits
+    for j, (y0, y1, y2) in enumerate(eta):
+        for x0, x1, x2 in xi:
+            q = (x0 - y0) ** 2 + (x1 - y1) ** 2 + (x2 - y2) ** 2
+            if q < rsq:
+                deficits[j] -= w[q]
+    return deficits
+
+
 def excitation_report(
     pc: PeriodicConfiguration,
     insertion: Optional[InsertionSet] = None,
@@ -167,15 +202,8 @@ def excitation_report(
     """
     d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
     eta_sorted = tuple(sorted(eta))
-    w, den, rsq = ft.weights, ft.den, ft.ball_radius_sq
-    deficits = []  # den * excess of each repelled site, in eta_sorted order
-    for y0, y1, y2 in eta_sorted:
-        deficit = den
-        for x0, x1, x2 in xi:
-            q = (x0 - y0) ** 2 + (x1 - y1) ** 2 + (x2 - y2) ** 2
-            if q < rsq:
-                deficit -= w[q]
-        deficits.append(deficit)
+    den = ft.den
+    deficits = _deficits(eta_sorted, xi, ft)  # den * excess of each repelled site
     energy = len(eta_sorted) - len(xi)
     perfect = is_perfect(pc, d2)
     if perfect:
@@ -218,7 +246,13 @@ def _detect_layering(pc: PeriodicConfiguration, d2: int) -> tuple[Site, int, int
 
 def classify_insertion(pc: PeriodicConfiguration, site: Site, d2: int) -> str:
     """Type of the single insertion at `site` into a layered configuration."""
-    e, h, edge_sq = _detect_layering(pc, d2)
+    return _classify(pc, site, d2, _detect_layering(pc, d2))
+
+
+def _classify(pc: PeriodicConfiguration, site: Site, d2: int, layering: tuple[Site, int, int]) -> str:
+    """classify_insertion on a layering _detect_layering has found, which
+    reads every offset: a census of many sites finds it once."""
+    e, h, edge_sq = layering
     if pc.contains(site):
         raise ValueError(f"site {site} is occupied")
     level = _dot(site, e)
@@ -263,11 +297,13 @@ def classify_insertion(pc: PeriodicConfiguration, site: Site, d2: int) -> str:
     return InsertionType.IIC
 
 
-def _insertion_type(pc: PeriodicConfiguration, site: Site, d2: int) -> Optional[str]:
+def _insertion_type(
+    pc: PeriodicConfiguration, site: Site, d2: int, layering: Optional[tuple[Site, int, int]] = None
+) -> Optional[str]:
     """classify_insertion's type, or None for a site it rejects (say, a
     vacancy of an imperfect background, or any site of an unlayered one)."""
     try:
-        return classify_insertion(pc, site, d2)
+        return _classify(pc, site, d2, layering or _detect_layering(pc, d2))
     except ValueError:
         return None
 
@@ -279,14 +315,15 @@ def iia_census(
 
     A IIa site repels its three mesh neighbours, so its residue is reached
     from an offset within sqrt(d2) (PeriodicConfiguration.reached); only
-    the vacant on-level residues among those are classified.
+    the vacant on-level residues among those are classified, on the one
+    layering found first, so the work grows as len(offsets) * |ball|.
     """
     d2 = 5 if l is None else 2 * l * l
     if l is not None and l % 3:
         raise ValueError("in-plane triangle centers are integral only when 3 divides l")
-    e, h, _ = _detect_layering(pc, d2)
+    layering = e, h, _ = _detect_layering(pc, d2)
     count = sum(1 for x in pc.reached(d2) if _dot(x, e) % h == 0 and not pc.contains(x)
-                and _insertion_type(pc, x, d2) == InsertionType.IIA)
+                and _insertion_type(pc, x, d2, layering) == InsertionType.IIA)
     return count, Fraction(count, pc.det)
 
 
@@ -375,16 +412,16 @@ class WindowCensus(Record):
 # radius 13: 2,435; fcc at d2 = 2 near the site limit below: 4,651-4,995),
 # but each visit recomputes the bounds of the sites near the chosen set.
 # On one shared 2-vCPU host (Python 3.11) a visited set costs about 5-20
-# us, and 14-22 us on average, reductions included, on the 2x2x2
-# supercell of hcp with one offset removed, where the most visits were
-# seen: 5.6e6 at 2 layers and squared radius 22, in 80-125 s. So the
-# visits take at most about 4 minutes. A reduction costs 0.05 ms for a
-# single site and about 0.5 ms on average for the sets of energy <= 2
-# near a vacancy (the holed hcp supercell at 1 layer and squared radius
-# 24), so the reductions take at most about 3 s; hcp windows reduce at
-# most 27 sets, but the holed hcp supercell at 1 layer and squared radius
-# 30 has 555,467 to reduce.
-WINDOW_VISITS_MAX = 10**7
+# us, and 22 us on average, reductions included, on the 2x2x2 supercell of
+# hcp with one offset removed, where the most visits were seen (at 2 layers
+# and squared radius 22 the search needs 5.6e6, and the first 1e5 and 4e5
+# take 2.3 and 9.0 s). So the visits take at most about 22 s. A reduction
+# costs 0.05 ms for a single site and about 0.5 ms on average for the sets
+# of energy <= 2 near a vacancy (the holed hcp supercell at 1 layer and
+# squared radius 24), so the reductions take at most about 3 s; hcp windows
+# reduce at most 27 sets, but the holed hcp supercell at 1 layer and
+# squared radius 30 has 555,467 to reduce.
+WINDOW_VISITS_MAX = 10**6
 WINDOW_REDUCTIONS_MAX = 5000
 # The most window sites a census takes; a larger window is refused before
 # any site's repelled set is looked up. Of the nine backgrounds of the

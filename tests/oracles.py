@@ -61,6 +61,20 @@ from latticegas.sublattices import SublatticeClass, fcc_from_cubic, predicted_cl
 Site = tuple[int, int, int]
 
 
+def det3(m) -> int:
+    """Determinant of a 3x3 integer matrix, by cofactors."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def configs_equal(a: PeriodicConfiguration, b: PeriodicConfiguration) -> bool:
+    """The two describe the same occupied set: equal canonical forms."""
+    return canonicalize(a).canonical_key() == canonicalize(b).canonical_key()
+
+
 def brute_ball(bound_sq: int, center: Site = (0, 0, 0)) -> list[Site]:
     """All sites strictly closer than sqrt(bound_sq) to the center, cube scan."""
     r = math.isqrt(bound_sq)

@@ -5,15 +5,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latticegas import configs
 from latticegas.configs import (
     PeriodicConfiguration,
     canonicalize,
-    configs_equal,
     density,
-    det3,
     hnf,
     is_admissible_config,
     is_perfect,
@@ -24,11 +23,14 @@ from latticegas.configs import (
 from latticegas.excitations import RemovalSet, make_insertion
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
 from latticegas.forces import SUPPORTED_D2
-from latticegas.lattice import ball_sites
+from latticegas.lattice import ball_sites, outgrows_ball
 from oracles import (
     admissible_by_scan,
     box_admissible,
+    box_side,
     brute_ball,
+    configs_equal,
+    det3,
     naive_density,
     perfect_by_scan,
     saturated_by_scan,
@@ -275,14 +277,21 @@ def test_saturation_matches_the_per_site_scan(case):
     assert is_saturated(pc, d2) == saturated_by_scan(pc, d2)
 
 
-def _supercell_without_one(pc, d2):
-    """The 2x2x2 supercell of pc with its first offset removed."""
+def _supercell(pc, k):
+    """Basis rows and offsets of the k x k x k supercell of pc, the first
+    offset of pc first."""
     shifts = [
         tuple(sum(c[i] * pc.basis[i][t] for i in range(3)) for t in range(3))
-        for c in product((0, 1), repeat=3)
+        for c in product(range(k), repeat=3)
     ]
     offsets = [(o[0] + s[0], o[1] + s[1], o[2] + s[2]) for o in pc.offsets for s in shifts]
-    return make_config([[2 * x for x in r] for r in pc.basis], offsets[1:], d2)
+    return [[k * x for x in r] for r in pc.basis], offsets
+
+
+def _supercell_without_one(pc, d2):
+    """The 2x2x2 supercell of pc with its first offset removed."""
+    rows, offsets = _supercell(pc, 2)
+    return make_config(rows, offsets[1:], d2)
 
 
 @pytest.mark.parametrize(
@@ -321,6 +330,106 @@ def test_perfection_of_a_huge_cell_does_not_scan_it():
     # 10^18 cell sites: only the density identity can answer this
     pc = make_config([(10**6, 0, 0), (0, 10**6, 0), (0, 0, 10**6)], [(0, 0, 0)])
     assert is_perfect(pc, 2) is False
+
+
+def _occupied_by_scan(pc, center, radius_sq):
+    """The occupied sites of the cube-scanned ball, sorted; occupancy is the
+    residue's membership in the offsets tuple, not in the set."""
+    return [s for s in brute_ball(radius_sq, center) if pc.reduce(s) in pc.offsets]
+
+
+def _check_both_paths(pc, d2, paths):
+    """is_admissible_config and occupied_near against the scans, with the
+    crossover left to decide (None) or forced to either path."""
+    want = admissible_by_scan(pc, d2)
+    probes = [(pc.offsets[0], d2), ((3, -2, 5), d2), ((1, 1, 0), 2 * d2 + 1)]
+    for forced in paths:
+        with pytest.MonkeyPatch.context() as mp:
+            if forced is not None:
+                mp.setattr(configs, "outgrows_ball", lambda *args, forced=forced: forced)
+            assert is_admissible_config(pc, d2) == want
+            for center, radius_sq in probes:
+                assert pc.occupied_near(center, radius_sq) == _occupied_by_scan(pc, center, radius_sq)
+    return want
+
+
+@pytest.mark.parametrize(
+    "d2, build",
+    [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
+    ids=[f"{d2}-{label}" for d2, entries in CONSTRUCTORS.items() for label, _ in entries],
+)
+def test_both_neighbourhood_paths_match_the_scans_on_every_supercell(d2, build):
+    """Each constructor's cell and its 2x2x2 and 4x4x4 supercells, each also
+    with its first offset removed and with an offset planted at squared
+    distance 1 from it. The cell stays on the box walk and every 4x4x4
+    supercell takes the residue lookup; the smaller cells are also run on
+    both paths forced."""
+    pc = build()
+    assert not outgrows_ball(len(pc.offsets), d2, 4)
+    for k in (1, 2, 4):
+        rows, offsets = _supercell(pc, k)
+        first = offsets[0]
+        planted = (first[0] + 1, first[1], first[2])
+        variants = [(offsets, True), (offsets + [planted], False)]
+        if len(offsets) > 1:
+            variants.append((offsets[1:], True))
+        for offs, admissible in variants:
+            cell = make_config(rows, offs)
+            if k != 2:
+                assert outgrows_ball(len(cell.offsets), d2, 4) is (k == 4)
+            paths = (None,) if k == 4 else (None, False, True)
+            assert _check_both_paths(cell, d2, paths) is admissible
+            if k == 1 and box_side(cell) <= 12:  # a pairwise walk of a 2-period box
+                assert box_admissible(cell, d2) is admissible
+
+
+@st.composite
+def large_cells(draw):
+    """An admissible configuration (admissible_configs), its 2x2x2 or 3x3x3
+    supercell (up to 162 offsets), and maybe its first offset removed or one
+    offset planted at a drawn site near the cell: cells on both sides of the
+    crossover, admissible or not."""
+    pc, d2 = draw(admissible_configs())
+    rows, offsets = _supercell(pc, draw(st.sampled_from((2, 3))))
+    change = draw(st.sampled_from(("none", "hole", "plant")))
+    if change == "hole" and len(offsets) > 1:
+        offsets = offsets[1:]
+    elif change == "plant":
+        offsets.append(draw(st.tuples(*[st.integers(-3, 12)] * 3)))
+    return make_config(rows, offsets), d2
+
+
+@settings(max_examples=40)
+@given(large_cells(), st.tuples(*[st.integers(-6, 6)] * 3), st.integers(0, 14))
+def test_admissibility_and_lookups_of_large_cells_match_the_scans(case, center, radius_sq):
+    pc, d2 = case
+    assert is_admissible_config(pc, d2) == admissible_by_scan(pc, d2)
+    assert pc.occupied_near(center, radius_sq) == _occupied_by_scan(pc, center, radius_sq)
+
+
+def test_admissibility_of_a_large_cell_reduces_each_offset_once_per_half_ball_site(monkeypatch):
+    """The 3,456-offset hcp supercell: at most n * |ball| / 2 reductions,
+    and no box walk."""
+    rows, offsets = _supercell(build_layered_d5(0, "01"), 12)
+    pc = make_config(rows, offsets)
+    reductions = []
+    real = configs._reduce_site
+
+    def counted(site, basis):
+        reductions.append(site)
+        return real(site, basis)
+
+    def walked(*args):
+        raise AssertionError("the box walk ran")
+
+    monkeypatch.setattr(configs, "_reduce_site", counted)
+    monkeypatch.setattr(PeriodicConfiguration, "occupied_in_box", walked)
+    assert len(pc.offsets) == 3456
+    assert is_admissible_config(pc, 5)
+    assert len(reductions) <= len(pc.offsets) * len(ball_sites(5)) // 2
+    reductions.clear()
+    assert is_perfect(pc, 5)
+    assert len(reductions) <= len(pc.offsets) * len(ball_sites(5)) // 2
 
 
 def test_saturation_of_the_dense_packing():

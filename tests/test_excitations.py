@@ -33,8 +33,8 @@ from latticegas.families import (
     build_phi9,
     build_phi10,
 )
-from latticegas.forces import peierls_gap
-from latticegas.lattice import _covering, ball_sites, sq_dist
+from latticegas.forces import force_table, peierls_gap
+from latticegas.lattice import _covering, ball_sites, outgrows_ball, sq_dist
 import oracles
 from reference_data import CONSTRUCTORS, HCP_WINDOW_3_12
 from test_configs import _supercell_without_one
@@ -211,6 +211,35 @@ def test_integer_force_sums_match_the_fraction_oracles(case):
     assert peierls_check(pc, insertion, d2, removal) == oracles.peierls_by_fractions(
         pc, d2, inserted, removed
     )
+
+
+def _spread_insertion(pc, d2, n, rng):
+    """n vacant sites of the cube |x_t| <= 9, drawn in rng's order and kept
+    while they stay pairwise admissible."""
+    sites = []
+    vacant = [s for s in oracles.brute_ball(244) if max(map(abs, s)) <= 9 and not pc.contains(s)]
+    rng.shuffle(vacant)
+    for s in vacant:
+        if all(sq_dist(s, t) >= d2 for t in sites):
+            sites.append(s)
+            if len(sites) == n:
+                break
+    return sites
+
+
+@pytest.mark.parametrize("d2", sorted(BACKGROUNDS))
+def test_excesses_of_large_insertions_match_the_fraction_oracle(d2):
+    """Insertions of 2 to 40 sites on each threshold's background: the pair
+    loop below the crossover and the site index above it."""
+    pc, rng = BACKGROUNDS[d2], random.Random(d2)
+    paths = set()
+    for n in (2, 10, 20, 40):
+        sites = _spread_insertion(pc, d2, n, rng)
+        assert len(sites) == n
+        paths.add(outgrows_ball(n, force_table(d2).ball_radius_sq, 4))
+        rep = excitation_report(pc, make_insertion(pc, d2, sites), d2)
+        assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(pc, d2, sites)
+    assert paths == {False, True}
 
 
 def test_peierls_known_slacks():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latticegas.configs import canonicalize, configs_equal, density, is_perfect
+from latticegas.configs import canonicalize, density, is_perfect
 from latticegas.families import (
     COUNTABLE_MARKER,
     build_bcc,
@@ -29,7 +29,7 @@ from latticegas.families import (
 )
 from latticegas.families import _census_seeds, _count_translates
 from latticegas.lattice import oh_elements
-from oracles import sliding_witness_by_scan, translates_by_walk
+from oracles import configs_equal, sliding_witness_by_scan, translates_by_walk
 from reference_data import CENSUS, CONSTRUCTORS, NORMALIZATION
 
 

@@ -16,15 +16,19 @@ from latticegas import lattice
 from latticegas.excitations import ExcitationReport
 from latticegas.lattice import (
     ORIGIN,
+    SMALL_INPUT,
     Record,
     SignedPermutation,
     ball_sites,
     conflict_masks,
     count_independent_sets,
     fold_independent_sets,
+    half_ball,
     independent_sets,
     is_admissible,
     oh_elements,
+    origin_ball,
+    outgrows_ball,
     rotation_elements,
     sq_dist,
 )
@@ -99,6 +103,49 @@ def test_group_closed_under_composition():
 )
 def test_is_admissible_matches_pairwise_oracle(pts, d2):
     assert is_admissible(pts, d2) == pairwise_admissible(list(pts), d2)
+
+
+@st.composite
+def spaced_site_lists(draw):
+    """Up to 90 sites of a grid spaced so that distinct grid sites are at
+    least sqrt(d2) apart, in drawn order, then maybe some of them moved by
+    one step or repeated: lists on both sides of the crossover, admissible
+    or not, at d2 from -1 to 20."""
+    d2 = draw(st.integers(-1, 20))
+    step = math.isqrt(max(d2 - 1, 0)) + 1
+    grid = draw(st.permutations(range(216)))[:draw(st.integers(0, 90))]
+    pts = [(step * (g // 36), step * (g // 6 % 6), step * (g % 6)) for g in grid]
+    for i in draw(st.lists(st.integers(0, 89), max_size=2)):
+        if pts:
+            x = pts[i % len(pts)]
+            pts.append(draw(st.sampled_from([x, (x[0] + 1, x[1], x[2]), (x[0], x[1] - 1, x[2] + 1)])))
+    return pts, d2
+
+
+@given(spaced_site_lists())
+def test_admissibility_of_many_sites_matches_the_pairwise_oracle(case):
+    pts, d2 = case
+    assert is_admissible(pts, d2) == pairwise_admissible(pts, d2)
+
+
+def test_admissibility_above_the_crossover_compares_no_pair(monkeypatch):
+    grid = [(3 * i, 3 * j, 3 * k) for i in range(5) for j in range(5) for k in range(5)]
+    assert outgrows_ball(len(grid), 9, 4) and not outgrows_ball(SMALL_INPUT, 1, 10**6)
+
+    def compared(a, b):
+        raise AssertionError("a pair was compared")
+
+    monkeypatch.setattr(lattice, "sq_dist", compared)
+    assert is_admissible(grid, 9)
+    assert not is_admissible(grid + [(1, 1, 1)], 9)
+    assert not is_admissible(grid + [grid[17]], 9)
+    assert is_admissible(grid + [(1, 1, 1)], 2)
+
+
+def test_the_half_ball_is_one_of_each_pair_of_nonzero_ball_sites():
+    for d2 in range(-1, 30):
+        assert list(origin_ball(d2)) == ball_sites(d2)
+        assert list(half_ball(d2)) == [b for b in brute_ball(max(d2, 0)) if b > ORIGIN]
 
 
 def test_origin_is_origin():

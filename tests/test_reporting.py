@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from latticegas.configs import configs_equal
 from latticegas.families import COUNTABLE_MARKER, build_fcc, build_layered_d5
 from latticegas.reporting import (
     ReportEnvelope,
@@ -18,6 +17,7 @@ from latticegas.reporting import (
     table_densities,
 )
 from latticegas.sublattices import classify_classes
+from oracles import configs_equal
 
 
 def test_frac_str_always_writes_the_denominator():

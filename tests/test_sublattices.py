@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latticegas import sublattices
-from latticegas.configs import det3, hnf
+from latticegas.configs import hnf
 from latticegas.families import pc_census
 from latticegas.sublattices import (
     Quaternion,
@@ -35,6 +35,7 @@ from latticegas.sublattices import _cubic_keys, _key, _orbit
 from oracles import (
     classify_by_hnf,
     cubic_sublattices_by_hnf,
+    det3,
     fcc_count_by_hnf,
     orthogonal_triples,
     r3_naive,
