@@ -31,7 +31,6 @@ from .forces import (  # noqa: E402
     force_table,
     normalization_constant,
     peierls_gap,
-    total_force,
     verify_forces,
 )
 from .configs import (  # noqa: E402
@@ -95,7 +94,6 @@ from .sublattices import (  # noqa: E402
     is_cubic_basis,
     predicted_class_bases,
     quadruples,
-    quaternions_of_norm,
     r3_brute,
     r3_formula,
     s2,

@@ -28,7 +28,6 @@ from .lattice import (
     exact_site,
     independent_sets,
     is_admissible,
-    origin_ball,
     outgrows_ball,
     site_keys,
     sq_dist,
@@ -169,7 +168,7 @@ def _deficits(eta: tuple[Site, ...], xi: tuple[Site, ...], ft: ForceTable) -> li
     w, rsq = ft.weights, ft.ball_radius_sq
     deficits = [ft.den] * len(eta)
     if outgrows_ball(len(xi), rsq, 4):
-        ball = origin_ball(rsq)
+        ball = ball_sites(rsq)
         keys, steps = site_keys(eta + xi, ball)
         at = {key: j for j, key in enumerate(keys[:len(eta)])}
         weights = [w[b0 * b0 + b1 * b1 + b2 * b2] for b0, b1, b2 in ball]
@@ -409,7 +408,7 @@ class WindowCensus(Record):
 # Work bounds of a window census's search, which stops with ValueError when
 # it passes either. The search prunes by the energy of the chosen set, so
 # it visits few sets on a perfect background (hcp at 3 layers and squared
-# radius 13: 2,435; fcc at d2 = 2 near the site limit below: 4,651-4,995),
+# radius 13: 2,438; fcc at d2 = 2 near the site limit below: 4,651-4,995),
 # but each visit recomputes the bounds of the sites near the chosen set.
 # On one shared 2-vCPU host (Python 3.11) a visited set costs about 5-20
 # us, and 22 us on average, reductions included, on the 2x2x2 supercell of
@@ -506,15 +505,15 @@ def window_census(
     WINDOW_REDUCTIONS_MAX. Its time depends on what it visits, not on how
     many sets the window has. How much its bounds prune depends on the
     background: at 2 layers and squared radius 16, hcp has 1.4e9 sets and
-    the search visits 1,609 of them, while the holed hcp supercell has
+    the search visits 1,613 of them, while the holed hcp supercell has
     1.5e9 and the search visits 76,841 (about 2 s). Each refusal raises
     ValueError.
 
     Only sets that can have energy <= 2 are searched. With the window
     sites as indices and the particles each repels as its cover, E(X) is
     the excess of lattice.independent_sets, and its search with limit 2
-    visits every X with E(X) <= 2. It prunes by two lower bounds on the
-    energy of the sets below a node, the energy X already has and the
+    visits every X with E(X) <= 2. It prunes by a lower bound on the
+    energy of the sets below a node, the energy X already has plus the
     least that each site can add to it, whose proof its docstring gives.
     The exact energy is tested before any set is reduced.
     """

@@ -22,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .lattice import (
     ORIGIN,
@@ -33,7 +33,6 @@ from .lattice import (
     count_independent_sets,
     fold_independent_sets,
     independent_sets,
-    is_admissible,
     sq_dist,
 )
 
@@ -104,22 +103,6 @@ def normalization_constant(d2: int) -> Fraction:
     ft = force_table(d2)
     w = ft.weights
     return Fraction(sum(w[sq_dist(s, ORIGIN)] for s in ball_sites(ft.ball_radius_sq)), ft.den)
-
-
-def total_force(d2: int, occupied: Iterable[Site], center: Site = ORIGIN) -> Fraction:
-    """Force collected at `center` from the occupied sites of its ball.
-
-    Raises if an occupied site lies outside the ball or the occupied set
-    violates the hard-core rule.
-    """
-    ft = force_table(d2)
-    pts = sorted(set(occupied))
-    for y in pts:
-        if sq_dist(y, center) >= ft.ball_radius_sq:
-            raise ValueError(f"occupied site {y} lies outside the ball around {center}")
-    if not is_admissible(pts, d2):
-        raise ValueError("occupied set violates the hard-core exclusion rule")
-    return Fraction(sum(ft.weights[sq_dist(y, center)] for y in pts), ft.den)
 
 
 def enumerate_ball_acs(

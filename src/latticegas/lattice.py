@@ -39,35 +39,29 @@ def sq_dist(a: Site, b: Site) -> int:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
 
 
-def ball_sites(bound_sq: int, center: Site = ORIGIN) -> list[Site]:
-    """All sites y with sq_dist(y, center) < bound_sq, in lexicographic order.
+@lru_cache(maxsize=None)
+def ball_sites(bound_sq: int) -> tuple[Site, ...]:
+    """All sites y with sq_dist(y, ORIGIN) < bound_sq, in lexicographic
+    order, as a tuple built once per bound.
 
-    The bound is strict: ball_sites(1) is just the center, ball_sites(2)
+    The bound is strict: ball_sites(1) is just the origin, ball_sites(2)
     adds the six axis neighbours, and so on.
     """
     if bound_sq < 1:
-        return []
+        return ()
     r = math.isqrt(bound_sq - 1)
-    out: list[Site] = []
-    for dx in range(-r, r + 1):
-        for dy in range(-r, r + 1):
-            for dz in range(-r, r + 1):
-                if dx * dx + dy * dy + dz * dz < bound_sq:
-                    out.append((center[0] + dx, center[1] + dy, center[2] + dz))
-    return out
-
-
-@lru_cache(maxsize=None)
-def origin_ball(bound_sq: int) -> tuple[Site, ...]:
-    """ball_sites(bound_sq) around the origin, as a tuple built once per bound."""
-    return tuple(ball_sites(bound_sq))
+    span = range(-r, r + 1)
+    return tuple(
+        (dx, dy, dz) for dx in span for dy in span for dz in span
+        if dx * dx + dy * dy + dz * dz < bound_sq
+    )
 
 
 def half_ball(d2: int) -> tuple[Site, ...]:
     """The sites b > ORIGIN of the d2-ball, one of each pair +-b of its
     nonzero sites. The ball is symmetric about the origin and sorted, so the
     origin sits in its middle and these are its last half."""
-    ball = origin_ball(d2)
+    ball = ball_sites(d2)
     return ball[len(ball) // 2 + 1:]
 
 
@@ -88,7 +82,7 @@ def outgrows_ball(n: int, bound_sq: int, share: int) -> bool:
     second; it only keeps a small input from building a large ball.
     """
     excess = share * (n - SMALL_INPUT)
-    return excess > bound_sq and excess > len(origin_ball(bound_sq))
+    return excess > bound_sq and excess > len(ball_sites(bound_sq))
 
 
 def site_keys(sites: Sequence[Site], vectors: Sequence[Site]) -> tuple[list[int], list[int]]:
@@ -204,8 +198,8 @@ def independent_sets(
 
     Without a limit every independent set is visited. With one, every
     independent X whose excess E(X) = |C(X)| - |X| is at most limit is
-    visited, and the search enters a subtree only if two lower bounds on
-    the excess of its sets allow it. K_p is the most members of an
+    visited, and the search enters a subtree only if a lower bound on the
+    excess of its sets allows it. K_p is the most members of an
     independent set whose covers have bit p (_covering), D = lcm(K_p) and
     s_p = D / K_p. At the node X, A is the set of indices above max X in
     conflict with nothing in X, and the marginal of an index y is
@@ -218,17 +212,14 @@ def independent_sets(
     number, and summed over p, D |C(Y) - C(X)| >= sum over y in Y of the
     sum of s_p over p in C(y) - C(X). Subtracting D |Y| gives the lemma.
 
-    The child that adds index i to X is entered only if both
-        D E(X) + D m_X(i) + sum over y in A above i of min(0, D m_X(y)) <= D limit,
-        w(X) + w(i) + sum over j > i of min(0, w(j)) <= D limit,
-    the weight w(y) being the marginal of y at the empty set, and w(X) the
-    sum of the weights over X. Every set below that child is X + {i} + Y
-    with Y within A and above i, so the lemma at X bounds its D E from
-    below by the first left side, and the lemma at the empty set by the
-    second. A set of
-    excess <= limit passes both tests at each of its prefixes and is
-    visited. An index y that shares no bit with C(X) has m_X(y) = w(y), so
-    a node recomputes only the marginals of the indices near X.
+    The child that adds index i to X is entered only if
+        D E(X) + D m_X(i) + sum over y in A above i of min(0, D m_X(y)) <= D limit.
+    Every set below that child is X + {i} + Y with Y within A and above i,
+    so the lemma at X bounds its D E from below by the left side. A set of
+    excess <= limit passes the test at each of its prefixes and is visited.
+    An index y that shares no bit with C(X) has m_X(y) = w(y), the weight
+    w(y) being the marginal of y at the empty set, so a node recomputes
+    only the marginals of the indices near X.
     """
     n = len(conflict)
     # child i may use only the indices above i that do not conflict with it
@@ -245,24 +236,17 @@ def independent_sets(
                 reach[i] |= mask
                 weight[i] += share[p]
         weight = [w - den for w in weight]
-        key, lows = [0] * n, 0  # key[i]: w(i) plus the negative weights above i
-        for i in range(n - 1, -1, -1):
-            key[i], lows = weight[i] + lows, lows + min(0, weight[i])
-        keys, fits = _at_most(key)
         weights, light = _at_most(weight)
         negative = sum(1 << i for i in range(n) if weight[i] < 0)
 
-    def admitted(avail: int, total: int, covered: int, near: int) -> int:
-        """The children of the node chosen that both tests admit; near is
+    def admitted(avail: int, covered: int, near: int) -> int:
+        """The children of the node chosen that the test admits; near is
         the mask of the indices sharing a bit with C(chosen)."""
-        todo = avail & fits[bisect_right(keys, cap - total)]
-        if not todo:
-            return 0
         # from the top down, room is D limit - D E(X) minus the negative
         # marginals above, and child i is admitted iff D m_X(i) <= room;
         # only the indices near X or of negative weight are taken one by one
         ok, top, room = 0, n, cap - den * (covered.bit_count() - len(chosen))
-        far, t = todo & ~near, avail & (near | negative)
+        far, t = avail & ~near, avail & (near | negative)
         while t:
             y = t.bit_length() - 1
             t ^= 1 << y
@@ -278,20 +262,20 @@ def independent_sets(
                 if between:
                     ok |= light[bisect_right(weights, room)] & between
                 room, top = room - m, y
-        return todo & (ok | light[bisect_right(weights, room)] & far & ((1 << top) - 1))
+        return ok | light[bisect_right(weights, room)] & far & ((1 << top) - 1)
 
-    def rec(avail: int, total: int, covered: int, near: int) -> None:
+    def rec(avail: int, covered: int, near: int) -> None:
         visit(chosen, covered)
-        todo = avail if limit is None else admitted(avail, total, covered, near)
+        todo = avail if limit is None else admitted(avail, covered, near)
         while todo:
             low = todo & -todo
             i = low.bit_length() - 1
             todo ^= low
             chosen.append(i)
-            rec(avail & keep[i], total + weight[i], covered | cover[i], near | reach[i])
+            rec(avail & keep[i], covered | cover[i], near | reach[i])
             chosen.pop()
 
-    rec((1 << n) - 1, 0, 0, 0)
+    rec((1 << n) - 1, 0, 0)
 
 
 # The most states count_independent_sets or fold_independent_sets expands

@@ -392,15 +392,7 @@ def _param_triples(l: int, form, cond) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-# --- quaternions of one norm and the close-packed census -----------------------------
-
-
-def quaternions_of_norm(l: int) -> list[Quaternion]:
-    """All integer quaternions of squared norm l."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    top = math.isqrt(l)
-    return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
+# --- the close-packed census ---------------------------------------------------------
 
 
 class FccCensus(Record):

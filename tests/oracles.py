@@ -21,6 +21,9 @@ perfection from the force collected at every cell site
 vacant cell site (saturated_by_scan), the IIa count from classifying
 every vacant cell site (iia_count_by_scan), and the censuses from the
 canonical form of every translate by a cell site (translates_by_walk).
+The canonical form has a quadratic twin: canonical_by_differences tests
+every offset difference against every offset, where the library stops at
+the first translation and goes on with the smaller cell.
 
 The closed forms have scans behind them: the sliding witness's removal
 set from the neighbours of every lifted column site
@@ -29,8 +32,10 @@ sublattices from the quaternion enumeration sublattices._cubic_keys.
 
 The force sums have Fraction twins: the library sums the integer weights
 of forces.force_table, while excesses_by_fractions, peierls_by_fractions,
-perfect_by_scan and force_extremes add Fractions read from the literal
-forces.FORCE_TABLES, one site at a time, on cube-scanned balls.
+perfect_by_scan, force_extremes and total_force add Fractions read from
+the literal forces.FORCE_TABLES, one site at a time, on cube-scanned balls.
+quaternions_of_norm lists the integer quaternions of one norm from the
+package's sphere points.
 
 The package's value types derive from lattice.Record; their twins here are
 frozen dataclasses with the same names, fields, defaults and equality, so
@@ -46,7 +51,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, canonicalize, hnf
+from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, canonicalize, hnf, make_config
 from latticegas.excitations import (
     InsertionType,
     WindowCensus,
@@ -56,7 +61,13 @@ from latticegas.excitations import (
 )
 from latticegas.forces import BALL_RADIUS_SQ, FORCE_TABLES, peierls_gap
 from latticegas.lattice import independent_sets, oh_elements
-from latticegas.sublattices import SublatticeClass, fcc_from_cubic, predicted_class_bases
+from latticegas.sublattices import (
+    Quaternion,
+    SublatticeClass,
+    _sphere_points,
+    fcc_from_cubic,
+    predicted_class_bases,
+)
 
 Site = tuple[int, int, int]
 
@@ -68,6 +79,22 @@ def det3(m) -> int:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def canonical_by_differences(pc: PeriodicConfiguration) -> PeriodicConfiguration:
+    """configs.canonicalize by testing every offset difference against every
+    offset: the basis extended at once by each difference that maps the
+    offsets onto occupied sites, about len(offsets)^2 reductions."""
+    offs = set(pc.offsets)
+    extra: list[Site] = []
+    o0 = pc.offsets[0]
+    for o in pc.offsets[1:]:
+        d = (o[0] - o0[0], o[1] - o0[1], o[2] - o0[2])
+        if all(pc.reduce((s[0] + d[0], s[1] + d[1], s[2] + d[2])) in offs for s in pc.offsets):
+            extra.append(d)
+    if not extra:
+        return pc
+    return make_config(list(pc.basis) + extra, pc.offsets, pc.context_d2)
 
 
 def configs_equal(a: PeriodicConfiguration, b: PeriodicConfiguration) -> bool:
@@ -105,6 +132,20 @@ def conflict_masks_pairwise(sites: list[Site], d2: int) -> list[int]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def total_force(d2: int, occupied, center: Site = (0, 0, 0)) -> Fraction:
+    """Force collected at `center` from the occupied sites of its ball, in
+    Fractions read from the literal table. Raises if an occupied site lies
+    outside the ball or the occupied set violates the hard-core rule."""
+    table = FORCE_TABLES[d2]
+    pts = sorted(set(occupied))
+    dists = [_sq(y, center) for y in pts]
+    if any(q >= BALL_RADIUS_SQ[d2] for q in dists):
+        raise ValueError(f"an occupied site lies outside the ball around {center}")
+    if not pairwise_admissible(pts, d2):
+        raise ValueError("occupied set violates the hard-core exclusion rule")
+    return sum((table[q] for q in dists), Fraction(0))
 
 
 def force_extremes(d2: int):
@@ -482,6 +523,14 @@ def sliding_witness_by_scan(l: int, n: int) -> int:
             if not (0 <= s[0] <= top and 0 <= s[1] <= top and 0 <= s[2] <= n):
                 removed.add(s)
     return len(removed)
+
+
+def quaternions_of_norm(l: int) -> list[Quaternion]:
+    """All integer quaternions of squared norm l."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    top = math.isqrt(l)
+    return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
 
 
 # --- frozen-dataclass twins of the records ----------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latticegas import configs
+from latticegas import configs, families
 from latticegas.configs import (
     PeriodicConfiguration,
     canonicalize,
@@ -29,6 +29,7 @@ from oracles import (
     box_admissible,
     box_side,
     brute_ball,
+    canonical_by_differences,
     configs_equal,
     det3,
     naive_density,
@@ -407,11 +408,8 @@ def test_admissibility_and_lookups_of_large_cells_match_the_scans(case, center, 
     assert pc.occupied_near(center, radius_sq) == _occupied_by_scan(pc, center, radius_sq)
 
 
-def test_admissibility_of_a_large_cell_reduces_each_offset_once_per_half_ball_site(monkeypatch):
-    """The 3,456-offset hcp supercell: at most n * |ball| / 2 reductions,
-    and no box walk."""
-    rows, offsets = _supercell(build_layered_d5(0, "01"), 12)
-    pc = make_config(rows, offsets)
+def _counted_reductions(monkeypatch) -> list:
+    """The sites configs._reduce_site is called on from now on."""
     reductions = []
     real = configs._reduce_site
 
@@ -419,10 +417,20 @@ def test_admissibility_of_a_large_cell_reduces_each_offset_once_per_half_ball_si
         reductions.append(site)
         return real(site, basis)
 
+    monkeypatch.setattr(configs, "_reduce_site", counted)
+    return reductions
+
+
+def test_admissibility_of_a_large_cell_reduces_each_offset_once_per_half_ball_site(monkeypatch):
+    """The 3,456-offset hcp supercell: at most n * |ball| / 2 reductions,
+    and no box walk."""
+    rows, offsets = _supercell(build_layered_d5(0, "01"), 12)
+    pc = make_config(rows, offsets)
+
     def walked(*args):
         raise AssertionError("the box walk ran")
 
-    monkeypatch.setattr(configs, "_reduce_site", counted)
+    reductions = _counted_reductions(monkeypatch)
     monkeypatch.setattr(PeriodicConfiguration, "occupied_in_box", walked)
     assert len(pc.offsets) == 3456
     assert is_admissible_config(pc, 5)
@@ -430,6 +438,80 @@ def test_admissibility_of_a_large_cell_reduces_each_offset_once_per_half_ball_si
     reductions.clear()
     assert is_perfect(pc, 5)
     assert len(reductions) <= len(pc.offsets) * len(ball_sites(5)) // 2
+
+
+def test_canonical_form_of_a_large_cell_takes_a_few_reductions_per_offset(monkeypatch):
+    """The 3,456-offset hcp supercell: every offset difference translates
+    it, so testing them all takes about n^2 reductions. By quotients it
+    takes fewer than 10 n."""
+    hcp = build_layered_d5(0, "01")
+    rows, offsets = _supercell(hcp, 12)
+    pc = make_config(rows, offsets)
+    reductions = _counted_reductions(monkeypatch)
+    assert canonicalize(pc).canonical_key() == hcp.canonical_key()
+    assert len(reductions) < 10 * len(pc.offsets)
+
+
+@pytest.mark.parametrize(
+    "d2, build",
+    [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
+    ids=[f"{d2}-{label}" for d2, entries in CONSTRUCTORS.items() for label, _ in entries],
+)
+def test_canonical_form_matches_the_difference_scan_on_every_constructor(d2, build):
+    """Each constructor's cell and its 2x2x2 and 4x4x4 supercells, each also
+    with its first offset removed."""
+    for k in (1, 2, 4):
+        rows, offsets = _supercell(build(), k)
+        for offs in (offsets, offsets[1:]) if len(offsets) > 1 else (offsets,):
+            cell = make_config(rows, offs, d2)
+            assert canonicalize(cell) == canonical_by_differences(cell)
+
+
+def _with_a_defect(word):
+    """The word with its third letter, a 0, turned into a 2."""
+    return word[:2] + "2" + word[3:]
+
+
+@pytest.mark.parametrize(
+    "word", ["01" * k for k in (1, 2, 7, 40)] + ["012" * k for k in (1, 3, 20)]
+    + [_with_a_defect("01" * k) for k in (2, 20)],
+)
+def test_layered_builds_canonicalize_like_the_difference_scan(word, monkeypatch):
+    built = build_layered_d5(0, word)
+    monkeypatch.setattr(families, "canonicalize", canonical_by_differences)
+    assert build_layered_d5(0, word) == built
+
+
+small_rows = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=3, max_size=3).filter(det3)
+
+
+@st.composite
+def periodic_cells(draw):
+    """A cell of the lattice L = M F, F drawn and M upper triangular with
+    diagonal 1..3, so that L lies in F with the coset representatives
+    c F, c in the box of M's diagonal; and its offsets: a few drawn sites,
+    either alone or with all their translates by those representatives,
+    which makes the occupied set a union of cosets of F. Returns the cell
+    and F, or None for F."""
+    fine = draw(small_rows)
+    index = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    a, b, c = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    m = ((index[0], a, b), (0, index[1], c), (0, 0, index[2]))
+    rows = [[sum(m[i][j] * fine[j][t] for j in range(3)) for t in range(3)] for i in range(3)]
+    sites = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=4))
+    if not draw(st.booleans()):
+        return make_config(rows, sites), None
+    reps = [[sum(k[j] * fine[j][t] for j in range(3)) for t in range(3)] for k in product(*map(range, index))]
+    return make_config(rows, [[s[t] + r[t] for t in range(3)] for s in sites for r in reps]), fine
+
+
+@given(periodic_cells())
+def test_canonical_form_matches_the_difference_scan_on_random_cells(case):
+    pc, fine = case
+    canonical = canonicalize(pc)
+    assert canonical == canonical_by_differences(pc)
+    if fine is not None:  # the cosets of F are translates, so F lies in the canonical lattice
+        assert det3(fine) % canonical.det == 0
 
 
 def test_saturation_of_the_dense_packing():

@@ -34,7 +34,7 @@ from latticegas.families import (
     build_phi10,
 )
 from latticegas.forces import force_table, peierls_gap
-from latticegas.lattice import _covering, ball_sites, outgrows_ball, sq_dist
+from latticegas.lattice import _covering, outgrows_ball, sq_dist
 import oracles
 from reference_data import CONSTRUCTORS, HCP_WINDOW_3_12
 from test_configs import _supercell_without_one
@@ -378,7 +378,7 @@ def test_window_census_refuses_a_window_before_searching_it(layers, radius_sq, r
 
 @pytest.mark.parametrize("pc,layers,radius_sq,budget,used", [
     (HCP, 2, 6, "WINDOW_VISITS_MAX", 38),  # hcp at 2 layers visits 38 sets
-    (HCP, 2, 10, "WINDOW_VISITS_MAX", 239),  # the two windows of the benchmark
+    (HCP, 2, 10, "WINDOW_VISITS_MAX", 240),  # the two windows of the benchmark
     (HCP, 3, 8, "WINDOW_VISITS_MAX", 88),
     (_supercell_without_one(HCP, 5), 2, 8, "WINDOW_REDUCTIONS_MAX", 56),  # a vacancy: 56 reductions
 ], ids=["visits", "visits-2-10", "visits-3-8", "reductions"])
@@ -454,7 +454,7 @@ def test_insertion_near_the_seam_still_accounts():
     pc = build_layered_d5(2, "02")
     assert is_perfect(pc, 5)
     far = None
-    for cand in ball_sites(9, (7, -5, 11)):
+    for cand in oracles.brute_ball(9, (7, -5, 11)):
         if not pc.contains(cand):
             try:
                 make_insertion(pc, 5, [cand])

@@ -16,12 +16,11 @@ from latticegas.forces import (
     force_table,
     normalization_constant,
     peierls_gap,
-    total_force,
     verify_forces,
 )
 from latticegas import lattice
 from latticegas.lattice import ball_sites, is_admissible
-from oracles import force_extremes
+from oracles import force_extremes, total_force
 from reference_data import (
     EXPECTED_SIGNATURES,
     FORCE_VALUES,

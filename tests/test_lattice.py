@@ -27,7 +27,6 @@ from latticegas.lattice import (
     independent_sets,
     is_admissible,
     oh_elements,
-    origin_ball,
     outgrows_ball,
     rotation_elements,
     sq_dist,
@@ -60,11 +59,8 @@ def test_ball_matches_cube_scan():
 
 @given(center=sites_st, rsq=st.integers(1, 9))
 def test_ball_translation_equivariant(center, rsq):
-    shifted = sorted(ball_sites(rsq, center))
-    assert shifted == sorted(
-        (s[0] + center[0], s[1] + center[1], s[2] + center[2])
-        for s in ball_sites(rsq)
-    )
+    shifted = [(s[0] + center[0], s[1] + center[1], s[2] + center[2]) for s in ball_sites(rsq)]
+    assert shifted == brute_ball(rsq, center)
 
 
 @given(a=sites_st, b=sites_st)
@@ -144,7 +140,8 @@ def test_admissibility_above_the_crossover_compares_no_pair(monkeypatch):
 
 def test_the_half_ball_is_one_of_each_pair_of_nonzero_ball_sites():
     for d2 in range(-1, 30):
-        assert list(origin_ball(d2)) == ball_sites(d2)
+        assert ball_sites(d2) is ball_sites(d2)  # built once per bound
+        assert list(ball_sites(d2)) == brute_ball(max(d2, 0))
         assert list(half_ball(d2)) == [b for b in brute_ball(max(d2, 0)) if b > ORIGIN]
 
 
@@ -231,9 +228,9 @@ def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
 
 
 @given(pts=point_sets_st, d2=st.integers(1, 12), limit=st.integers(-2, 6), data=st.data())
-def test_the_ceiling_visits_exactly_the_sets_its_bound_admits(pts, d2, limit, data):
-    # both tests of the kernel, written out from its docstring with K_p
-    # found by trying every independent set
+def test_the_search_visits_exactly_the_sets_its_marginal_bound_admits(pts, d2, limit, data):
+    # the kernel's test, written out from its docstring with K_p found by
+    # trying every independent set
     n = len(pts)
     conflict = conflict_masks(pts, d2)
     cover = data.draw(st.lists(st.integers(0, 2 ** 8 - 1), min_size=n, max_size=n))
@@ -257,27 +254,22 @@ def test_the_ceiling_visits_exactly_the_sets_its_bound_admits(pts, d2, limit, da
     def marginal(x, y):  # D m_x(y)
         return sum(den // k for p, k in most.items() if (cover[y] & ~covers(x)) >> p & 1) - den
 
-    weight = [marginal((), y) for y in range(n)]
-
-    def tests(c):  # (marginal test, weight ceiling) for entering c from its prefix
+    def test(c):  # the marginal test for entering c from its prefix
         x, i = c[:-1], c[-1]
         avail = [y for y in range(i + 1, n) if admissible(x + (y,))]
         return (
             den * (covers(x).bit_count() - len(x)) + marginal(x, i)
-            + sum(min(0, marginal(x, y)) for y in avail) <= den * limit,
-            sum(weight[j] for j in c) + sum(min(0, w) for w in weight[i + 1:]) <= den * limit,
+            + sum(min(0, marginal(x, y)) for y in avail) <= den * limit
         )
 
-    passed = {(): (True, True)}
+    passed = {(): True}
     for c in independent[1:]:  # each after its prefixes
-        passed[c] = tuple(a and b for a, b in zip(passed[c[:-1]], tests(c)))
-    expected = [c for c in independent if all(passed[c])]
+        passed[c] = passed[c[:-1]] and test(c)
+    expected = [c for c in independent if passed[c]]
     assert [c for c, _ in seen] == expected
     assert all(covered == covers(c) for c, covered in seen)
-    # every set of excess <= limit is visited, and none the weight ceiling
-    # alone would not visit
-    low = {c for c in independent if covers(c).bit_count() - len(c) <= limit}
-    assert low <= set(expected) <= {c for c in independent if passed[c][1]}
+    # every set of excess <= limit is visited
+    assert {c for c in independent if covers(c).bit_count() - len(c) <= limit} <= set(expected)
 
 
 small_st = st.integers(-1, 1)

@@ -23,7 +23,6 @@ from latticegas.sublattices import (
     is_cubic_basis,
     predicted_class_bases,
     quadruples,
-    quaternions_of_norm,
     r3_brute,
     r3_formula,
     s2,
@@ -38,6 +37,7 @@ from oracles import (
     det3,
     fcc_count_by_hnf,
     orthogonal_triples,
+    quaternions_of_norm,
     r3_naive,
 )
 from reference_data import CLASS_HISTOGRAMS, MISMATCH_LS, STABILIZER_ORDERS
