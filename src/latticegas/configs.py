@@ -152,20 +152,10 @@ class PeriodicConfiguration(Record):
 
     def occupied_near(self, center: Site, radius_sq: int) -> list[Site]:
         """All occupied sites within squared distance < radius_sq of center,
-        in lexicographic order.
-
-        On a cell of more offsets than lattice.SMALL_INPUT plus the sites of
-        the radius_sq ball (lattice.outgrows_ball), each site center + b of
-        the ball is reduced and looked up in the set of offsets: |ball|
-        reductions, whatever the number of offsets. The ball
-        (lattice.ball_sites) is in lexicographic order and adding center
-        keeps that order, so the hits come out sorted without a sort. The
-        whole ball is asked, not half: every occupied site near center is
-        wanted, not just a yes or no. On a smaller cell the ball's bounding
-        box is walked from every offset (occupied_in_box) and the hits
-        inside the ball are sorted; walking every offset costs less than a
-        ball of reductions while the offsets are about as few as the ball's
-        sites.
+        in lexicographic order. Above the crossover (lattice.outgrows_ball)
+        each site center + b of the ball is reduced and looked up, and the
+        lexicographic ball keeps its hits sorted; below it the ball's
+        bounding box is walked from every offset (occupied_in_box).
         """
         if radius_sq < 1:
             return []
@@ -213,21 +203,15 @@ def make_config(
 def is_admissible_config(pc: PeriodicConfiguration, d2: int) -> bool:
     """No two occupied sites closer than sqrt(d2). Always true for d2 <= 1.
 
-    On a cell of more than lattice.SMALL_INPUT + |ball_sites(d2)| / 4
-    offsets (lattice.outgrows_ball), the residue of o + b is looked up in
-    the set of offsets for every offset o and every b of
-    lattice.half_ball(d2): len(offsets) * |ball| / 2 reductions, and a yes
-    or no, so nothing to sort. The half ball suffices, as in
-    lattice.conflict_masks: a close pair x, y of occupied sites has y - x or
-    x - y above the origin, say b, and its lower site, in that order, is a
-    translate of an offset o; o + b is then a translate of the other site,
-    so its residue is an offset. Conversely such a hit is a pair at squared
-    distance |b|^2 < d2, even where o + b reduces to o itself (a lattice
-    vector shorter than sqrt(d2)).
-
-    On a smaller cell, the open d2-ball of each offset must hold no occupied
-    site but the offset (occupied_near, which walks every offset once per
-    call): every occupied pair is a translate of one with an offset in it.
+    Above the crossover (lattice.outgrows_ball) the residue of o + b is
+    looked up for every offset o and every b of lattice.half_ball(d2). The
+    half ball suffices: a close pair of occupied sites has its upper site
+    at b above its lower one, a translate of an offset o, so the residue of
+    o + b is an offset. Conversely such a hit is a pair at squared distance
+    |b|^2 < d2, even where o + b reduces to o itself (a lattice vector
+    shorter than sqrt(d2)). Below it, the open d2-ball of each offset must
+    hold no occupied site but the offset (occupied_near): every occupied
+    pair is a translate of one with an offset in it.
     """
     if d2 <= 1:
         return True

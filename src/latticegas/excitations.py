@@ -28,8 +28,6 @@ from .lattice import (
     exact_site,
     independent_sets,
     is_admissible,
-    outgrows_ball,
-    site_keys,
     sq_dist,
 )
 
@@ -99,14 +97,20 @@ def gamma2(
     return RemovalSet(pc, d2, sites)
 
 
-def repelled_set(pc: PeriodicConfiguration, insertion: InsertionSet, d2: int) -> list[Site]:
-    """Occupied sites strictly within distance sqrt(d2) of some inserted site."""
-    out = set()
+def _repelled_by(pc: PeriodicConfiguration, insertion: InsertionSet, d2: int) -> dict[Site, list[Site]]:
+    """Each inserted site's occupied sites strictly within distance sqrt(d2),
+    one occupied_near call per site; an occupied inserted site is refused."""
+    near = {}
     for x in insertion.sites:
         if pc.contains(x):
             raise ValueError(f"insertion site {x} is occupied")
-        out.update(pc.occupied_near(x, d2))
-    return sorted(out)
+        near[x] = pc.occupied_near(x, d2)
+    return near
+
+
+def repelled_set(pc: PeriodicConfiguration, insertion: InsertionSet, d2: int) -> list[Site]:
+    """Occupied sites strictly within distance sqrt(d2) of some inserted site."""
+    return sorted({y for ys in _repelled_by(pc, insertion, d2).values() for y in ys})
 
 
 class InsertionType:
@@ -133,9 +137,10 @@ def _excitation_sets(
     insertion: Optional[InsertionSet],
     d2: Optional[int],
     removal: Optional[RemovalSet],
-) -> tuple[int, ForceTable, tuple[Site, ...], set[Site]]:
+) -> tuple[int, ForceTable, dict[Site, list[Site]], set[Site]]:
     """The threshold (defaulting to the excitation's own), its force table, the
-    inserted sites xi and eta: the repelled particles plus the removed ones.
+    inserted sites xi, each with the particles it repels (_repelled_by), and
+    eta: the repelled particles plus the removed ones.
     An excitation over another configuration, or an insertion made at another
     threshold, is refused: its sites need not be vacant, occupied or admissible here."""
     if insertion is None and removal is None:
@@ -146,44 +151,11 @@ def _excitation_sets(
         raise ValueError(f"the insertion was not made over this configuration at d2={d2}")
     if removal is not None and removal.pc != pc:
         raise ValueError("the removal was made over another configuration")
-    ft = force_table(d2)
-    xi = insertion.sites if insertion is not None else ()
-    eta = set(repelled_set(pc, insertion, d2)) if insertion is not None else set()
+    xi = _repelled_by(pc, insertion, d2) if insertion is not None else {}
+    eta = {y for ys in xi.values() for y in ys}
     if removal is not None:
         eta.update(removal.sites)
-    return d2, ft, xi, eta
-
-
-def _deficits(eta: tuple[Site, ...], xi: tuple[Site, ...], ft: ForceTable) -> list[int]:
-    """den minus the integer force weights the inserted sites xi put on each
-    repelled site of eta, in the order of eta.
-
-    An insertion of more than lattice.SMALL_INPUT sites plus a quarter of
-    the force ball's (lattice.outgrows_ball) scatters: each inserted site x
-    subtracts its weight from every repelled site x + b, b in the ball,
-    found through a site index of eta (lattice.site_keys), so len(xi) *
-    |ball| lookups. A smaller one, such as the one to three sites of a
-    single excitation, gathers pair by pair, len(eta) * len(xi) distances.
-    """
-    w, rsq = ft.weights, ft.ball_radius_sq
-    deficits = [ft.den] * len(eta)
-    if outgrows_ball(len(xi), rsq, 4):
-        ball = ball_sites(rsq)
-        keys, steps = site_keys(eta + xi, ball)
-        at = {key: j for j, key in enumerate(keys[:len(eta)])}
-        weights = [w[b0 * b0 + b1 * b1 + b2 * b2] for b0, b1, b2 in ball]
-        for key in keys[len(eta):]:
-            for step, wb in zip(steps, weights):
-                j = at.get(key + step)
-                if j is not None:
-                    deficits[j] -= wb
-        return deficits
-    for j, (y0, y1, y2) in enumerate(eta):
-        for x0, x1, x2 in xi:
-            q = (x0 - y0) ** 2 + (x1 - y1) ** 2 + (x2 - y2) ** 2
-            if q < rsq:
-                deficits[j] -= w[q]
-    return deficits
+    return d2, force_table(d2), xi, eta
 
 
 def excitation_report(
@@ -198,23 +170,34 @@ def excitation_report(
     inserted one, plus any explicitly removed sites. For a perfect
     background the identity energy = sum of excesses holds exactly and is
     asserted; otherwise the report is flagged.
+
+    The excess of a repelled site y is 1 minus the force the inserted sites
+    put on it, den - sum of w[|x - y|^2] over them in integer weights. A
+    force table is supported below ball_radius_sq <= d2, so every nonzero
+    weight links an inserted site x to a particle that x repels: the sum
+    runs over the neighbour lists the repelled set was read from.
     """
     d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
     eta_sorted = tuple(sorted(eta))
-    den = ft.den
-    deficits = _deficits(eta_sorted, xi, ft)  # den * excess of each repelled site
+    den, w, rsq = ft.den, ft.weights, ft.ball_radius_sq
+    deficits = dict.fromkeys(eta_sorted, den)  # den * excess of each repelled site
+    for (x0, x1, x2), ys in xi.items():
+        for y in ys:
+            q = (x0 - y[0]) ** 2 + (x1 - y[1]) ** 2 + (x2 - y[2]) ** 2
+            if q < rsq:
+                deficits[y] -= w[q]
     energy = len(eta_sorted) - len(xi)
     perfect = is_perfect(pc, d2)
     if perfect:
-        assert sum(deficits) == energy * den, "excess identity violated"
-        assert min(deficits, default=0) >= 0, "negative excess on perfect background"
+        assert sum(deficits.values()) == energy * den, "excess identity violated"
+        assert min(deficits.values(), default=0) >= 0, "negative excess on perfect background"
     single = insertion is not None and removal is None and len(xi) == 1
     return ExcitationReport(
         inserted_count=len(xi),
         repelled=eta_sorted,
         energy=energy,
-        excesses={y: Fraction(d, den) for y, d in zip(eta_sorted, deficits)},
-        type=_insertion_type(pc, xi[0], d2) if single else None,
+        excesses={y: Fraction(d, den) for y, d in deficits.items()},
+        type=_insertion_type(pc, insertion.sites[0], d2) if single else None,
         background_perfect=perfect,
     )
 
@@ -340,7 +323,7 @@ def reduce_insertions(
     insertion with a uniquely repelled particle reduces to the empty set.
     """
     sites = list(insertion.sites)
-    near = {x: pc.occupied_near(x, d2) for x in sites}
+    near = _repelled_by(pc, insertion, d2)
     while sites:
         if len(sites) == 1 and _insertion_type(pc, sites[0], d2) == InsertionType.IIA:
             break

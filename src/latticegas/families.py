@@ -155,7 +155,8 @@ def _stack(
         jump = _add(label[jn], _neg(label[j]))
         if jumps and not any(_in_mesh(_add(jump, _neg(label[jp])), den, u, v) for jp in jumps):
             raise ValueError(f"transition {j} -> {jn} violates the mesh step rule")
-    return canonicalize(make_config([u, v, period], offsets, context_d2=d2))
+    cell = canonicalize(make_config([u, v, period], offsets))
+    return make_config(cell.basis, cell.offsets, context_d2=d2)  # the hard-core rule, on the small cell
 
 
 def build_layered_d5(i: int, seq: str) -> PeriodicConfiguration:

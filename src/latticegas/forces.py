@@ -36,20 +36,6 @@ from .lattice import (
     sq_dist,
 )
 
-# Squared ball radius (strict bound) per exclusion threshold. A force table
-# is supported on squared distances 0 .. radius-1.
-BALL_RADIUS_SQ: dict[int, int] = {
-    2: 2,
-    3: 3,
-    4: 4,
-    5: 3,
-    6: 6,
-    8: 7,
-    9: 7,
-    10: 7,
-    12: 7,
-}
-
 _F = Fraction
 
 FORCE_TABLES: dict[int, dict[int, Fraction]] = {
@@ -63,6 +49,10 @@ FORCE_TABLES: dict[int, dict[int, Fraction]] = {
     10: {0: _F(1), 1: _F(5, 6), 2: _F(1, 2), 3: _F(1, 2), 4: _F(1, 3), 5: _F(1, 6), 6: _F(1, 6)},
     12: {0: _F(1), 1: _F(1), 2: _F(3, 4), 3: _F(1, 2), 4: _F(1, 2), 5: _F(1, 4), 6: _F(1, 8)},
 }
+
+# Squared ball radius (strict bound) per exclusion threshold: each table is
+# keyed by every squared distance below it, in order, so its length.
+BALL_RADIUS_SQ: dict[int, int] = {d2: len(table) for d2, table in FORCE_TABLES.items()}
 
 SUPPORTED_D2 = tuple(sorted(FORCE_TABLES))
 
@@ -92,7 +82,7 @@ def force_table(d2: int) -> ForceTable:
         raise UnsupportedThresholdError(
             f"no repelling-force table known for d2={d2}; supported: {SUPPORTED_D2}"
         )
-    table = FORCE_TABLES[d2]  # keyed by every q < BALL_RADIUS_SQ[d2], in order
+    table = FORCE_TABLES[d2]
     den = math.lcm(*(f.denominator for f in table.values()))
     return ForceTable(d2, BALL_RADIUS_SQ[d2], den, tuple(int(f * den) for f in table.values()))
 

@@ -72,10 +72,15 @@ SMALL_INPUT = 8
 
 def outgrows_ball(n: int, bound_sq: int, share: int) -> bool:
     """Whether n sites or offsets are more than SMALL_INPUT plus
-    |ball_sites(bound_sq)| / share: the crossover above which a lookup per
-    site of the ball beats a loop over every site. The share is each
-    query's own, measured (see CHANGES.md), and below SMALL_INPUT the fixed
-    cost of an index outweighs any loop.
+    |ball_sites(bound_sq)| / share: the crossover rule of every query with
+    two paths. Above it a lookup per site of the ball, or of its half when
+    only a yes or no is asked, beats a loop over every site or offset;
+    below SMALL_INPUT the fixed cost of an index outweighs any loop. Each
+    query has its own share, measured (see CHANGES.md): is_admissible
+    compares pairs or asks conflict_masks (share 4),
+    PeriodicConfiguration.occupied_near walks a box from every offset or
+    reduces the whole ball (share 1), and configs.is_admissible_config
+    walks occupied_near or reduces every offset's half ball (share 4).
 
     A ball of bound d2 >= 1 holds at least d2 sites (it holds the cube of
     side 2 * isqrt((d2 - 1) // 3) + 1), so the first test is implied by the
@@ -85,43 +90,13 @@ def outgrows_ball(n: int, bound_sq: int, share: int) -> bool:
     return excess > bound_sq and excess > len(ball_sites(bound_sq))
 
 
-def site_keys(sites: Sequence[Site], vectors: Sequence[Site]) -> tuple[list[int], list[int]]:
-    """Integer keys of the sites and of the vectors, such that for sites x, y
-    and a vector v, key(x) + key(v) == key(y) iff x + v == y.
-
-    A point x is keyed (x0 * m + x1) * m + x2, which is linear in x, so x + v
-    has the key of x plus the key of v. With m above the sites' coordinate
-    span plus twice the vectors' largest coordinate, no two points of the
-    sites' bounding box grown by the vectors, where x + v and y both lie,
-    share a key. A set or dict of site keys is then a site index: a lookup
-    of x + v is one addition and one hash probe.
-    """
-    if not sites:
-        return [], []
-    r = max((abs(c) for v in vectors for c in v), default=0)
-    m = max(map(max, sites)) - min(map(min, sites)) + 2 * r + 1
-    keys = [(x0 * m + x1) * m + x2 for x0, x1, x2 in sites]
-    return keys, [(v0 * m + v1) * m + v2 for v0, v1, v2 in vectors]
-
-
 def is_admissible(sites: Iterable[Site], d2: int) -> bool:
-    """True iff all pairwise squared distances are >= d2 (hard-core rule).
-
-    Up to SMALL_INPUT + |ball_sites(d2)| / 4 sites (outgrows_ball), every
-    pair is compared, len(sites)^2 / 2 distances, which is the cheaper on
-    the few sites of an insertion or a ball pattern. Above that, a site
-    index (site_keys) is asked, for each site x, about x + b for each b of
-    half_ball(d2): len(sites) * |ball| / 2 lookups, and no sorting, since
-    only a yes or no is asked. The half ball suffices: a close pair x, y
-    has y - x or x - y above the origin, so its lower site, in that order,
-    finds the other. A repeated site is a pair at distance 0, which the set
-    of keys shows by being shorter than the list.
-    """
+    """True iff all pairwise squared distances are >= d2 (hard-core rule):
+    pair by pair, or above the crossover (outgrows_ball) no repeated site,
+    a pair at distance 0, and no conflict in conflict_masks."""
     pts = list(sites)
     if d2 >= 1 and outgrows_ball(len(pts), d2, 4):
-        keys, steps = site_keys(pts, half_ball(d2))
-        occupied = set(keys)
-        return len(occupied) == len(keys) and not any(k + s in occupied for k in keys for s in steps)
+        return len(set(pts)) == len(pts) and not any(conflict_masks(pts, d2))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if sq_dist(pts[i], pts[j]) < d2:
@@ -133,12 +108,20 @@ def conflict_masks(sites: Sequence[Site], d2: int) -> list[int]:
     """Bit j of entry i is set iff the distinct sites i and j are closer than
     the hard-core distance.
 
-    Each site's conflicts are looked up in a site index (site_keys) over
-    the half of its hard-core ball above it (b > ORIGIN), so the cost grows
-    as len(sites) * |ball_sites(d2)|, not as the square of len(sites).
+    A site x is keyed (x0 * m + x1) * m + x2, which is linear in x, so x + b
+    has the key of x plus the key of b. With m above the sites' coordinate
+    span plus twice the ball's largest coordinate, no two points of the
+    sites' bounding box grown by the ball share a key, and a dict of keys
+    is a site index. Each site's conflicts are looked up in it over the
+    half of its hard-core ball above it (half_ball; of a close pair, the
+    lower site finds the other), so the cost grows as
+    len(sites) * |ball_sites(d2)|, not as the square of len(sites).
     """
-    keys, steps = site_keys(sites, half_ball(d2))
-    at = {key: k for k, key in enumerate(keys)}
+    if not sites:
+        return []
+    m = max(map(max, sites)) - min(map(min, sites)) + 2 * math.isqrt(max(d2 - 1, 0)) + 1
+    at = {(x0 * m + x1) * m + x2: k for k, (x0, x1, x2) in enumerate(sites)}
+    steps = [(b0 * m + b1) * m + b2 for b0, b1, b2 in half_ball(d2)]
     masks = [0] * len(sites)
     for key, i in at.items():
         for step in steps:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report shapes, determinism."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -34,6 +35,36 @@ def run_capture(capsys, argv):
 def run_json(capsys, argv):
     code, out, _ = run_capture(capsys, argv)
     return code, json.loads(out)
+
+
+# The recorded stdout and exit code of each command of the benchmark's
+# command set, and the input files those commands read, as the benchmark
+# writes them: a build file holds the stdout of its build command.
+BENCH_EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli.json"
+BENCH_FILES = {
+    "hcp.json": ("build", "pc build --d2 5 --family d5 --seq 01"),
+    "tri.json": ("build", "pc build --d2 6 --family d6tri --seq 021"),
+    "fcc2.json": ("build", "pc build --d2 8 --family fcc --l 2"),
+    "phi10.json": ("build", "pc build --d2 10 --family phi10 --l 0"),
+    "l3.json": ("build", "pc build --d2 18 --family 2l2 --l 3 --seq 01"),
+    "ins5.json": ("text", "[[0, 2, 1]]\n"),
+    "ins6.json": ("text", '{"sites": [[-1, -1, -1], [-1, 0, 2]]}\n'),
+}
+
+
+def test_the_bench_command_set_prints_its_recorded_bytes(tmp_path, monkeypatch, capsys):
+    expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
+    assert len(expected) == 37
+    for name, (kind, text) in BENCH_FILES.items():
+        (tmp_path / name).write_text(expected[text]["stdout"] if kind == "build" else text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    mismatched = []
+    for line, recorded in expected.items():
+        code = run(line.split())
+        out = capsys.readouterr().out.encode("utf-8")
+        if (code, out) != (recorded["exit"], recorded["stdout"].encode("utf-8")):
+            mismatched.append(line)
+    assert mismatched == []
 
 
 def test_forces_verify_reports_unit_maximum(capsys):

@@ -482,6 +482,22 @@ def test_layered_builds_canonicalize_like_the_difference_scan(word, monkeypatch)
     assert build_layered_d5(0, word) == built
 
 
+def test_a_layered_build_checks_the_hard_core_rule_on_its_canonical_cell(monkeypatch):
+    """The 10,000-level build of "01" is canonicalized first, so the rule is
+    checked once, on the 2 offsets of the hcp cell."""
+    checked = []
+    real = configs.is_admissible_config
+
+    def counted(pc, d2):
+        checked.append((len(pc.offsets), d2))
+        return real(pc, d2)
+
+    monkeypatch.setattr(configs, "is_admissible_config", counted)
+    built = build_layered_d5(0, "01" * 5000)
+    assert checked == [(2, 5)]
+    assert built == build_layered_d5(0, "01") and built.context_d2 == 5
+
+
 small_rows = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=3, max_size=3).filter(det3)
 
 

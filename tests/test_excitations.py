@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticegas import excitations
-from latticegas.configs import MAIN_DIAGONALS, is_perfect
+from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration, is_perfect, make_config
 from latticegas.excitations import (
     InsertionSet,
     InsertionType,
+    RemovalSet,
     classify_insertion,
     excitation_report,
     gamma1,
@@ -33,11 +34,11 @@ from latticegas.families import (
     build_phi9,
     build_phi10,
 )
-from latticegas.forces import force_table, peierls_gap
-from latticegas.lattice import _covering, outgrows_ball, sq_dist
+from latticegas.forces import peierls_gap
+from latticegas.lattice import _covering, sq_dist
 import oracles
 from reference_data import CONSTRUCTORS, HCP_WINDOW_3_12
-from test_configs import _supercell_without_one
+from test_configs import _supercell, _supercell_without_one
 
 HCP = build_layered_d5(0, "01")
 FCC_LIKE = build_layered_d5(0, "012")
@@ -229,17 +230,23 @@ def _spread_insertion(pc, d2, n, rng):
 
 @pytest.mark.parametrize("d2", sorted(BACKGROUNDS))
 def test_excesses_of_large_insertions_match_the_fraction_oracle(d2):
-    """Insertions of 2 to 40 sites on each threshold's background: the pair
-    loop below the crossover and the site index above it."""
+    """Insertions of 2 to 48 sites on each threshold's background, the
+    largest also with two removals next to its first site: a particle that
+    site repels, and the nearest one it does not."""
     pc, rng = BACKGROUNDS[d2], random.Random(d2)
-    paths = set()
-    for n in (2, 10, 20, 40):
+    for n in (2, 10, 20, 48):
         sites = _spread_insertion(pc, d2, n, rng)
         assert len(sites) == n
-        paths.add(outgrows_ball(n, force_table(d2).ball_radius_sq, 4))
         rep = excitation_report(pc, make_insertion(pc, d2, sites), d2)
         assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(pc, d2, sites)
-    assert paths == {False, True}
+    x = sites[0]
+    around = [y for y in oracles.brute_ball(9 * d2, x) if pc.contains(y)]
+    rest = [y for y in around if all(sq_dist(y, s) >= d2 for s in sites)]
+    removed = (min(around, key=lambda y: (sq_dist(x, y), y)), min(rest, key=lambda y: (sq_dist(x, y), y)))
+    assert sq_dist(x, removed[0]) < d2
+    rep = excitation_report(pc, make_insertion(pc, d2, sites), d2, RemovalSet(pc, d2, removed))
+    assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(pc, d2, sites, removed)
+    assert rep.excesses[removed[1]] == 1
 
 
 def test_peierls_known_slacks():
@@ -268,6 +275,40 @@ def test_the_excitation_report_flags_an_imperfect_background():
     rep = excitation_report(HOLED, make_insertion(HOLED, 5, [HCP.offsets[0]]), 5)
     assert not rep.background_perfect
     assert rep.energy == len(rep.repelled) - 1
+
+
+def test_excesses_over_an_imperfect_background_match_the_fraction_oracle():
+    """40 sites over the holed hcp supercell, its hole among them."""
+    hole = HCP.offsets[0]
+    spread = _spread_insertion(HOLED, 5, 60, random.Random(1))
+    sites = [hole] + [s for s in spread if sq_dist(s, hole) >= 5][:39]
+    assert len(sites) == 40
+    rep = excitation_report(HOLED, make_insertion(HOLED, 5, sites), 5)
+    assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(HOLED, 5, sites)
+    assert not rep.background_perfect
+
+
+def test_the_excess_bookkeeping_fetches_each_inserted_sites_neighbours_once(monkeypatch):
+    """On the 4x4x4 hcp supercell, whose admissibility check asks no
+    neighbour list, a report and the repelled set each ask one per
+    inserted site."""
+    pc = make_config(*_supercell(HCP, 4))
+    sites = _spread_insertion(pc, 5, 40, random.Random(2))
+    insertion = make_insertion(pc, 5, sites)
+    centers = []
+    real = PeriodicConfiguration.occupied_near
+
+    def counted(self, center, radius_sq):
+        centers.append(center)
+        return real(self, center, radius_sq)
+
+    monkeypatch.setattr(PeriodicConfiguration, "occupied_near", counted)
+    repelled = repelled_set(pc, insertion, 5)
+    assert centers == list(insertion.sites)
+    centers.clear()
+    rep = excitation_report(pc, insertion, 5, gamma1(pc, 5))
+    assert centers == list(insertion.sites)
+    assert set(rep.repelled) == set(repelled) | {pc.offsets[0]}
 
 
 FCC1 = build_fcc(1)

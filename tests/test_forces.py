@@ -52,6 +52,17 @@ def test_integer_weights_scale_the_literal_table(d2):
     assert ft.force(ft.ball_radius_sq) == ft.force(-1) == 0
 
 
+@pytest.mark.parametrize("d2", SUPPORTED_D2)
+def test_each_table_is_keyed_below_a_radius_within_the_hard_core_distance(d2):
+    """BALL_RADIUS_SQ is each table's length, which holds only if its keys are
+    0 .. len - 1 in order; and ball_radius_sq <= d2, so a site that a weight
+    reaches from an inserted site is one that the inserted site repels, the
+    premise of the excess bookkeeping in excitation_report."""
+    table = FORCE_TABLES[d2]
+    assert list(table) == list(range(len(table))) == list(range(BALL_RADIUS_SQ[d2]))
+    assert force_table(d2).ball_radius_sq <= d2
+
+
 def test_unsupported_thresholds_raise():
     for d2 in (0, 1, 7, 11, 13, 50):
         with pytest.raises(UnsupportedThresholdError):
