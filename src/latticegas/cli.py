@@ -94,13 +94,15 @@ def _int_tuple(count: int) -> Callable[[str], tuple[int, ...]]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    json_group = common.add_mutually_exclusive_group()
-    json_group.add_argument("--json", dest="json", action="store_true", default=True,
-                            help="emit the JSON report (default)")
-    json_group.add_argument("--no-json", dest="json", action="store_false",
-                            help="emit a plain-text rendering instead")
+    common.add_argument("--no-json", dest="json", action="store_false",
+                        help="emit a plain-text rendering instead of the JSON report")
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="worker-count hint; results are identical for any value")
+
+    def command(group, name: str, handler: Callable, summary: str) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="latgas",
@@ -110,59 +112,58 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_forces = sub.add_parser("forces", help="force-table verification")
     forces_sub = p_forces.add_subparsers(dest="action", required=True)
-    p_fv = forces_sub.add_parser("verify", parents=[common],
-                                 help="exhaustive ball search for one threshold")
+    p_fv = command(forces_sub, "verify", _cmd_forces_verify, "exhaustive ball search for one threshold")
     p_fv.add_argument("--d2", type=int, required=True, help="squared exclusion distance")
 
     p_pc = sub.add_parser("pc", help="periodic configurations")
     pc_sub = p_pc.add_subparsers(dest="action", required=True)
 
-    p_build = pc_sub.add_parser("build", parents=[common], help="construct a named family member")
+    p_build = command(pc_sub, "build", _cmd_pc_build, "construct a named family member")
     p_build.add_argument("--d2", type=int, required=True)
     p_build.add_argument("--family", required=True, choices=_FAMILIES)
     p_build.add_argument("--i", type=int, default=0, help="orientation index (layered and phi families)")
     p_build.add_argument("--seq", default=None, help="layer digit word, e.g. 01 or 012")
     p_build.add_argument("--l", type=int, default=None, help="scale parameter (cubic/fcc/bcc/2l2) or variant (phi families)")
 
-    p_check = pc_sub.add_parser("check", parents=[common], help="admissibility and perfection check")
+    p_check = command(pc_sub, "check", _cmd_pc_check, "admissibility and perfection check")
     p_check.add_argument("--d2", type=int, required=True)
-    p_check.add_argument("--in", dest="infile", required=True, metavar="FILE",
+    p_check.add_argument("--in", dest="in", required=True, metavar="FILE",
                          help="configuration JSON (bare payload or a pc build report)")
 
-    p_census = pc_sub.add_parser("census", parents=[common], help="count distinct perfect configurations")
+    p_census = command(pc_sub, "census", _cmd_pc_census, "count distinct perfect configurations")
     p_census.add_argument("--d2", type=int, required=True)
 
-    p_slide = pc_sub.add_parser("slide", parents=[common], help="block-swap witness cost")
+    p_slide = command(pc_sub, "slide", _cmd_pc_slide, "block-swap witness cost")
     p_slide.add_argument("--l", type=int, required=True)
     p_slide.add_argument("--n", type=int, required=True)
 
     p_table = sub.add_parser("table", help="summary tables")
     table_sub = p_table.add_subparsers(dest="action", required=True)
-    p_td = table_sub.add_parser("densities", parents=[common],
-                                help="census and density per threshold, all computed")
+    p_td = command(table_sub, "densities", _cmd_table_densities,
+                   "census and density per threshold, all computed")
     p_td.add_argument("--lmax", type=int, default=3,
                       help="append close-packing rows 2l^2 for l up to this bound")
 
     p_exc = sub.add_parser("exc", help="excitations over a perfect background")
     exc_sub = p_exc.add_subparsers(dest="action", required=True)
 
-    p_cls = exc_sub.add_parser("classify", parents=[common], help="type of a single insertion site")
+    p_cls = command(exc_sub, "classify", _cmd_exc_classify, "type of a single insertion site")
     p_cls.add_argument("--d2", type=int, required=True)
     p_cls.add_argument("--pc", required=True, metavar="FILE")
     p_cls.add_argument("--site", type=_int_tuple(3), required=True, metavar="x,y,z")
 
-    p_rep = exc_sub.add_parser("report", parents=[common], help="energy accounting for an insertion set")
+    p_rep = command(exc_sub, "report", _cmd_exc_report, "energy accounting for an insertion set")
     p_rep.add_argument("--d2", type=int, required=True)
     p_rep.add_argument("--pc", required=True, metavar="FILE")
     p_rep.add_argument("--insert", required=True, metavar="FILE",
                        help='JSON site list: [[x,y,z],...] or {"sites": [...]}')
 
-    p_iia = exc_sub.add_parser("iia-density", parents=[common],
-                               help="density of lowest-type in-plane insertions")
+    p_iia = command(exc_sub, "iia-density", _cmd_exc_iia_density,
+                    "density of lowest-type in-plane insertions")
     p_iia.add_argument("--pc", required=True, metavar="FILE")
 
-    p_win = exc_sub.add_parser("window-census", parents=[common],
-                               help="exhaust low-energy insertion sets in a window")
+    p_win = command(exc_sub, "window-census", _cmd_exc_window_census,
+                    "exhaust low-energy insertion sets in a window")
     p_win.add_argument("--d2", type=int, default=5)
     p_win.add_argument("--layers", type=int, default=2)
     p_win.add_argument("--radius", type=int, default=8,
@@ -173,34 +174,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sub = sub.add_parser("sublat", help="cubic sublattices and their symmetry classes")
     sublat_sub = p_sub.add_subparsers(dest="action", required=True)
 
-    p_enum = sublat_sub.add_parser("enumerate", parents=[common], help="all cubic sublattices of one norm")
+    p_enum = command(sublat_sub, "enumerate", _cmd_sublat_enumerate, "all cubic sublattices of one norm")
     p_enum.add_argument("--ell", type=int, required=True)
     p_enum.add_argument("--fcc", action="store_true",
                         help="report the close-packed doublings instead of the raw list")
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_classes = sublat_sub.add_parser("classes", parents=[common],
-                                      help="symmetry classes plus formula comparison")
+    p_classes = command(sublat_sub, "classes", _cmd_sublat_classes,
+                        "symmetry classes plus formula comparison")
     p_classes.add_argument("--ell", type=int, required=True)
 
-    p_r3 = sublat_sub.add_parser("r3", parents=[common], help="representations of ell^2 as three squares")
+    p_r3 = command(sublat_sub, "r3", _cmd_sublat_r3, "representations of ell^2 as three squares")
     p_r3.add_argument("--ell", type=int, required=True)
     p_r3.add_argument("--brute", action="store_true", help="count by brute force instead of the closed form")
 
-    p_quat = sublat_sub.add_parser("quaternion", parents=[common],
-                                   help="rotation matrix and sublattice of one integer quaternion")
-    p_quat.add_argument("quat", type=_int_tuple(4), metavar="a,b,c,d")
+    p_quat = command(sublat_sub, "quaternion", _cmd_sublat_quaternion,
+                     "rotation matrix and sublattice of one integer quaternion")
+    p_quat.add_argument("quaternion", type=_int_tuple(4), metavar="a,b,c,d")
 
     return parser
 
 
 # --- subcommand bodies ---------------------------------------------------------
 #
-# Each handler returns (inputs, results, verified): the parsed parameters the
-# report echoes, the results as library values, and whether the verification
-# the command makes held. run alone renders the report and picks the exit code.
+# Each handler returns (results, verified): the results as library values, and
+# whether the verification the command makes held. run alone renders the
+# report, echoing the parsed parameters as its inputs, and picks the exit code.
 
-Outcome = tuple[dict[str, Any], dict[str, Any], bool]
+Outcome = tuple[dict[str, Any], bool]
 
 
 def _cmd_forces_verify(args: argparse.Namespace) -> Outcome:
@@ -214,7 +215,7 @@ def _cmd_forces_verify(args: argparse.Namespace) -> Outcome:
         "max_occupancy": report.max_occupancy,
         "signatures": report.signatures,
     }
-    return {"d2": args.d2}, results, report.fstar == 1
+    return results, report.fstar == 1
 
 
 # Each family's builder and the options it takes, in the builder's argument
@@ -254,12 +255,11 @@ def _cmd_pc_build(args: argparse.Namespace) -> Outcome:
         pc.context_d2 in (None, args.d2),
         f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}",
     )
-    inputs = {"d2": args.d2, "family": args.family, "i": args.i, "seq": args.seq, "l": args.l}
-    return inputs, config_payload(pc, args.d2), True
+    return config_payload(pc, args.d2), True
 
 
 def _cmd_pc_check(args: argparse.Namespace) -> Outcome:
-    pc = load_config_file(args.infile, hard_core=False)
+    pc = load_config_file(getattr(args, "in"), hard_core=False)
     admissible = is_admissible_config(pc, args.d2)
     perfect = admissible and is_perfect(pc, args.d2)
     results = {
@@ -268,30 +268,30 @@ def _cmd_pc_check(args: argparse.Namespace) -> Outcome:
         "density": density(pc),
         "shift_count": shift_count(pc),
     }
-    return {"d2": args.d2, "in": args.infile}, results, perfect
+    return results, perfect
 
 
 def _cmd_pc_census(args: argparse.Namespace) -> Outcome:
     _progress(f"enumerating perfect configurations at d2={args.d2}...")
-    return {"d2": args.d2}, {"census": pc_census(args.d2)}, True
+    return {"census": pc_census(args.d2)}, True
 
 
 def _cmd_pc_slide(args: argparse.Namespace) -> Outcome:
     removed = sliding_witness(args.l, args.n)
     bound = 2 * args.l * args.l
     results = {"removed": removed, "bound": bound, "within_bound": removed <= bound}
-    return {"l": args.l, "n": args.n}, results, removed <= bound
+    return results, removed <= bound
 
 
 def _cmd_table_densities(args: argparse.Namespace) -> Outcome:
     _require_in("--lmax", args.lmax, 0, DENSITIES_MAX_LMAX)
-    return {"lmax": args.lmax}, {"rows": table_densities(range(1, args.lmax + 1))}, True
+    return {"rows": table_densities(range(1, args.lmax + 1))}, True
 
 
 def _cmd_exc_classify(args: argparse.Namespace) -> Outcome:
     pc = load_config_file(args.pc, args.d2)
     kind = classify_insertion(pc, args.site, args.d2)
-    return {"d2": args.d2, "pc": args.pc, "site": args.site}, {"site": args.site, "type": kind}, True
+    return {"site": args.site, "type": kind}, True
 
 
 def _cmd_exc_report(args: argparse.Namespace) -> Outcome:
@@ -307,7 +307,7 @@ def _cmd_exc_report(args: argparse.Namespace) -> Outcome:
         "type": rep.type,
         "background_perfect": rep.background_perfect,
     }
-    return {"d2": args.d2, "pc": args.pc, "insert": args.insert}, results, True
+    return results, True
 
 
 def _infer_layer_scale(pc) -> Optional[int]:
@@ -322,7 +322,7 @@ def _infer_layer_scale(pc) -> Optional[int]:
 def _cmd_exc_iia_density(args: argparse.Namespace) -> Outcome:
     pc = load_config_file(args.pc)
     count, dens = iia_census(pc, _infer_layer_scale(pc))
-    return {"pc": args.pc}, {"count": count, "density": dens}, True
+    return {"count": count, "density": dens}, True
 
 
 def _cmd_exc_window_census(args: argparse.Namespace) -> Outcome:
@@ -339,14 +339,12 @@ def _cmd_exc_window_census(args: argparse.Namespace) -> Outcome:
         "survivors": census.low_energy_terminal,
         "all_terminal_iia": census.all_terminal_iia,
     }
-    inputs = {"d2": args.d2, "layers": args.layers, "radius": args.radius, "pc": args.pc}
-    return inputs, results, census.all_terminal_iia
+    return results, census.all_terminal_iia
 
 
 def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
     _require(not (args.fcc and args.format == "csv"), "--fcc reports a census, which has no CSV form")
     _require_in("--ell", args.ell, 1, FACTORIZE_MAX_ELL if args.fcc else ENUMERATE_MAX_ELL)
-    inputs = {"ell": args.ell, "fcc": args.fcc}
     if args.fcc:
         report = fcc_census(args.ell)
         results = {
@@ -354,7 +352,7 @@ def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
             "pcs_total": report.pcs_total,
             "flagged_layered_continuum": report.flagged_layered_continuum,
         }
-        return inputs, results, True
+        return results, True
     _progress(f"enumerating cubic sublattices of norm {args.ell}...")
     classes = classify_classes(args.ell)
     results = {
@@ -365,7 +363,7 @@ def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
             for member in cl.members
         ],
     }
-    return inputs, results, True
+    return results, True
 
 
 def _cmd_sublat_classes(args: argparse.Namespace) -> Outcome:
@@ -385,44 +383,26 @@ def _cmd_sublat_classes(args: argparse.Namespace) -> Outcome:
         "predicted_histogram": cmp.predicted,
         "mismatched_sizes": cmp.mismatched_sizes,
     }
-    return {"ell": args.ell}, results, True
+    return results, True
 
 
 def _cmd_sublat_r3(args: argparse.Namespace) -> Outcome:
     _require_in("--ell", args.ell, 1, R3_BRUTE_MAX_ELL if args.brute else FACTORIZE_MAX_ELL)
     value = r3_brute(args.ell * args.ell) if args.brute else r3_formula(args.ell)
     results = {"ell": args.ell, "r3": value, "method": "brute" if args.brute else "formula"}
-    return {"ell": args.ell, "brute": args.brute}, results, True
+    return results, True
 
 
 def _cmd_sublat_quaternion(args: argparse.Namespace) -> Outcome:
-    q = Quaternion(*args.quat)
+    q = Quaternion(*args.quaternion)
     rows = euler_rodrigues(q)
     results = {
-        "quaternion": args.quat,
+        "quaternion": args.quaternion,
         "norm_sq": q.norm_sq,
         "matrix": rows,
         "sublattice_basis": hnf(rows),
     }
-    return {"quaternion": args.quat}, results, True
-
-
-_DISPATCH = {
-    ("forces", "verify"): _cmd_forces_verify,
-    ("pc", "build"): _cmd_pc_build,
-    ("pc", "check"): _cmd_pc_check,
-    ("pc", "census"): _cmd_pc_census,
-    ("pc", "slide"): _cmd_pc_slide,
-    ("table", "densities"): _cmd_table_densities,
-    ("exc", "classify"): _cmd_exc_classify,
-    ("exc", "report"): _cmd_exc_report,
-    ("exc", "iia-density"): _cmd_exc_iia_density,
-    ("exc", "window-census"): _cmd_exc_window_census,
-    ("sublat", "enumerate"): _cmd_sublat_enumerate,
-    ("sublat", "classes"): _cmd_sublat_classes,
-    ("sublat", "r3"): _cmd_sublat_r3,
-    ("sublat", "quaternion"): _cmd_sublat_quaternion,
-}
+    return results, True
 
 
 def run(argv: Sequence[str]) -> int:
@@ -437,9 +417,11 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems
         return int(exc.code or 0)
-    handler = _DISPATCH[(args.group, args.action)]
+    # the report echoes the parsed parameters but the subcommand and the rendering
+    rendering = ("group", "action", "handler", "json", "format", "threads")
+    inputs = {k: v for k, v in vars(args).items() if k not in rendering}
     try:
-        inputs, results, verified = handler(args)
+        results, verified = args.handler(args)
         if getattr(args, "format", None) == "csv":
             sys.stdout.write("\n".join(sublattice_csv_rows(results["sublattices"])) + "\n")
         else:

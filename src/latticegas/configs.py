@@ -170,18 +170,11 @@ class PeriodicConfiguration(Record):
             s for s in box if (s[0] - cx) ** 2 + (s[1] - cy) ** 2 + (s[2] - cz) ** 2 < radius_sq
         )
 
-    def translate(self, v: Site) -> "PeriodicConfiguration":
-        offs = sorted(self.reduce((o[0] + v[0], o[1] + v[1], o[2] + v[2])) for o in self.offsets)
-        return PeriodicConfiguration(self.basis, tuple(offs), self.context_d2)
-
     def transform(self, g: SignedPermutation) -> "PeriodicConfiguration":
         """Image under a signed permutation, re-normalized to HNF."""
         rows = [g.apply(r) for r in self.basis]  # type: ignore[arg-type]
         offs = [g.apply(o) for o in self.offsets]
         return make_config(rows, offs, self.context_d2)
-
-    def canonical_key(self) -> tuple:
-        return (self.basis, self.offsets)
 
 
 def make_config(

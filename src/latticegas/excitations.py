@@ -99,13 +99,12 @@ def gamma2(
 
 def _repelled_by(pc: PeriodicConfiguration, insertion: InsertionSet, d2: int) -> dict[Site, list[Site]]:
     """Each inserted site's occupied sites strictly within distance sqrt(d2),
-    one occupied_near call per site; an occupied inserted site is refused."""
-    near = {}
-    for x in insertion.sites:
-        if pc.contains(x):
-            raise ValueError(f"insertion site {x} is occupied")
-        near[x] = pc.occupied_near(x, d2)
-    return near
+    one occupied_near call per site. An insertion made over another
+    configuration, or at another threshold, is refused: its sites need not
+    be vacant or admissible here."""
+    if insertion.pc != pc or insertion.d2 != d2:
+        raise ValueError(f"the insertion was not made over this configuration at d2={d2}")
+    return {x: pc.occupied_near(x, d2) for x in insertion.sites}
 
 
 def repelled_set(pc: PeriodicConfiguration, insertion: InsertionSet, d2: int) -> list[Site]:
@@ -140,15 +139,12 @@ def _excitation_sets(
 ) -> tuple[int, ForceTable, dict[Site, list[Site]], set[Site]]:
     """The threshold (defaulting to the excitation's own), its force table, the
     inserted sites xi, each with the particles it repels (_repelled_by), and
-    eta: the repelled particles plus the removed ones.
-    An excitation over another configuration, or an insertion made at another
-    threshold, is refused: its sites need not be vacant, occupied or admissible here."""
+    eta: the repelled particles plus the removed ones. A removal made over
+    another configuration is refused: its sites need not be occupied here."""
     if insertion is None and removal is None:
         raise ValueError("need an insertion, a removal, or both")
     if d2 is None:
         d2 = insertion.d2 if insertion is not None else removal.d2
-    if insertion is not None and (insertion.pc != pc or insertion.d2 != d2):
-        raise ValueError(f"the insertion was not made over this configuration at d2={d2}")
     if removal is not None and removal.pc != pc:
         raise ValueError("the removal was made over another configuration")
     xi = _repelled_by(pc, insertion, d2) if insertion is not None else {}

@@ -71,10 +71,6 @@ class ForceTable(Record):
     den: int
     weights: tuple[int, ...]
 
-    def force(self, q: int) -> Fraction:
-        """Force at squared distance q; zero outside the supported range."""
-        return Fraction(self.weights[q] if 0 <= q < self.ball_radius_sq else 0, self.den)
-
 
 @lru_cache(maxsize=None)
 def force_table(d2: int) -> ForceTable:

@@ -18,11 +18,6 @@ from .families import census_marker, densest_density
 from .forces import SUPPORTED_D2
 from .lattice import Record, exact_site
 
-# Provenance tag: every figure is computed on the spot by enumeration or
-# algebra; none is read off a frozen table.
-COMPUTED = "computed"
-
-
 def frac_str(x: Union[int, Fraction]) -> str:
     """Lowest-terms "p/q" rendering; the denominator is always written."""
     f = Fraction(x)
@@ -51,21 +46,21 @@ class ReportEnvelope(Record):
     """Wrapper around one command's results.
 
     command echoes the argv that produced the report, inputs the parsed
-    parameters, results the module-specific payload. provenance is
-    always "computed": every figure is evaluated on the spot.
+    parameters, results the module-specific payload. body() adds the
+    package version and the provenance, always "computed": every figure
+    is evaluated on the spot by enumeration or algebra, none is read off
+    a frozen table.
     """
 
     command: tuple[str, ...]
     inputs: Mapping[str, Any]
     results: Mapping[str, Any]
-    provenance: str = COMPUTED
-    version: str = __version__
 
     def body(self) -> dict[str, Any]:
         return {
             "command": list(self.command),
-            "version": self.version,
-            "provenance": self.provenance,
+            "version": __version__,
+            "provenance": "computed",
             "inputs": jsonable(self.inputs),
             "results": jsonable(self.results),
         }

@@ -48,19 +48,6 @@ class Quaternion(Record):
     def norm_sq(self) -> int:
         return self.a**2 + self.b**2 + self.c**2 + self.d**2
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, o: "Quaternion") -> "Quaternion":
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
 
 def euler_rodrigues(z: Quaternion) -> Matrix:
     """Integer rotation matrix of the quaternion, scaled by its squared norm.
@@ -74,27 +61,6 @@ def euler_rodrigues(z: Quaternion) -> Matrix:
         (2 * b * c + 2 * a * d, a * a - b * b + c * c - d * d, 2 * c * d - 2 * a * b),
         (2 * b * d - 2 * a * c, 2 * c * d + 2 * a * b, a * a - b * b - c * c + d * d),
     )
-
-
-def is_cubic_basis(m: Matrix) -> bool:
-    """Rows pairwise orthogonal and of one common squared norm."""
-    norms = {sum(c * c for c in row) for row in m}
-    if len(norms) != 1 or 0 in norms:
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sum(m[i][t] * m[j][t] for t in range(3)):
-                return False
-    return True
-
-
-def fcc_from_cubic(m: Matrix) -> Matrix:
-    """Basis of the index-2 close-packed sublattice inside a cubic one."""
-    if not is_cubic_basis(m):
-        raise ValueError("rows must be pairwise orthogonal with equal norms")
-    x1, x2, x3 = m
-    add = lambda p, q: (p[0] + q[0], p[1] + q[1], p[2] + q[2])
-    return (add(x1, x2), add(x2, x3), add(x1, x3))
 
 
 # --- counting lattice points on spheres -----------------------------------------
@@ -405,15 +371,16 @@ class FccCensus(Record):
 def fcc_census(l: int) -> FccCensus:
     """Close-packed l-sublattice count, extended to the total packing census.
 
-    Each cubic sublattice L contains one close-packed sublattice F of twice
-    the determinant (fcc_from_cubic), and distinct cubic ones never share it,
-    so the count is the number of cubic ones. If F has index 2 in a cubic
-    l-sublattice L', then 2L' is in F, so the norm-l^2 vectors of L' lie in
-    F/2. The rotation taking the basis x_i of L to l e_i maps F onto l D3
-    (D3: integer vectors of even coordinate sum), and the vectors of D3/2
-    of squared norm 1 are +-e_i; so the norm-l^2 vectors of F/2 are exactly
-    +-x_i. They include the six minimal vectors of L', so L' = L. For 3 | l the layered
-    continuum takes over and only the sublattice count is meaningful.
+    Each cubic sublattice L, of basis x_i, contains one close-packed sublattice
+    F of twice the determinant, spanned by x1 + x2, x2 + x3 and x1 + x3, and
+    distinct cubic ones never share it, so the count is the number of cubic
+    ones. If F has index 2 in a cubic l-sublattice L', then 2L' is in F, so
+    the norm-l^2 vectors of L' lie in F/2. The rotation taking x_i to l e_i
+    maps F onto l D3 (D3: integer vectors of even coordinate sum), and the
+    vectors of D3/2 of squared norm 1 are +-e_i; so the norm-l^2 vectors of
+    F/2 are exactly +-x_i. They include the six minimal vectors of L', so
+    L' = L. For 3 | l the layered continuum takes over and only the
+    sublattice count is meaningful.
 
     The cubic l-sublattices number the sum over odd k | l of Dedekind's
     psi(k) = k * prod over primes p | k of (1 + 1/p). That sum is

@@ -37,6 +37,11 @@ the literal forces.FORCE_TABLES, one site at a time, on cube-scanned balls.
 quaternions_of_norm lists the integer quaternions of one norm from the
 package's sphere points.
 
+Some helpers only the tests need live here, not in the package: the
+translate and canonical key of a configuration, the quaternion conjugate
+and product, and the close-packed sublattice of a cubic basis
+(fcc_from_cubic, is_cubic_basis).
+
 The package's value types derive from lattice.Record; their twins here are
 frozen dataclasses with the same names, fields, defaults and equality, so
 a test can hold Record to what the dataclass it replaced did.
@@ -65,7 +70,6 @@ from latticegas.sublattices import (
     Quaternion,
     SublatticeClass,
     _sphere_points,
-    fcc_from_cubic,
     predicted_class_bases,
 )
 
@@ -97,9 +101,20 @@ def canonical_by_differences(pc: PeriodicConfiguration) -> PeriodicConfiguration
     return make_config(list(pc.basis) + extra, pc.offsets, pc.context_d2)
 
 
+def canonical_key(pc: PeriodicConfiguration) -> tuple:
+    """What tells canonical configurations apart: basis and offsets."""
+    return (pc.basis, pc.offsets)
+
+
+def translate(pc: PeriodicConfiguration, v: Site) -> PeriodicConfiguration:
+    """The configuration shifted by v, on the same basis."""
+    offs = sorted(pc.reduce((o[0] + v[0], o[1] + v[1], o[2] + v[2])) for o in pc.offsets)
+    return PeriodicConfiguration(pc.basis, tuple(offs), pc.context_d2)
+
+
 def configs_equal(a: PeriodicConfiguration, b: PeriodicConfiguration) -> bool:
     """The two describe the same occupied set: equal canonical forms."""
-    return canonicalize(a).canonical_key() == canonicalize(b).canonical_key()
+    return canonical_key(canonicalize(a)) == canonical_key(canonicalize(b))
 
 
 def brute_ball(bound_sq: int, center: Site = (0, 0, 0)) -> list[Site]:
@@ -380,7 +395,7 @@ def translates_by_walk(images) -> int:
     """Distinct configurations among the translates of the images by every
     site of their cells, told apart by the canonical form of each translate."""
     return len({
-        canonicalize(img.translate(t)).canonical_key() for img in images for t in cell(img)
+        canonical_key(canonicalize(translate(img, t))) for img in images for t in cell(img)
     })
 
 
@@ -531,6 +546,39 @@ def quaternions_of_norm(l: int) -> list[Quaternion]:
         raise ValueError("l must be >= 1")
     top = math.isqrt(l)
     return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
+
+
+def conjugate(q: Quaternion) -> Quaternion:
+    return Quaternion(q.a, -q.b, -q.c, -q.d)
+
+
+def quaternion_product(p: Quaternion, q: Quaternion) -> Quaternion:
+    """The Hamilton product p q."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    e, f, g, h = q.a, q.b, q.c, q.d
+    return Quaternion(
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+def is_cubic_basis(m: Matrix) -> bool:
+    """Rows pairwise orthogonal and of one common nonzero squared norm."""
+    norms = {sum(c * c for c in row) for row in m}
+    if len(norms) != 1 or 0 in norms:
+        return False
+    return not any(sum(m[i][t] * m[j][t] for t in range(3)) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def fcc_from_cubic(m: Matrix) -> Matrix:
+    """Basis of the index-2 close-packed sublattice inside a cubic one."""
+    if not is_cubic_basis(m):
+        raise ValueError("rows must be pairwise orthogonal with equal norms")
+    x1, x2, x3 = m
+    add = lambda p, q: (p[0] + q[0], p[1] + q[1], p[2] + q[2])
+    return (add(x1, x2), add(x2, x3), add(x1, x3))
 
 
 # --- frozen-dataclass twins of the records ----------------------------------------

@@ -28,6 +28,7 @@ from latticegas.excitations import (
 from latticegas.excitations import _slab_sites, _window
 from latticegas.families import (
     build_bcc,
+    build_cubic,
     build_fcc,
     build_layered_2l2,
     build_layered_d5,
@@ -326,12 +327,20 @@ HCP_02 = build_layered_d5(0, "02")
      "insertion was not made over this configuration at d2=8"),
     (HCP, make_insertion(HCP_02, 5, [(0, 0, 1)]), 5, None,
      "insertion was not made over this configuration at d2=5"),
-], ids=["fcc1-at-3", "removal-from-02", "insertion-at-2-read-at-8", "insertion-into-02"])
+    # over hcp at 5 this site would repel 5 particles and reduce away
+    (HCP, make_insertion(build_cubic(3), 2, [(1, 1, 1)]), 5, None,
+     "insertion was not made over this configuration at d2=5"),
+], ids=["fcc1-at-3", "removal-from-02", "insertion-at-2-read-at-8", "insertion-into-02",
+        "cubic3-insertion-read-over-hcp"])
 def test_an_excitation_the_accounting_does_not_cover_is_refused(pc, insertion, d2, removal, refusal):
     with pytest.raises(ValueError, match=refusal):
         excitation_report(pc, insertion, d2, removal)
     with pytest.raises(ValueError, match=refusal):
         peierls_check(pc, insertion, d2, removal)
+    if insertion is not None:
+        for insertion_only in (repelled_set, reduce_insertions):
+            with pytest.raises(ValueError, match=refusal):
+                insertion_only(pc, insertion, d2)
 
 
 def test_gap_feeds_the_bound():

@@ -29,7 +29,7 @@ from latticegas.families import (
 )
 from latticegas.families import _census_seeds, _count_translates
 from latticegas.lattice import oh_elements
-from oracles import configs_equal, sliding_witness_by_scan, translates_by_walk
+from oracles import configs_equal, sliding_witness_by_scan, translate, translates_by_walk
 from reference_data import CENSUS, CONSTRUCTORS, NORMALIZATION
 
 
@@ -165,7 +165,7 @@ def test_translate_keys_count_translation_classes(picks):
     # translated canonical images, several of one configuration or of one
     # lattice among them: the keys must count what the walk counts
     images = [
-        canonicalize(BUILDS[b]().transform(oh_elements()[g])).translate(t) for b, g, t in picks
+        translate(canonicalize(BUILDS[b]().transform(oh_elements()[g])), t) for b, g, t in picks
     ]
     assert _count_translates(images) == translates_by_walk(images)
 

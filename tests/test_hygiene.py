@@ -1,9 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses
 or imports inside a function body, every function, class and method it
-defines is referenced somewhere in the package or its tests (a re-export
-from `__init__.py` is not a reference), and importing
+defines is referenced by the package, by the benchmark (perfbench/) or
+by the README's Public API list (a re-export from `__init__.py` is not a
+reference, and neither is a test: a member only tests call belongs in
+tests/oracles.py), and importing
 the CLI loads nothing outside the standard library, nor dataclasses or inspect.
-Every package name the benchmark (perfbench/workloads.py) uses is bound.
+The package binds exactly the names of that list, and every package name
+the benchmark uses is on it.
 The line counter (tests/line_count.py) is checked on a snippet.
 
 `__init__.py` is exempt from the unused-import check, since its imports are
@@ -14,8 +17,10 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -26,7 +31,16 @@ from line_count import executable_lines, raw_lines
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticegas"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = pathlib.Path(__file__).resolve().parent
+BENCH = sorted((TESTS.parent / "perfbench").glob("*.py"))
 WORKLOADS = TESTS.parent / "perfbench" / "workloads.py"
+README = TESTS.parent / "README.md"
+
+
+def public_api() -> set[str]:
+    """The names the README's Public API section lists, in its bullets."""
+    section = README.read_text(encoding="utf-8").split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- "):]
+    return set(re.findall(r"`([A-Za-z_]\w*)`", bullets))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -129,10 +143,10 @@ def referenced_names(tree: ast.Module, aliases: bool = True) -> set[str]:
 
 
 def test_every_definition_is_referenced():
-    sources = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+    sources = [*PACKAGE.glob("*.py"), *BENCH]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
     # a definition kept alive only by its re-export from __init__ counts as dead
-    referenced = set().union(*(
+    referenced = public_api().union(*(
         referenced_names(tree, path != PACKAGE / "__init__.py") for path, tree in trees.items()
     ))
     dead = sorted(
@@ -158,21 +172,30 @@ def test_checker_does_not_count_a_reexport_as_a_use():
     assert unused == {"exported"}
 
 
+def test_the_package_binds_exactly_the_readme_public_api():
+    public = {
+        name for name, value in vars(latticegas).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == public_api()
+
+
 def test_the_benchmark_uses_only_names_the_package_binds():
     # An API trim that drops one of these breaks the benchmark's set-up, and a
     # CLI_WRAPPED key the CLI no longer binds silently drops a traced layer.
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in BENCH]
     used = {
-        n.attr for n in ast.walk(tree)
+        n.attr for tree in trees for n in ast.walk(tree)
         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "lg"
     }
     assert {"quadruples", "gamma1", "gamma2"} <= used
     builders = {  # looked up by name: getattr(lg, builder)
-        n.value for n in ast.walk(tree)
+        n.value for tree in trees for n in ast.walk(tree)
         if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("build_")
     }
-    missing = sorted(name for name in used | builders if not hasattr(latticegas, name))
-    assert not missing, f"the benchmark uses names latticegas does not bind: {missing}"
+    missing = sorted((used | builders) - public_api())
+    assert not missing, f"the benchmark uses names off the README's Public API list: {missing}"
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
     wrapped = next(
         ast.literal_eval(n.value) for n in tree.body
         if isinstance(n, ast.Assign)

@@ -19,8 +19,6 @@ from latticegas.sublattices import (
     enumerate_cubic_sublattices,
     euler_rodrigues,
     fcc_census,
-    fcc_from_cubic,
-    is_cubic_basis,
     predicted_class_bases,
     quadruples,
     r3_brute,
@@ -33,10 +31,14 @@ from latticegas.lattice import oh_elements, rotation_elements
 from latticegas.sublattices import _cubic_keys, _key, _orbit
 from oracles import (
     classify_by_hnf,
+    conjugate,
     cubic_sublattices_by_hnf,
     det3,
     fcc_count_by_hnf,
+    fcc_from_cubic,
+    is_cubic_basis,
     orthogonal_triples,
+    quaternion_product,
     quaternions_of_norm,
     r3_naive,
 )
@@ -67,7 +69,7 @@ def test_quaternion_norm_is_multiplicative(a, b, c, d, e, f, g, h):
     if (a == b == c == d == 0) or (e == f == g == h == 0):
         return
     p, q = Quaternion(a, b, c, d), Quaternion(e, f, g, h)
-    assert (p * q).norm_sq == p.norm_sq * q.norm_sq
+    assert quaternion_product(p, q).norm_sq == p.norm_sq * q.norm_sq
 
 
 @given(
@@ -82,7 +84,7 @@ def test_rotation_matrix_is_multiplicative(a, b, c, d, e, f, g, h):
     product_matrix = tuple(
         tuple(sum(mp[i][k] * mq[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
-    assert euler_rodrigues(p * q) == product_matrix
+    assert euler_rodrigues(quaternion_product(p, q)) == product_matrix
 
 
 HALVING_UNITS = (Quaternion(1, 1, 0, 0), Quaternion(1, 0, 1, 0), Quaternion(1, 0, 0, 1))
@@ -105,10 +107,10 @@ def test_even_norms_are_left_divisible_by_a_halving_unit():
         u, q = next(
             (u, q)
             for u in HALVING_UNITS
-            for q in [u.conjugate() * z]
+            for q in [quaternion_product(conjugate(u), z)]
             if q.a % 2 == q.b % 2 == q.c % 2 == q.d % 2 == 0
         )
-        assert u * Quaternion(q.a // 2, q.b // 2, q.c // 2, q.d // 2) == z, coords
+        assert quaternion_product(u, Quaternion(q.a // 2, q.b // 2, q.c // 2, q.d // 2)) == z, coords
 
 
 def test_odd_primitive_norms_share_no_factor_with_the_rotation_entries():
@@ -122,7 +124,7 @@ def test_odd_primitive_norms_share_no_factor_with_the_rotation_entries():
 
 def test_conjugation_gives_the_norm():
     q = Quaternion(2, -1, 3, 0)
-    prod = q * q.conjugate()
+    prod = quaternion_product(q, conjugate(q))
     assert (prod.a, prod.b, prod.c, prod.d) == (q.norm_sq, 0, 0, 0)
 
 
