@@ -521,7 +521,7 @@ def window_census(
             if red.sites:
                 survivors.add(red.sites)
 
-    independent_sets(conflict, cover, visit, limit=2)
+    independent_sets(conflict, cover, visit, limit=2, sites=window)
     uniq = sorted(survivors)
     return WindowCensus(
         window_sites=len(window),

@@ -33,6 +33,7 @@ from .lattice import (
     count_independent_sets,
     fold_independent_sets,
     independent_sets,
+    most_independent,
     sq_dist,
 )
 
@@ -74,9 +75,12 @@ class ForceTable(Record):
 
 @lru_cache(maxsize=None)
 def force_table(d2: int) -> ForceTable:
-    if d2 not in FORCE_TABLES:
+    """The table of d2, which must be an int of SUPPORTED_D2: a bool, or a
+    float or Fraction equal to one, is refused too. Every d2-keyed cache of
+    this module reads through here, so none is keyed by anything else."""
+    if type(d2) is not int or d2 not in FORCE_TABLES:
         raise UnsupportedThresholdError(
-            f"no repelling-force table known for d2={d2}; supported: {SUPPORTED_D2}"
+            f"no repelling-force table known for d2={d2!r}; supported: {SUPPORTED_D2}"
         )
     table = FORCE_TABLES[d2]
     den = math.lcm(*(f.denominator for f in table.values()))
@@ -101,8 +105,7 @@ def enumerate_ball_acs(
     per pattern with the sites in lexicographic order. Returns the count,
     which lattice.count_independent_sets takes without visiting.
     """
-    sites = ball_sites(force_table(d2).ball_radius_sq)
-    conflict = conflict_masks(sites, d2)
+    sites, conflict = _ball(force_table(d2))[:2]
     if visitor is not None:
         independent_sets(conflict, [0] * len(sites), lambda chosen, _: visitor(tuple(sites[i] for i in chosen)))
     return count_independent_sets(conflict)
@@ -119,18 +122,20 @@ class BallSearchReport(Record):
     signatures: tuple[tuple[int, ...], ...]
 
 
-def _clique_cover(conflict: list[int], members: list[int]) -> int:
-    """The number of cliques a greedy pass splits members into: each member
-    joins the first clique whose every member it conflicts with."""
-    cliques: list[int] = []
-    for i in members:
-        for k, clique in enumerate(cliques):
-            if not clique & ~conflict[i]:
-                cliques[k] |= 1 << i
-                break
-        else:
-            cliques.append(1 << i)
-    return len(cliques)
+@lru_cache(maxsize=len(SUPPORTED_D2))
+def _ball(ft: ForceTable) -> tuple[tuple[Site, ...], list[int], list[int], list[int], list[int]]:
+    """What the searches of the ball of ft read and never change, built once
+    per table, so at most once per supported d2: its sites, their conflict
+    masks (lattice.conflict_masks), each site's unit place[q] of the mixed
+    radix of verify_forces, q its squared distance, and that radix's bases
+    and places, one per shell. Keyed by the table, so a d2 force_table
+    refuses never reaches the cache."""
+    sites = ball_sites(ft.ball_radius_sq)
+    dists = [sq_dist(s, ORIGIN) for s in sites]
+    conflict = conflict_masks(sites, ft.d2)
+    bases = [1 + most_independent(conflict, [i for i, q in enumerate(dists) if q == s]) for s in range(len(ft.weights))]
+    place = list(itertools.accumulate(reversed(bases), operator.mul, initial=1))[-2::-1]
+    return sites, conflict, [place[q] for q in dists], bases, place
 
 
 @lru_cache(maxsize=None)
@@ -145,32 +150,30 @@ def verify_forces(d2: int) -> BallSearchReport:
     Every admissible pattern is accounted for, yet none is visited: the
     fold of lattice.fold_independent_sets runs over merged states and
     returns the count and the set of signatures, a pattern's signature being
-    the sum of place[q] over its sites, q each site's squared distance.
+    the sum of place[q] over its sites, q each site's squared distance. The
+    ball, its conflicts and the radix below are built once per d2 (_ball);
+    the fold runs on every call, so cache_clear makes the next call search
+    the ball again.
     Everything reported is a function of the distance multiset, that is of
     the counts n[q] of the pattern's sites on each shell q. The fold obeys
     lattice.COUNT_STATES_MAX; the balls take at most 3,761 states (d2 = 8).
 
-    No digit carries. The sites of shell q are split greedily into
-    cliques of pairwise conflicting sites, base[q] is one more than their
-    number, and place[q] is the product of base[q'] over q' > q. An
-    admissible pattern holds no two conflicting sites, so at most one site
-    of each clique: n[q] < base[q]. The signature sum of n[q] * place[q] is
-    then the mixed-radix numeral with digits n[q], so distinct multisets
-    have distinct signatures and divmod by the bases reads the counts back.
-    The outer shells take the low places, which keeps the carried bitsets
-    narrower than the other way round (at most 26,460 bits, at d2 = 8).
+    No digit carries. base[q] is one more than the most sites of shell q
+    that an admissible pattern holds (lattice.most_independent), so
+    n[q] < base[q], and place[q] is the product of base[q'] over q' > q.
+    The signature sum of n[q] * place[q] is then the mixed-radix numeral
+    with digits n[q], so distinct multisets have distinct signatures and
+    divmod by the bases reads the counts back. The outer shells take the
+    low places, which keeps the carried bitsets narrower than the other way
+    round (at most 17,640 bits, at d2 = 8).
 
     The totals run on the table's integer weights, so a total of exactly 1
     reads as ft.den.
     """
     ft = force_table(d2)
     den, shells = ft.den, range(ft.ball_radius_sq)
-    sites = ball_sites(ft.ball_radius_sq)
-    dists = [sq_dist(s, ORIGIN) for s in sites]
-    conflict = conflict_masks(sites, d2)
-    bases = [1 + _clique_cover(conflict, [i for i, q in enumerate(dists) if q == shell]) for shell in shells]
-    place = list(itertools.accumulate(reversed(bases), operator.mul, initial=1))[-2::-1]
-    count, sigs = fold_independent_sets(conflict, [place[q] for q in dists])
+    _, conflict, units, bases, place = _ball(ft)
+    count, sigs = fold_independent_sets(conflict, units)
     totals: dict[int, list[list[int]]] = {}  # total weight -> the shell counts of its patterns
     while sigs:
         sig = sigs.bit_length() - 1

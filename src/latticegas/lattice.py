@@ -150,19 +150,52 @@ def _at_most(key: Sequence[int]) -> tuple[list[int], list[int]]:
     return [key[i] for i in order], masks
 
 
-def _covering(conflict: Sequence[int], cover: Sequence[int]) -> dict[int, tuple[int, int]]:
+def _covering(conflict: Sequence[int], cover: Sequence[int],
+              sites: Optional[Sequence[Site]] = None) -> dict[int, tuple[int, int]]:
     """For each bit p set in some cover: the mask of the indices whose covers
-    have p, and K_p, the most of them that an independent set holds (the
-    highest set size the fold of those indices with unit 1 finds)."""
+    have p, and K_p, the most of them that an independent set holds
+    (most_independent). Given the sites whose conflicts these are, K_p is
+    found once per pattern: the sites of p's indices taken relative to the
+    first, in index order. A translated pattern has the same conflicts."""
     members: dict[int, list[int]] = {}
     for i, c in enumerate(cover):
         for p in _bits(c):
             members.setdefault(p, []).append(i)
-    out = {}
+    most, out = {}, {}
     for p, ks in members.items():
-        sub = [sum(1 << b for b, j in enumerate(ks) if conflict[k] >> j & 1) for k in ks]
-        out[p] = (sum(1 << k for k in ks), fold_independent_sets(sub, [1] * len(ks))[1].bit_length() - 1)
+        key = tuple(ks) if sites is None else tuple(
+            (y0 - x0, y1 - x1, y2 - x2) for x0, x1, x2 in [sites[ks[0]]] for y0, y1, y2 in map(sites.__getitem__, ks))
+        if key not in most:
+            most[key] = most_independent(conflict, ks)
+        out[p] = (sum(1 << k for k in ks), most[key])
     return out
+
+
+def most_independent(conflict: Sequence[int], ks: list[int]) -> int:
+    """The most of the indices ks (increasing, nonempty) that an
+    independent set holds.
+
+    The states of count_independent_sets within ks, on the conflicts as
+    they are, each carrying the largest size of a prefix reaching it; a
+    merge keeps the larger, and the empty state, whose lowest index reads
+    as -1, waits in the last slot. Each state is expanded once, in order of
+    its lowest index; more than COUNT_STATES_MAX states raise ValueError.
+    """
+    levels: dict[int, dict[int, int]] = {v: {} for v in [*ks, -1]}  # states by lowest index
+    levels[ks[0]][sum(1 << k for k in ks)] = expanded = 0
+    for v, level in zip(ks, levels.values()):  # the slot -1 comes last, and is never expanded
+        expanded = _within_budget(expanded + len(level), len(ks))
+        bit, keep = 1 << v, ~conflict[v]
+        for avail, size in level.items():
+            left_out = avail ^ bit
+            taken = left_out & keep
+            w = levels[(taken & -taken).bit_length() - 1]
+            if w.get(taken, 0) <= size:
+                w[taken] = size + 1
+            w = levels[(left_out & -left_out).bit_length() - 1]
+            if w.get(left_out, -1) < size:
+                w[left_out] = size
+    return levels[-1][0]
 
 
 def independent_sets(
@@ -170,6 +203,7 @@ def independent_sets(
     cover: Sequence[int],
     visit: Callable[[list[int], int], None],
     limit: Optional[int] = None,
+    sites: Optional[Sequence[Site]] = None,
 ) -> None:
     """Visit index sets with no two members in conflict, the empty set first.
 
@@ -183,10 +217,11 @@ def independent_sets(
     independent X whose excess E(X) = |C(X)| - |X| is at most limit is
     visited, and the search enters a subtree only if a lower bound on the
     excess of its sets allows it. K_p is the most members of an
-    independent set whose covers have bit p (_covering), D = lcm(K_p) and
-    s_p = D / K_p. At the node X, A is the set of indices above max X in
-    conflict with nothing in X, and the marginal of an index y is
-    D m_X(y) = (sum of s_p over p in C(y) - C(X)) - D.
+    independent set whose covers have bit p (_covering; given the sites
+    whose conflicts these are, it is found once per pattern of them),
+    D = lcm(K_p) and s_p = D / K_p. At the node X, A is the set of indices
+    above max X in conflict with nothing in X, and the marginal of an index
+    y is D m_X(y) = (sum of s_p over p in C(y) - C(X)) - D.
 
     Lemma: every independent Y within A has
     D E(X + Y) >= D E(X) + sum over y in Y of D m_X(y). Proof: C(X + Y) is
@@ -210,7 +245,7 @@ def independent_sets(
     chosen: list[int] = []
     weight, reach = [0] * n, [0] * n  # reach[i]: the indices sharing a bit with i
     if limit is not None:
-        covering = _covering(conflict, cover)
+        covering = _covering(conflict, cover, sites)
         den = math.lcm(*(k for _, k in covering.values()))
         cap, share = den * limit, [0] * max(cover, default=0).bit_length()  # share[p]: s_p
         for p, (mask, k) in covering.items():

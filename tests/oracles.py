@@ -5,7 +5,10 @@ Nothing here shares search machinery with the package but
 window_census_exhaustive, which runs the package's kernel with nothing
 pruned and counts by visiting, on conflicts found by comparing every pair
 of sites (conflict_masks_pairwise) rather than by the library's ball
-lookup. Balls come from a cube scan, admissible
+lookup, and covering_by_subfolds, which finds the K_p of the census's
+bound by one unit-weight fold per particle over its members' conflicts,
+renumbered, where the library folds once per pattern on the conflicts as
+they are. Balls come from a cube scan, admissible
 patterns and window insertion sets from plain-list DFSs, densities from
 counting occupied sites in an exact box, admissibility from a cube-scanned
 ball around every offset (admissible_by_scan) or from every pair in a box, and cubic sublattices from a
@@ -65,7 +68,7 @@ from latticegas.excitations import (
     reduce_insertions,
 )
 from latticegas.forces import BALL_RADIUS_SQ, FORCE_TABLES, peierls_gap
-from latticegas.lattice import independent_sets, oh_elements
+from latticegas.lattice import _bits, fold_independent_sets, independent_sets, oh_elements
 from latticegas.sublattices import (
     Quaternion,
     SublatticeClass,
@@ -147,6 +150,21 @@ def conflict_masks_pairwise(sites: list[Site], d2: int) -> list[int]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def covering_by_subfolds(conflict: list[int], cover: list[int]) -> dict[int, tuple[int, int]]:
+    """lattice._covering by one fold per particle p: the conflicts among the
+    indices whose covers have p, renumbered 0, 1, ..., folded with unit 1;
+    K_p is the highest set size the fold finds."""
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(cover):
+        for p in _bits(c):
+            members.setdefault(p, []).append(i)
+    out = {}
+    for p, ks in members.items():
+        sub = [sum(1 << b for b, j in enumerate(ks) if conflict[k] >> j & 1) for k in ks]
+        out[p] = (sum(1 << k for k in ks), fold_independent_sets(sub, [1] * len(ks))[1].bit_length() - 1)
+    return out
 
 
 def total_force(d2: int, occupied, center: Site = (0, 0, 0)) -> Fraction:

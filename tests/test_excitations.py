@@ -441,6 +441,21 @@ def test_window_census_stops_at_its_search_budget(pc, layers, radius_sq, budget,
         window_census(pc, 5, layers, radius_sq)
 
 
+@pytest.mark.parametrize("pc,d2,layers,radius_sq", [
+    (HCP, 5, 2, 6), (HCP, 5, 2, 8), (HCP, 5, 1, 12), (HCP, 5, 3, 8), (HCP, 5, 2, 10),
+    (HCP, 5, 3, 10), (HCP, 5, 3, 12),
+    (build_layered_2l2(2, 0, "012"), 8, 2, 12), (build_layered_2l2(3, 0, "01"), 18, 2, 20),
+    (_supercell_without_one(HCP, 5), 5, 2, 6), (_supercell_without_one(HCP, 5), 5, 2, 8),
+    (_supercell_without_one(HCP, 5), 5, 3, 8),
+    (build_layered_2l2(3, 0, "01"), 18, 2, 30),  # 335 sites, 56 particles, 40 patterns
+    (build_fcc(1), 2, 40, 284),  # 5,000 sites, 6,042 particles, 31 patterns
+], ids=["hcp-2-6", "hcp-2-8", "hcp-1-12", "hcp-3-8", "hcp-2-10", "hcp-3-10", "hcp-3-12", "2l2-l2-012",
+        "2l2-l3-01", "holed-2-6", "holed-2-8", "holed-3-8", "2l2-l3-01-wide", "fcc-40-284"])
+def test_k_p_per_pattern_matches_one_fold_per_particle(pc, d2, layers, radius_sq):
+    window, conflict, cover = _window(pc, d2, layers, radius_sq)
+    assert _covering(conflict, cover, window) == oracles.covering_by_subfolds(conflict, cover)
+
+
 WINDOW_3_10 = _window(HCP, 5, 3, 10)
 MOST_3_10 = {p: k for p, (_, k) in _covering(*WINDOW_3_10[1:]).items()}
 

@@ -18,9 +18,9 @@ from latticegas.forces import (
     peierls_gap,
     verify_forces,
 )
-from latticegas import lattice
-from latticegas.lattice import ball_sites, is_admissible
-from oracles import force_extremes, total_force
+from latticegas import forces, lattice
+from latticegas.lattice import ball_sites, conflict_masks, fold_independent_sets, is_admissible
+from oracles import brute_ball, conflict_masks_pairwise, force_extremes, total_force
 from reference_data import (
     EXPECTED_SIGNATURES,
     FORCE_VALUES,
@@ -68,6 +68,21 @@ def test_unsupported_thresholds_raise():
             force_table(d2)
 
 
+@pytest.mark.parametrize("d2", [5.0, Fraction(5), True, "5"], ids=repr)
+@pytest.mark.parametrize("function", [force_table, normalization_constant, verify_forces, enumerate_ball_acs],
+                         ids=lambda f: f.__name__)
+def test_a_threshold_that_is_not_exactly_an_int_is_refused(function, d2):
+    # 5.0 and Fraction(5) equal 5, and True equals 1: none may find the
+    # cached entry of the int it equals, nor be cached itself
+    expected = function(5)
+    entries = getattr(function, "cache_info", None)
+    before = entries and entries().currsize
+    with pytest.raises(UnsupportedThresholdError, match="no repelling-force table"):
+        function(d2)
+    assert (entries and entries().currsize) == before
+    assert function(5) == expected
+
+
 @pytest.mark.parametrize("d2", SUPPORTED_D2)
 def test_normalization_constants(d2):
     assert normalization_constant(d2) == NORMALIZATION[d2]
@@ -96,6 +111,47 @@ def test_search_matches_independent_oracle(d2):
         r.max_occupancy,
         r.signatures,
     )
+
+
+@pytest.mark.parametrize("d2", SUPPORTED_D2)
+def test_each_ball_holds_its_sites_and_their_pairwise_conflicts(d2):
+    sites, conflict = forces._ball(force_table(d2))[:2]
+    assert list(sites) == brute_ball(BALL_RADIUS_SQ[d2])
+    assert conflict == conflict_masks_pairwise(list(sites), d2)
+
+
+def test_a_cleared_search_reproduces_the_golden_extremes():
+    from latticegas.reporting import frac_str
+
+    for d2 in SUPPORTED_D2:
+        verify_forces.cache_clear()
+        r = verify_forces(d2)
+        g = golden("force_extremes.json")[str(d2)]
+        assert (r.config_count, frac_str(r.fstar), frac_str(r.second_max), r.max_occupancy) == (
+            g["config_count"], g["fstar"], g["second_max"], g["max_occupancy"])
+
+
+def test_each_ball_is_built_once_and_searched_on_every_cleared_call(monkeypatch):
+    builds, folds = [], []
+
+    def counted(kernel, log):
+        def run(conflict_or_sites, *args):
+            log.append(len(conflict_or_sites))
+            return kernel(conflict_or_sites, *args)
+        return run
+
+    monkeypatch.setattr(forces, "conflict_masks", counted(conflict_masks, builds))
+    monkeypatch.setattr(forces, "fold_independent_sets", counted(fold_independent_sets, folds))
+    forces._ball.cache_clear()
+    for d2 in SUPPORTED_D2:
+        for _ in range(2):
+            verify_forces.cache_clear()
+            verify_forces(d2)
+        enumerate_ball_acs(d2)
+    sizes = [len(ball_sites(BALL_RADIUS_SQ[d2])) for d2 in SUPPORTED_D2]
+    assert builds == sizes
+    assert folds == [n for n in sizes for _ in range(2)]
+    assert forces._ball.cache_info().currsize == forces._ball.cache_info().maxsize == len(SUPPORTED_D2)
 
 
 def test_the_ball_search_obeys_the_state_budget(monkeypatch):

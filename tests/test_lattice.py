@@ -26,6 +26,7 @@ from latticegas.lattice import (
     half_ball,
     independent_sets,
     is_admissible,
+    most_independent,
     oh_elements,
     outgrows_ball,
     rotation_elements,
@@ -38,6 +39,7 @@ from oracles import (
     QuaternionTwin,
     brute_ball,
     conflict_masks_pairwise,
+    covering_by_subfolds,
     pairwise_admissible,
 )
 from reference_data import BALL_COUNTS
@@ -270,6 +272,52 @@ def test_the_search_visits_exactly_the_sets_its_marginal_bound_admits(pts, d2, l
     assert all(covered == covers(c) for c, covered in seen)
     # every set of excess <= limit is visited
     assert {c for c in independent if covers(c).bit_count() - len(c) <= limit} <= set(expected)
+
+
+@given(pts=point_sets_st, d2=st.integers(1, 12), data=st.data())
+def test_k_p_matches_one_fold_per_particle(pts, d2, data):
+    # given the sites, particles whose repellers sit alike share one fold
+    conflict = conflict_masks(pts, d2)
+    cover = data.draw(st.lists(st.integers(0, 2 ** 8 - 1), min_size=len(pts), max_size=len(pts)))
+    expected = covering_by_subfolds(conflict, cover)
+    assert lattice._covering(conflict, cover, pts) == expected == lattice._covering(conflict, cover)
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_k_p_tells_apart_patterns_that_differ_along_any_axis(axis):
+    # particle 0 is repelled by a close pair of sites, particle 1 by a far
+    # one; the pairs lie alike on the other two axes
+    step = tuple(int(t == axis) for t in range(3))
+    sites = [(0, 0, 0), step, (9, 9, 9), tuple(9 + 3 * s for s in step)]
+    conflict = conflict_masks(sites, 2)
+    assert lattice._covering(conflict, [1, 1, 2, 2], sites) == {0: (0b0011, 1), 1: (0b1100, 2)}
+
+
+def test_most_independent_is_the_largest_independent_subset_of_every_small_graph():
+    # vertex v of a graph on 5 vertices is index 2v + 1; the even indices
+    # lie outside ks and conflict with every other index
+    pairs = list(combinations(range(5), 2))
+    ks = [2 * v + 1 for v in range(5)]
+    outside = sum(1 << k for k in range(0, 11, 2))
+    for edges in range(1 << len(pairs)):
+        conflict = [((1 << 11) - 1) ^ (1 << k) if k % 2 == 0 else outside for k in range(11)]
+        for e, (u, v) in enumerate(pairs):
+            if edges >> e & 1:
+                conflict[ks[u]] |= 1 << ks[v]
+                conflict[ks[v]] |= 1 << ks[u]
+        largest = max(len(c) for r in range(6) for c in combinations(range(5), r)
+                      if not any(edges >> pairs.index(pair) & 1 for pair in combinations(c, 2)))
+        assert most_independent(conflict, ks) == largest
+
+
+def test_a_k_p_fold_past_its_budget_raises(monkeypatch):
+    # one particle repelled by 16 indices in 8 conflicting pairs: K_p = 8,
+    # and the fold keeps each pair's two choices apart, about 2^8 states
+    conflict = [1 << (i + 8) if i < 8 else 1 << (i - 8) for i in range(16)]
+    assert lattice._covering(conflict, [1] * 16) == {0: ((1 << 16) - 1, 8)}
+    monkeypatch.setattr(lattice, "COUNT_STATES_MAX", 100)
+    with pytest.raises(ValueError, match="more than 100 states"):
+        lattice._covering(conflict, [1] * 16)
 
 
 small_st = st.integers(-1, 1)
