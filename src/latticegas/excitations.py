@@ -386,14 +386,17 @@ class WindowCensus(Record):
 
 # Work bounds of a window census's search, which stops with ValueError when
 # it passes either. The search prunes by the energy of the chosen set, so
-# it visits few sets on a perfect background (hcp at 3 layers and squared
-# radius 13: 2,438; fcc at d2 = 2 near the site limit below: 4,651-4,995),
-# but each visit recomputes the bounds of the sites near the chosen set.
-# On one shared 2-vCPU host (Python 3.11) a visited set costs about 5-20
-# us, and 22 us on average, reductions included, on the 2x2x2 supercell of
-# hcp with one offset removed, where the most visits were seen (at 2 layers
-# and squared radius 22 the search needs 5.6e6, and the first 1e5 and 4e5
-# take 2.3 and 9.0 s). So the visits take at most about 22 s. A reduction
+# it visits few sets on a perfect background of a small window (hcp at 3
+# layers and squared radius 13: 2,438; fcc at d2 = 2 near the site limit
+# below: 4,651-4,995), but each visit recomputes the bounds of the sites
+# near the chosen set. On one shared 2-vCPU host (Python 3.11) a visited
+# set costs about 5-20 us on small windows, and 22 us on average,
+# reductions included, on the 2x2x2 supercell of hcp with one offset
+# removed (at 2 layers and squared radius 22 the search needs 5.6e6, and
+# the first 1e5 and 4e5 take 2.3 and 9.0 s). The widest windows the count
+# accepts visit the most: hcp at 2 layers and squared radius 28 visits
+# 814,864 sets in 20 s, about 24 us each, and at 29-31 this budget refuses
+# the window after 31-33 s. So the visits take at most about 33 s. A reduction
 # costs 0.05 ms for a single site and about 0.5 ms on average for the sets
 # of energy <= 2 near a vacancy (the holed hcp supercell at 1 layer and
 # squared radius 24), so the reductions take at most about 3 s; hcp windows
@@ -407,9 +410,11 @@ WINDOW_REDUCTIONS_MAX = 5000
 # at d2 = 2 the other budgets accept windows up to this limit (5,000 sites
 # at 40 layers and squared radius 284: the search visits 4,995 sets, and
 # the census takes about 0.4 s); on hcp and on fcc at d2 = 8 the largest
-# windows accepted, over every number of layers, have 270 sites (1 layer,
-# squared radius 218) and 181 (2 layers, squared radius 25), the state
-# budget refusing each larger window tried.
+# windows accepted, over every number of layers from 1 to 8, have 270 sites
+# (1 layer, squared radius 218) and 211 (2 layers, squared radius 28). The
+# state budget refuses each larger window tried, but for hcp at 2 layers
+# and squared radius 29-31 (175-181 sites), which the visits budget
+# refuses.
 WINDOW_SITES_MAX = 5000
 
 
@@ -440,9 +445,13 @@ def _window(
     pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int
 ) -> tuple[list[Site], list[int], list[int]]:
     """The window of a census (see window_census), its conflict masks, and
-    each window site's repelled set as a bitmask over the repelled particles.
-    A window of more than WINDOW_SITES_MAX sites is refused before any site's
-    repelled set is looked up."""
+    each window site's repelled set as a bitmask over the repelled particles
+    in lexicographic order. A window of more than WINDOW_SITES_MAX sites is
+    refused before any site's repelled set is looked up. The particles come
+    from one occupied_in_box query over the window's bounding box grown by
+    isqrt(d2 - 1), which holds every x + b, b in ball_sites(d2); the sites
+    are keyed as in lattice.conflict_masks, m above the box's span, so the
+    keys sort as the sites do."""
     if layers < 1:
         raise ValueError(f"a window census needs at least one layer, got {layers}")
     if radius_sq < 0:
@@ -453,7 +462,16 @@ def _window(
     if len(window) > WINDOW_SITES_MAX:
         raise ValueError(f"a window census takes at most {WINDOW_SITES_MAX} window sites; the "
                          f"window of layers={layers}, radius_sq={radius_sq} has more")
-    near = [pc.occupied_near(x, d2) for x in window]
+    if not window:
+        return [], [], []
+    r = math.isqrt(d2 - 1)
+    lo = [min(x[t] for x in window) - r for t in range(3)]
+    hi = [max(x[t] for x in window) + r for t in range(3)]
+    m = max(b - a for a, b in zip(lo, hi)) + 1
+    occupied = {(y0 * m + y1) * m + y2 for y0, y1, y2 in pc.occupied_in_box(lo, hi)}
+    steps = [(b0 * m + b1) * m + b2 for b0, b1, b2 in ball_sites(d2)]
+    keys = [(x0 * m + x1) * m + x2 for x0, x1, x2 in window]
+    near = [[k + s for s in steps if k + s in occupied] for k in keys]
     index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
     cover = [sum(1 << index[y] for y in ys) for ys in near]
     return window, conflict_masks(window, d2), cover
@@ -495,9 +513,21 @@ def window_census(
     energy of the sets below a node, the energy X already has plus the
     least that each site can add to it, whose proof its docstring gives.
     The exact energy is tested before any set is reduced.
+
+    The search takes the sites in lexicographic order, the count sorted by
+    (3 x0 - e.x, x), e the layering diagonal; a count is exact in any order.
+    Its states are the sites left open after a prefix of the order, so
+    their number follows the boundary of that prefix. Every main diagonal
+    has e0 = 1, so each plane 3 x0 - e.x = c contains e and the boundary
+    runs across the layers: the benchmark's two hcp windows take 1,263 and
+    667 states, against 2,529 and 1,477 in lexicographic order. On one
+    layer e.x is constant, so the key orders the sites as x does and the
+    count is the lexicographic one.
     """
     window, conflict, cover = _window(pc, d2, layers, radius_sq)
-    sets = count_independent_sets(conflict) - 1
+    e = _detect_layering(pc, d2)[0]
+    sweep = sorted(window, key=lambda x: (3 * x[0] - _dot(x, e), x))
+    sets = count_independent_sets(conflict_masks(sweep, d2)) - 1
     survivors: set[tuple[Site, ...]] = set()
     visits = reductions = 0
 

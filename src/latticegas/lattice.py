@@ -297,10 +297,12 @@ def independent_sets(
 
 
 # The most states count_independent_sets or fold_independent_sets expands
-# before it refuses with ValueError. The force balls take at most 3,761. The hcp windows of a
-# census with 3 layers take 98,987 at squared radius 13 (0.07 s on a 2-vCPU
-# host) and 909,128 at squared radius 14 (0.9 s); at squared radius 40 the
-# states fill more than 5 GB.
+# before it refuses with ValueError. The force balls take at most 3,761. A
+# window census counts its sets across the layers (excitations.window_census):
+# its hcp windows of 3 layers take 27,140 states at squared radius 13,
+# 155,720 at 14 (0.3 s on a 2-vCPU host), 173,307 at 16, the largest
+# accepted, and 330,152 at 17; at squared radius 40 they pass 10**6 (1.7 s,
+# 79 MB).
 COUNT_STATES_MAX = 200_000
 
 
@@ -320,31 +322,32 @@ def count_independent_sets(conflict: Sequence[int]) -> int:
     splits into A - v (v left out) and A - N[v] (v taken), N[v] being v
     with its conflicts, and the empty state ends a set. Equal states are
     merged, each carrying the number of ways to reach it, and are expanded
-    in order of v, so each is expanded once and nothing recurses. The
-    lowest index of the empty state reads as -1, so it waits in the last
-    slot, which is never expanded; the sets that end by taking v, the most
-    common end, are summed at once. More than COUNT_STATES_MAX states raise
-    ValueError.
+    in order of v, so each is expanded once and nothing recurses. A state
+    waits in slot v + 1, the bit length of its lowest set bit, so the empty
+    state waits in slot 0, which is never expanded, and the initial state
+    in its own slot (0 when there are no indices); the sets that end by
+    taking v, the most common end, are summed at once. More than
+    COUNT_STATES_MAX states raise ValueError.
     """
     n = len(conflict)
-    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index, with their ways
-    waiting[0][(1 << n) - 1] = 1
+    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index + 1, with their ways
+    waiting[min(n, 1)][(1 << n) - 1] = 1
     done = expanded = 0
     for v in range(n):
-        level, waiting[v] = waiting[v], None
+        level, waiting[v + 1] = waiting[v + 1], None
         expanded = _within_budget(expanded + len(level), n)
         bit, keep = 1 << v, ~conflict[v]
         for avail, ways in level.items():
             left_out = avail ^ bit
             taken = left_out & keep
-            w = waiting[(left_out & -left_out).bit_length() - 1]
+            w = waiting[(left_out & -left_out).bit_length()]
             w[left_out] = w.get(left_out, 0) + ways
             if taken:
-                w = waiting[(taken & -taken).bit_length() - 1]
+                w = waiting[(taken & -taken).bit_length()]
                 w[taken] = w.get(taken, 0) + ways
             else:
                 done += ways
-    return done + waiting[n].get(0, 0)
+    return done + waiting[0].get(0, 0)
 
 
 def fold_independent_sets(conflict: Sequence[int], unit: Sequence[int]) -> tuple[int, int]:
@@ -357,23 +360,23 @@ def fold_independent_sets(conflict: Sequence[int], unit: Sequence[int]) -> tuple
     signature s. Leaving v out passes both on, taking v shifts sigs up by
     unit[v], and a merge adds the ways and ORs the sigs. A set's signature
     is the sum over the prefixes along its path, so the empty state's
-    bitset holds every signature and no other. Expanded in order of v, each
-    state once and nothing recursing; more than COUNT_STATES_MAX states
-    raise ValueError. Counting alone is left to count_independent_sets,
+    bitset holds every signature and no other. Expanded in order of v from
+    the slots of count_independent_sets, each state once and nothing
+    recursing; more than COUNT_STATES_MAX states raise ValueError. Counting alone is left to count_independent_sets,
     which carries no sigs.
     """
     n = len(conflict)
-    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index, with [ways, sigs]
-    waiting[0][(1 << n) - 1] = [1, 1]
+    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index + 1, with [ways, sigs]
+    waiting[min(n, 1)][(1 << n) - 1] = [1, 1]
     expanded = 0
     for v in range(n):
-        level, waiting[v] = waiting[v], None
+        level, waiting[v + 1] = waiting[v + 1], None
         expanded = _within_budget(expanded + len(level), n)
         bit, keep, shift = 1 << v, ~conflict[v], unit[v]
         for avail, carried in level.items():
             ways, sigs = carried
             left_out = avail ^ bit
-            w = waiting[(left_out & -left_out).bit_length() - 1]
+            w = waiting[(left_out & -left_out).bit_length()]
             into = w.get(left_out)
             if into is None:
                 w[left_out] = carried  # the level is dropped, so its lists can move on
@@ -381,14 +384,14 @@ def fold_independent_sets(conflict: Sequence[int], unit: Sequence[int]) -> tuple
                 into[0] += ways
                 into[1] |= sigs
             taken = left_out & keep
-            w = waiting[(taken & -taken).bit_length() - 1]
+            w = waiting[(taken & -taken).bit_length()]
             into = w.get(taken)
             if into is None:
                 w[taken] = [ways, sigs << shift]
             else:
                 into[0] += ways
                 into[1] |= sigs << shift
-    return tuple(waiting[n][0])
+    return tuple(waiting[0][0])
 
 
 _set = object.__setattr__

@@ -1,14 +1,19 @@
 """Named mutants of the package, each with the tests that must catch it.
 
-    python3 tests/mutants.py [NAME ...]
+    python3 tests/mutants.py [--seeds N] [NAME ...]
 
 A mutant replaces one exact fragment of one file of src/latticegas. For
 each mutant the script copies src/ into a temporary directory, applies the
 mutant there, and runs the tests the mutant names against that copy
-(pytest, with PYTHONPATH set to the copy). It prints one line per mutant:
+(pytest, with PYTHONPATH set to the copy). With --seeds N the tests run N
+times, one run after another, under the fixed hypothesis seeds 0 .. N - 1
+(pytest --hypothesis-seed); without it they run once, under a seed
+hypothesis picks. It prints one line per mutant:
 
-    caught     a named test failed, or a named test module failed to load
-    SURVIVED   every named test passed
+    caught     a named test failed, or a named test module failed to load,
+               under every seed
+    SURVIVED   every named test passed under every seed
+    FLAKY      caught under some seeds and not under others
     STALE      the fragment is not in the file exactly once
     ERROR      pytest ran no test, or stopped for another reason
 
@@ -20,13 +25,14 @@ listed as equivalent, went stale or erred. With NAMEs only those run.
 
 from __future__ import annotations
 
+import argparse
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
 import tempfile
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -97,6 +103,20 @@ MUTANTS = [
     Mutant("segment-start-not-moved", "lattice.py",
            "room, top = room - m, y", "room, top = room - m, top",
            _t("test_lattice", "test_the_search_visits_exactly_the_sets_its_marginal_bound_admits")),
+    # the window's covers and the census's count
+    Mutant("window-box-not-grown", "excitations.py",
+           "r = math.isqrt(d2 - 1)\n", "r = 0\n",
+           _t("test_excitations", "test_the_window_matches_the_per_site_lookups")),
+    Mutant("census-count-in-lexicographic-order", "excitations.py",
+           "count_independent_sets(conflict_masks(sweep, d2))", "count_independent_sets(conflict)",
+           _t("test_excitations", "test_the_census_counts_the_bench_windows_across_the_layers")),
+    Mutant("count-slot-without-its-plus-one", "lattice.py",
+           "w = waiting[(taken & -taken).bit_length()]\n                w[taken]",
+           "w = waiting[(taken & -taken).bit_length() - 1]\n                w[taken]",
+           _t("test_lattice", "test_count_independent_sets_is_bounded_and_does_not_recurse")),
+    Mutant("fold-initial-state-in-slot-one", "lattice.py",
+           "waiting[min(n, 1)][(1 << n) - 1] = [1, 1]", "waiting[1][(1 << n) - 1] = [1, 1]",
+           _t("test_lattice", "test_the_kernels_count_the_one_set_of_no_indices")),
     # neighbourhood checks
     Mutant("admissible-without-repeated-site-test", "lattice.py",
            "return len(set(pts)) == len(pts) and not any(conflict_masks(pts, d2))",
@@ -165,37 +185,56 @@ def matches(mutant: Mutant, src: pathlib.Path = SRC) -> bool:
     return (src / "latticegas" / mutant.file).read_text().count(mutant.fragment) == 1
 
 
-def run(mutant: Mutant, src: pathlib.Path = SRC) -> str:
-    """'caught', 'survived', 'stale' or 'error', as the module docstring
-    says, for the mutant applied to a copy of src."""
-    if not matches(mutant, src):
-        return "stale"
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = pathlib.Path(shutil.copytree(src, pathlib.Path(tmp) / "src",
-                                            ignore=shutil.ignore_patterns("__pycache__")))
-        path = copy / "latticegas" / mutant.file
-        path.write_text(path.read_text().replace(mutant.fragment, mutant.replacement))
-        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=ROOT, env=env, capture_output=True, text=True,
-        )
+def _outcome(done: subprocess.CompletedProcess) -> str:
+    """'caught', 'survived' or 'error' for one pytest run of a mutant."""
     if done.returncode in (0, 1):
         return ("survived", "caught")[done.returncode]
     # a named module that fails to import shows as an error line of the summary
     return "caught" if any(line.startswith("ERROR tests/") for line in done.stdout.splitlines()) else "error"
 
 
-def main(names: list[str]) -> int:
+def run(mutant: Mutant, src: pathlib.Path = SRC, seeds: Sequence[Optional[int]] = (None,)) -> str:
+    """'caught', 'survived', 'flaky', 'stale' or 'error', as the module
+    docstring says, for the mutant applied to a copy of src and its tests
+    run once per seed (None: hypothesis picks one)."""
+    if not matches(mutant, src):
+        return "stale"
+    outcomes = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(shutil.copytree(src, pathlib.Path(tmp) / "src",
+                                            ignore=shutil.ignore_patterns("__pycache__")))
+        path = copy / "latticegas" / mutant.file
+        path.write_text(path.read_text().replace(mutant.fragment, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        for seed in seeds:
+            fixed = [] if seed is None else [f"--hypothesis-seed={seed}"]
+            outcomes.add(_outcome(subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *fixed, *mutant.tests],
+                cwd=ROOT, env=env, capture_output=True, text=True,
+            )))
+    if "error" in outcomes:
+        return "error"
+    return outcomes.pop() if len(outcomes) == 1 else "flaky"
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Run the named mutants of the package.")
+    parser.add_argument("--seeds", type=int, help="run each mutant's tests under the hypothesis seeds 0 .. N - 1")
+    parser.add_argument("names", nargs="*", metavar="NAME")
+    args = parser.parse_args(argv)
+    names = args.names
+    if args.seeds is not None and args.seeds < 1:
+        parser.error("--seeds takes a count of at least 1")
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"no mutants named {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    seeds = (None,) if args.seeds is None else range(args.seeds)
     bad = 0
     for mutant in MUTANTS:
         if names and mutant.name not in names:
             continue
-        outcome = run(mutant)
+        outcome = run(mutant, seeds=seeds)
         if mutant.equivalent and outcome == "survived":
             shown = f"equivalent ({mutant.equivalent})"
         else:

@@ -5,7 +5,9 @@ Nothing here shares search machinery with the package but
 window_census_exhaustive, which runs the package's kernel with nothing
 pruned and counts by visiting, on conflicts found by comparing every pair
 of sites (conflict_masks_pairwise) rather than by the library's ball
-lookup, and covering_by_subfolds, which finds the K_p of the census's
+lookup, window_by_lookups, which reads each window site's repelled
+particles from its own occupied_near call where the library reads them all
+from one box, and covering_by_subfolds, which finds the K_p of the census's
 bound by one unit-weight fold per particle over its members' conflicts,
 renumbered, where the library folds once per pattern on the conflicts as
 they are. Balls come from a cube scan, admissible
@@ -63,6 +65,8 @@ from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, ca
 from latticegas.excitations import (
     InsertionType,
     WindowCensus,
+    _detect_layering,
+    _slab_sites,
     classify_insertion,
     make_insertion,
     reduce_insertions,
@@ -249,6 +253,18 @@ def _window(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
         frozenset(y for y in brute_ball(d2, x) if pc.contains(y)) for x in window
     ]
     return window, repelled
+
+
+def window_by_lookups(pc: PeriodicConfiguration, d2: int, layers: int, radius_sq: int):
+    """excitations._window with each window site's repelled particles looked
+    up on their own (occupied_near), where the library reads them all from one
+    box: the window in lexicographic order, its conflicts from every pair, and
+    each site's cover over the repelled particles sorted lexicographically."""
+    e, h, _ = _detect_layering(pc, d2)
+    window = sorted(x for x in _slab_sites((0, 0, 0), e, h * (layers - 1), radius_sq) if not pc.contains(x))
+    near = [pc.occupied_near(x, d2) for x in window]
+    index = {y: k for k, y in enumerate(sorted({y for ys in near for y in ys}))}
+    return window, conflict_masks_pairwise(window, d2), [sum(1 << index[y] for y in ys) for ys in near]
 
 
 def _iia(pc: PeriodicConfiguration, site: Site, d2: int) -> bool:

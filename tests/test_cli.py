@@ -221,13 +221,16 @@ def _refuse(*args):
     raise AssertionError("the refused work ran")
 
 
-_occupied_near = PeriodicConfiguration.occupied_near
+_occupied_in_box = PeriodicConfiguration.occupied_in_box
 
 
-def _refuse_window_lookups(pc, site, d2):
-    """occupied_near for the background's admissibility check, which asks
-    about its own offsets; a lookup at any other site is window work."""
-    return _occupied_near(pc, site, d2) if site in pc.offsets else _refuse()
+def _refuse_window_lookups(pc, lo, hi):
+    """occupied_in_box for the background's admissibility check, which asks
+    about the cube around one of its own offsets; any other box is window
+    work."""
+    r = (hi[0] - lo[0]) // 2
+    around = [(tuple(c - r for c in o), tuple(c + r for c in o)) for o in pc.offsets]
+    return _occupied_in_box(pc, lo, hi) if (tuple(lo), tuple(hi)) in around else _refuse()
 
 
 def bounded(argv, limit, module, name, stand_in=None, accepted=None, refusal=_refuse, id=None):
@@ -255,7 +258,7 @@ BOUNDED_ARGUMENTS = [
     bounded(["table", "densities", "--lmax", "{}"], cli.DENSITIES_MAX_LMAX,
             sublattices, "factorize", id="densities"),
     bounded(["exc", "window-census", "--layers", "3", "--radius", "{}"], excitations.WINDOW_SITES_MAX,
-            PeriodicConfiguration, "occupied_near", accepted=10, refusal=_refuse_window_lookups,
+            PeriodicConfiguration, "occupied_in_box", accepted=10, refusal=_refuse_window_lookups,
             id="window-census"),
 ]
 
@@ -449,7 +452,7 @@ def test_window_census_refuses_a_window_above_the_limit(capsys, monkeypatch):
     monkeypatch.setattr(excitations, "independent_sets", no_search)
     with pytest.raises(AssertionError, match="must not search"):  # the guard sees a search
         run_capture(capsys, ["exc", "window-census", "--layers", "2", "--radius", "6"])
-    code, out, err = run_capture(capsys, ["exc", "window-census", "--layers", "3", "--radius", "14"])
+    code, out, err = run_capture(capsys, ["exc", "window-census", "--layers", "3", "--radius", "17"])
     assert (code, out) == (2, "")
     assert "more than 200000 states" in err
 

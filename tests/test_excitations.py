@@ -36,7 +36,8 @@ from latticegas.families import (
     build_phi10,
 )
 from latticegas.forces import peierls_gap
-from latticegas.lattice import _covering, sq_dist
+from latticegas import lattice
+from latticegas.lattice import _covering, count_independent_sets, sq_dist
 import oracles
 from reference_data import CONSTRUCTORS, HCP_WINDOW_3_12
 from test_configs import _supercell, _supercell_without_one
@@ -412,9 +413,9 @@ def test_hcp_window_census_at_three_layers_and_radius_12():
 
 
 @pytest.mark.parametrize("layers,radius_sq,refusal", [
-    (3, 14, "more than 200000 states"),  # 127 sites; the count alone would take 909,128 states
-    (3, 40, "more than 200000 states"),  # 391 sites; an unbounded count's memo passes 5 GB
-], ids=["hcp-3-14", "hcp-3-40"])
+    (3, 17, "more than 200000 states"),  # 145 sites; the count alone would take 330,152 states
+    (3, 40, "more than 200000 states"),  # 391 sites; the count would take more than 10**6 states
+], ids=["hcp-3-17", "hcp-3-40"])
 def test_window_census_refuses_a_window_before_searching_it(layers, radius_sq, refusal, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a refused window census must not search")
@@ -454,6 +455,81 @@ def test_window_census_stops_at_its_search_budget(pc, layers, radius_sq, budget,
 def test_k_p_per_pattern_matches_one_fold_per_particle(pc, d2, layers, radius_sq):
     window, conflict, cover = _window(pc, d2, layers, radius_sq)
     assert _covering(conflict, cover, window) == oracles.covering_by_subfolds(conflict, cover)
+
+
+HOLED = _supercell_without_one(HCP, 5)
+D5_0212 = build_layered_d5(1, "0212")  # layered along e = (1, -1, 1)
+# Windows over every layered family, one layer and several: the benchmark's
+# two, fcc at d2 = 2 with its empty one-layer window, and a vacancy.
+WINDOW_GRID = [
+    pytest.param(HCP, 5, 2, 10, id="hcp-2-10"),
+    pytest.param(HCP, 5, 3, 8, id="hcp-3-8"),
+    pytest.param(D5_0212, 5, 1, 12, id="d5-0212-1-12"),
+    pytest.param(D5_0212, 5, 2, 10, id="d5-0212-2-10"),
+    pytest.param(D5_0212, 5, 3, 10, id="d5-0212-3-10"),
+    pytest.param(build_layered_2l2(2, 0, "012"), 8, 1, 16, id="2l2-l2-012-1-16"),
+    pytest.param(build_layered_2l2(2, 0, "012"), 8, 2, 12, id="2l2-l2-012-2-12"),
+    pytest.param(build_layered_2l2(3, 0, "01"), 18, 1, 30, id="2l2-l3-01-1-30"),
+    pytest.param(build_layered_2l2(3, 0, "01"), 18, 2, 20, id="2l2-l3-01-2-20"),
+    pytest.param(build_fcc(1), 2, 1, 12, id="fcc1-1-12-empty"),
+    pytest.param(build_fcc(1), 2, 3, 20, id="fcc1-3-20"),
+    pytest.param(build_fcc(2), 8, 1, 20, id="fcc2-1-20"),
+    pytest.param(build_fcc(2), 8, 2, 16, id="fcc2-2-16"),
+    pytest.param(HOLED, 5, 1, 12, id="holed-1-12"),
+    pytest.param(HOLED, 5, 2, 8, id="holed-2-8"),
+    pytest.param(HOLED, 5, 3, 8, id="holed-3-8"),
+]
+
+
+def _states(monkeypatch, count) -> int:
+    """The states the counts run by count() expand, as lattice._within_budget
+    sees them: the running total of its last call."""
+    seen = [0]
+    real = lattice._within_budget
+
+    def recording(expanded, n):
+        seen[0] = expanded
+        return real(expanded, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_within_budget", recording)
+        count()
+    return seen[0]
+
+
+def _census_count(monkeypatch, pc, d2, layers, radius_sq) -> tuple[int, int]:
+    """sets_scanned of the window census, and the states its count expands;
+    the search, whose K_p folds expand states too, is left out."""
+    with monkeypatch.context() as m:
+        m.setattr(excitations, "independent_sets", lambda *args, **kwargs: None)
+        out = []
+        states = _states(m, lambda: out.append(window_census(pc, d2, layers, radius_sq).sets_scanned))
+    return out[0], states
+
+
+@pytest.mark.parametrize("pc,d2,layers,radius_sq", WINDOW_GRID)
+def test_the_window_matches_the_per_site_lookups(pc, d2, layers, radius_sq, monkeypatch):
+    # the covers come from one box and the count takes the sites along the
+    # layers; the per-site lookups and a lexicographic count agree
+    window, conflict, cover = _window(pc, d2, layers, radius_sq)
+    assert (window, conflict, cover) == oracles.window_by_lookups(pc, d2, layers, radius_sq)
+    assert _census_count(monkeypatch, pc, d2, layers, radius_sq)[0] == count_independent_sets(conflict) - 1
+
+
+@pytest.mark.parametrize("layers,radius_sq,states", [(2, 10, 1263), (3, 8, 667)])
+def test_the_census_counts_the_bench_windows_across_the_layers(layers, radius_sq, states, monkeypatch):
+    # in lexicographic order the count takes 2,529 and 1,477 states
+    assert _census_count(monkeypatch, HCP, 5, layers, radius_sq)[1] == states
+
+
+@pytest.mark.parametrize("pc,d2,layers,radius_sq", WINDOW_GRID)
+def test_the_sweep_count_takes_no_more_states_than_the_lexicographic_one(pc, d2, layers, radius_sq, monkeypatch):
+    # exactly as many on one layer, where the two orders are one; so a
+    # window the lexicographic count accepts is never refused
+    conflict = _window(pc, d2, layers, radius_sq)[1]
+    lexicographic = _states(monkeypatch, lambda: count_independent_sets(conflict))
+    sweep = _census_count(monkeypatch, pc, d2, layers, radius_sq)[1]
+    assert sweep == lexicographic if layers == 1 else sweep <= lexicographic
 
 
 WINDOW_3_10 = _window(HCP, 5, 3, 10)

@@ -209,6 +209,14 @@ def test_the_fold_matches_the_sets_visited(pts, d2, data):
     assert {s for s in range(sigs.bit_length()) if sigs >> s & 1} == set(sums)
 
 
+def test_the_kernels_count_the_one_set_of_no_indices():
+    # the initial state is then the empty one, filed in the empty state's slot
+    assert count_independent_sets([]) == 1
+    assert fold_independent_sets([], []) == (1, 1)
+    assert count_independent_sets([0]) == 2
+    assert fold_independent_sets([0], [3]) == (2, 0b1001)
+
+
 def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
     # index i conflicts with i + k only: each of the k pairs is empty, its
     # first or its second index, and the count expands about 2^k states
