@@ -21,14 +21,7 @@ Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 # Main space diagonals (1, s2(i), s3(i)) and the non-main diagonals used by
 # the layered mesh families.
 MAIN_DIAGONALS: tuple[Site, ...] = ((1, 1, 1), (1, -1, 1), (1, -1, -1), (1, 1, -1))
-NON_MAIN_DIAGONALS: tuple[Site, ...] = (
-    (1, 1, 0),
-    (-1, 1, 0),
-    (1, 0, 1),
-    (-1, 0, 1),
-    (0, 1, 1),
-    (0, -1, 1),
-)
+NON_MAIN_DIAGONALS: tuple[Site, ...] = ((1, 1, 0), (-1, 1, 0), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))
 
 
 def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
@@ -77,14 +70,14 @@ def close_packing_scale(d2: int) -> Optional[int]:
 
 
 def _reduce_site(site: Site, basis: Matrix) -> Site:
-    """Canonical residue of a site modulo an HNF basis (greedy triangular reduction)."""
-    x = list(site)
-    for i in (0, 1, 2):
-        q = x[i] // basis[i][i]
-        if q:
-            for t in range(3):
-                x[t] -= q * basis[i][t]
-    return (x[0], x[1], x[2])
+    """Canonical residue of a site modulo an HNF basis, in closed form: the basis
+    is upper triangular, so x0 fixes the quotient by row 0, then x1 by row 1."""
+    (a, b01, b02), (_, d, b12), (_, _, f) = basis
+    x0, x1, x2 = site
+    q0 = x0 // a
+    y1 = x1 - q0 * b01
+    q1 = y1 // d
+    return (x0 - q0 * a, y1 - q1 * d, (x2 - q0 * b02 - q1 * b12) % f)
 
 
 class PeriodicConfiguration(Record):
@@ -92,6 +85,11 @@ class PeriodicConfiguration(Record):
 
     Each instance also keeps its offsets as a set, built once when it is
     made. The set is no field, so equality, hash and repr leave it out.
+
+    make_config checks context_d2 once: None, or an int whose hard-core rule
+    the cell obeys. transform and canonicalize pass it on unchecked, since
+    each derived cell is the same point set or an isometric image of it. A
+    configuration built directly, as only the tests do, is outside that promise.
     """
 
     basis: Matrix
@@ -110,8 +108,7 @@ class PeriodicConfiguration(Record):
 
     def contains(self, site: Site) -> bool:
         """Whether the site is occupied: one reduction and one lookup in the
-        set of offsets. There is one path and no crossover, since the set
-        costs the same whatever the number of offsets."""
+        set of offsets, whatever their number, so there is no crossover."""
         return _reduce_site(site, self.basis) in self._occupied
 
     def reached(self, d2: int) -> set[Site]:
@@ -172,22 +169,23 @@ class PeriodicConfiguration(Record):
 
     def transform(self, g: SignedPermutation) -> "PeriodicConfiguration":
         """Image under a signed permutation, re-normalized to HNF."""
-        rows = [g.apply(r) for r in self.basis]  # type: ignore[arg-type]
-        offs = [g.apply(o) for o in self.offsets]
-        return make_config(rows, offs, self.context_d2)
+        return _config(map(g.apply, self.basis), map(g.apply, self.offsets), self.context_d2)
 
 
-def make_config(
-    basis_rows: Iterable[Sequence[int]],
-    offsets: Iterable[Sequence[int]],
-    context_d2: Optional[int] = None,
-) -> PeriodicConfiguration:
-    """Build a configuration: HNF the basis, reduce offsets, sort, dedupe."""
+def _config(basis_rows: Iterable, offsets: Iterable[Site], context_d2: Optional[int]) -> PeriodicConfiguration:
+    """HNF the basis, reduce the offsets, sort, dedupe; nothing is checked."""
     b = hnf(basis_rows)
-    offs = sorted({_reduce_site(exact_site(o, "offset"), b) for o in offsets})
-    if not offs:
+    return PeriodicConfiguration(b, tuple(sorted({_reduce_site(o, b) for o in offsets})), context_d2)
+
+
+def make_config(basis_rows: Iterable[Sequence[int]], offsets: Iterable[Sequence[int]],
+                context_d2: Optional[int] = None) -> PeriodicConfiguration:
+    """_config on exact offsets, at least one, and a context None or an int the cell obeys."""
+    if context_d2 is not None and type(context_d2) is not int:
+        raise ValueError(f"context d2 {context_d2!r} is not an integer")
+    pc = _config(basis_rows, [exact_site(o, "offset") for o in offsets], context_d2)
+    if not pc.offsets:
         raise ValueError("a periodic configuration needs at least one offset")
-    pc = PeriodicConfiguration(b, tuple(offs), context_d2)
     if context_d2 is not None and not is_admissible_config(pc, context_d2):
         raise ValueError(f"configuration violates the d2={context_d2} hard-core rule")
     return pc
@@ -251,7 +249,7 @@ def canonicalize(pc: PeriodicConfiguration) -> PeriodicConfiguration:
         d = (o[0] - o0[0], o[1] - o0[1], o[2] - o0[2])
         # a translation permutes the residues, so mapping into the offsets is enough
         if all(pc.contains((s[0] + d[0], s[1] + d[1], s[2] + d[2])) for s in pc.offsets):
-            return canonicalize(make_config(list(pc.basis) + [d], pc.offsets, pc.context_d2))
+            return canonicalize(_config(list(pc.basis) + [d], pc.offsets, pc.context_d2))
     return pc
 
 

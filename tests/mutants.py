@@ -131,13 +131,16 @@ MUTANTS = [
     Mutant("occupied-near-lookup-ball-short", "configs.py",
            "for b0, b1, b2 in ball_sites(radius_sq)]", "for b0, b1, b2 in ball_sites(radius_sq - 1)]",
            _t("test_configs", "test_both_neighbourhood_paths_match_the_scans_on_every_supercell")),
+    Mutant("residue-without-the-b12-term", "configs.py",
+           "(x2 - q0 * b02 - q1 * b12) % f", "(x2 - q0 * b02) % f",
+           _t("test_configs", "test_the_closed_form_residue_matches_the_row_by_row_reduction")),
     Mutant("contains-without-reduction", "configs.py",
            "return _reduce_site(site, self.basis) in self._occupied", "return site in self._occupied",
            _t("test_configs", "test_density_and_admissibility_match_oracles")),
     # canonical form
     Mutant("canonical-stops-after-the-first-translation", "configs.py",
-           "return canonicalize(make_config(list(pc.basis) + [d], pc.offsets, pc.context_d2))",
-           "return make_config(list(pc.basis) + [d], pc.offsets, pc.context_d2)",
+           "return canonicalize(_config(list(pc.basis) + [d], pc.offsets, pc.context_d2))",
+           "return _config(list(pc.basis) + [d], pc.offsets, pc.context_d2)",
            _t("test_configs", "test_canonical_form_matches_the_difference_scan_on_every_constructor")),
     Mutant("canonical-skips-the-last-difference", "configs.py",
            "for o in pc.offsets[1:]:", "for o in pc.offsets[1:-1]:",
@@ -148,6 +151,24 @@ MUTANTS = [
     Mutant("canonical-drops-the-context", "configs.py",
            "list(pc.basis) + [d], pc.offsets, pc.context_d2)", "list(pc.basis) + [d], pc.offsets)",
            _t("test_configs", "test_canonical_form_matches_the_difference_scan_on_every_constructor")),
+    # the context: checked once by make_config, inherited by derived cells
+    Mutant("context-type-unchecked", "configs.py",
+           "if context_d2 is not None and type(context_d2) is not int:", "if False:",
+           _t("test_configs", "test_a_context_that_is_not_exactly_an_int_is_refused")),
+    Mutant("derived-cell-offsets-not-reduced", "configs.py",
+           "return _config(map(g.apply, self.basis), map(g.apply, self.offsets), self.context_d2)",
+           "return PeriodicConfiguration(hnf(map(g.apply, self.basis)), "
+           "tuple(map(g.apply, self.offsets)), self.context_d2)",
+           _t("test_configs", "test_every_derived_cell_is_the_checked_cell_of_its_arguments_on_every_constructor")),
+    Mutant("transform-drops-the-context", "configs.py",
+           "map(g.apply, self.offsets), self.context_d2)", "map(g.apply, self.offsets), None)",
+           _t("test_configs", "test_every_derived_cell_is_the_checked_cell_of_its_arguments_on_every_constructor")),
+    Mutant("canonical-checks-its-derived-cells", "configs.py",
+           "return canonicalize(_config(", "return canonicalize(make_config(",
+           _t("test_configs", "test_derived_cells_are_not_checked_again")),
+    Mutant("transform-checks-its-image", "configs.py",
+           "return _config(map(g.apply", "return make_config(map(g.apply",
+           _t("test_configs", "test_derived_cells_are_not_checked_again")),
     Mutant("stack-checks-the-long-cell", "families.py",
            "cell = canonicalize(make_config([u, v, period], offsets))",
            "cell = canonicalize(make_config([u, v, period], offsets, context_d2=d2))",

@@ -28,7 +28,9 @@ every vacant cell site (iia_count_by_scan), and the censuses from the
 canonical form of every translate by a cell site (translates_by_walk).
 The canonical form has a quadratic twin: canonical_by_differences tests
 every offset difference against every offset, where the library stops at
-the first translation and goes on with the smaller cell.
+the first translation and goes on with the smaller cell. The residue of a
+site has a loop twin: reduce_by_rows subtracts each basis row in turn,
+where the library reads the quotients off the triangle in closed form.
 
 The closed forms have scans behind them: the sliding witness's removal
 set from the neighbours of every lifted column site
@@ -106,6 +108,18 @@ def canonical_by_differences(pc: PeriodicConfiguration) -> PeriodicConfiguration
     if not extra:
         return pc
     return make_config(list(pc.basis) + extra, pc.offsets, pc.context_d2)
+
+
+def reduce_by_rows(site: Site, basis: Matrix) -> Site:
+    """configs._reduce_site by greedy triangular reduction: for each row i
+    in turn, subtract the quotient of coordinate i by the pivot times row i."""
+    x = list(site)
+    for i in (0, 1, 2):
+        q = x[i] // basis[i][i]
+        if q:
+            for t in range(3):
+                x[t] -= q * basis[i][t]
+    return (x[0], x[1], x[2])
 
 
 def canonical_key(pc: PeriodicConfiguration) -> tuple:

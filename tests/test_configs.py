@@ -23,7 +23,7 @@ from latticegas.configs import (
 from latticegas.excitations import RemovalSet, make_insertion
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
 from latticegas.forces import SUPPORTED_D2
-from latticegas.lattice import ball_sites, outgrows_ball
+from latticegas.lattice import ball_sites, oh_elements, outgrows_ball
 from oracles import (
     admissible_by_scan,
     box_admissible,
@@ -35,6 +35,7 @@ from oracles import (
     det3,
     naive_density,
     perfect_by_scan,
+    reduce_by_rows,
     saturated_by_scan,
 )
 from reference_data import CONSTRUCTORS
@@ -114,6 +115,28 @@ def test_make_config_validates_hard_core_rule():
         make_config([(2, 0, 0), (0, 2, 0), (0, 0, 2)], [(0, 0, 0), (1, 0, 0)], context_d2=4)
 
 
+# Each context make_config refuses. Before the check, True and False were
+# stored as given, 5.0 and Fraction(5) were checked as 5 and stored, and "5"
+# raised a TypeError from the hard-core check. The cell obeys d2 = 5, so
+# only the type can refuse it.
+INEXACT_CONTEXTS = [
+    pytest.param(True, id="bool-true"),
+    pytest.param(False, id="bool-false"),
+    pytest.param(5.0, id="float"),
+    pytest.param(Fraction(5), id="fraction"),
+    pytest.param("5", id="string"),
+    pytest.param([5], id="list"),
+]
+
+
+@pytest.mark.parametrize("context", INEXACT_CONTEXTS)
+def test_a_context_that_is_not_exactly_an_int_is_refused(context):
+    with pytest.raises(ValueError) as info:
+        make_config([(3, 0, 0), (0, 3, 0), (0, 0, 3)], [(0, 0, 0)], context)
+    assert str(info.value) == f"context d2 {context!r} is not an integer"
+    assert make_config([(3, 0, 0), (0, 3, 0), (0, 0, 3)], [(0, 0, 0)], 5).context_d2 == 5
+
+
 # Each constructor that takes coordinates, with x as one coordinate, and the
 # name its error gives the entry. Every case was accepted, truncated or stored
 # as given, before coordinates went through operator.index.
@@ -169,6 +192,27 @@ def test_density_and_admissibility_match_oracles(build, d2):
     assert density(pc) == naive_density(pc)
     assert is_admissible_config(pc, d2)
     assert box_admissible(pc, d2)
+
+
+@st.composite
+def hnf_bases(draw):
+    """An HNF basis drawn directly: positive pivots up to 9, and each entry
+    above a pivot anywhere in [0, pivot)."""
+    a, d, f = (draw(st.integers(1, 9)) for _ in range(3))
+    return (
+        (a, draw(st.integers(0, d - 1)), draw(st.integers(0, f - 1))),
+        (0, d, draw(st.integers(0, f - 1))),
+        (0, 0, f),
+    )
+
+
+@given(st.one_of(hnf_bases(), nonsingular_rows().map(hnf)), st.tuples(*[st.integers(-60, 60)] * 3))
+# every quotient negative and nonzero, so each off-diagonal entry counts
+@example(((2, 1, 3), (0, 3, 2), (0, 0, 5)), (-3, -8, -1))
+def test_the_closed_form_residue_matches_the_row_by_row_reduction(basis, site):
+    residue = configs._reduce_site(site, basis)
+    assert residue == reduce_by_rows(site, basis)
+    assert all(0 <= residue[i] < basis[i][i] for i in range(3))
 
 
 def test_membership_after_reduction():
@@ -483,9 +527,8 @@ def test_layered_builds_canonicalize_like_the_difference_scan(word, monkeypatch)
     assert build_layered_d5(0, word) == built
 
 
-def test_a_layered_build_checks_the_hard_core_rule_on_its_canonical_cell(monkeypatch):
-    """The 10,000-level build of "01" is canonicalized first, so the rule is
-    checked once, on the 2 offsets of the hcp cell."""
+def _counted_checks(monkeypatch) -> list:
+    """The (offsets, d2) of every configs.is_admissible_config call from now on."""
     checked = []
     real = configs.is_admissible_config
 
@@ -494,9 +537,33 @@ def test_a_layered_build_checks_the_hard_core_rule_on_its_canonical_cell(monkeyp
         return real(pc, d2)
 
     monkeypatch.setattr(configs, "is_admissible_config", counted)
+    return checked
+
+
+def test_a_layered_build_checks_the_hard_core_rule_on_its_canonical_cell(monkeypatch):
+    """The 10,000-level build of "01" is canonicalized first, so the rule is
+    checked once, on the 2 offsets of the hcp cell."""
+    checked = _counted_checks(monkeypatch)
     built = build_layered_d5(0, "01" * 5000)
     assert checked == [(2, 5)]
     assert built == build_layered_d5(0, "01") and built.context_d2 == 5
+
+
+def test_derived_cells_are_not_checked_again(monkeypatch):
+    """pc_census(10) checks the hard-core rule once per seed it builds, and
+    never on the 384 images it canonicalizes; shift_count checks it on none
+    of the cells it derives from the 4x4x4 hcp supercell, holed or not."""
+    rows, offsets = _supercell(build_layered_d5(0, "01"), 4)
+    full, holed = make_config(rows, offsets, 5), make_config(rows, offsets[1:], 5)
+    checked = _counted_checks(monkeypatch)
+    seeds = families._census_seeds(10)
+    assert len(checked) == len(seeds) == 8
+    checked.clear()
+    assert families.pc_census(10) == 208
+    assert len(checked) == len(seeds)
+    checked.clear()
+    assert shift_count(full) == 18 and shift_count(holed) == holed.det
+    assert checked == []
 
 
 small_rows = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=3, max_size=3).filter(det3)
@@ -529,6 +596,58 @@ def test_canonical_form_matches_the_difference_scan_on_random_cells(case):
     assert canonical == canonical_by_differences(pc)
     if fine is not None:  # the cosets of F are translates, so F lies in the canonical lattice
         assert det3(fine) % canonical.det == 0
+
+
+def _recorded_configs(mp) -> list:
+    """Each (cell, rows, offsets) that configs._config builds from now on."""
+    built = []
+    real = configs._config
+
+    def recorded(rows, offsets, context_d2):
+        rows, offsets = list(rows), list(offsets)
+        built.append((real(rows, offsets, context_d2), rows, offsets))
+        return built[-1][0]
+
+    mp.setattr(configs, "_config", recorded)
+    return built
+
+
+def _check_derived(cells, d2, elements):
+    """Each derived cell of cells (their images under the elements, and the
+    canonical form of each, with every cell canonicalize goes through)
+    equals what the checked make_config builds from its arguments, inherits
+    the context d2, and obeys it."""
+    with pytest.MonkeyPatch.context() as mp:
+        built = _recorded_configs(mp)
+        images = [cell.transform(g) for cell in cells for g in elements]
+        derived = images + [canonicalize(cell) for cell in cells + images]
+    assert len(built) >= len(images)
+    for cell, rows, offsets in built + [(cell, cell.basis, cell.offsets) for cell in derived]:
+        assert cell == make_config(rows, offsets, d2)
+        assert cell.context_d2 == d2 and is_admissible_config(cell, cell.context_d2)
+
+
+@pytest.mark.parametrize(
+    "d2, build",
+    [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
+    ids=[f"{d2}-{label}" for d2, entries in CONSTRUCTORS.items() for label, _ in entries],
+)
+def test_every_derived_cell_is_the_checked_cell_of_its_arguments_on_every_constructor(d2, build):
+    """Each constructor's cell and its 2x2x2 supercell, also with its first
+    offset removed, each given the context d2."""
+    pc = build()
+    rows, offsets = _supercell(pc, 2)
+    cells = [make_config(pc.basis, pc.offsets, d2), make_config(rows, offsets, d2), make_config(rows, offsets[1:], d2)]
+    _check_derived(cells, d2, oh_elements())
+
+
+@given(periodic_cells(), st.lists(st.sampled_from(oh_elements()), min_size=1, max_size=3))
+def test_every_derived_cell_is_the_checked_cell_of_its_arguments_on_random_cells(case, elements):
+    """The random cells of the difference scan's test, each given as context
+    the largest threshold it obeys, 1 at least, and a few drawn elements."""
+    pc, _ = case
+    d2 = max(d for d in (1,) + SUPPORTED_D2 if is_admissible_config(pc, d))
+    _check_derived([make_config(pc.basis, pc.offsets, d2)], d2, elements)
 
 
 def test_saturation_of_the_dense_packing():
