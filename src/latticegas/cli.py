@@ -32,6 +32,7 @@ from .families import (
     build_phi10,
     pc_census,
     sliding_witness,
+    table_densities,
 )
 from .forces import verify_forces
 from .reporting import (
@@ -40,7 +41,6 @@ from .reporting import (
     load_config_file,
     load_site_file,
     sublattice_csv_rows,
-    table_densities,
 )
 from .sublattices import (
     Quaternion,

@@ -1,4 +1,5 @@
-"""Constructors for the dense-packing families, their censuses, and sliding.
+"""Constructors for the dense-packing families, their censuses and density
+table, and sliding.
 
 Each builder returns a canonicalized PeriodicConfiguration whose context_d2
 is set when the family is tied to a specific exclusion threshold. The four
@@ -404,6 +405,17 @@ def census_marker(d2: int) -> Union[int, str]:
             return COUNTABLE_MARKER
         return fcc_census(l).pcs_total  # type: ignore[return-value]
     raise ValueError(f"no census known for d2={d2}")
+
+
+def table_densities(extra_l: Sequence[int]) -> list[tuple[int, Union[int, str], Fraction]]:
+    """Rows (d2, census or cardinality marker, density), all computed.
+
+    The nine built-in thresholds always appear; extra_l appends the
+    close-packing thresholds 2l^2 for the listed l when not already
+    covered (l=1 and l=2 coincide with thresholds 2 and 8).
+    """
+    d2s = set(SUPPORTED_D2) | {2 * l * l for l in extra_l}
+    return [(d2, census_marker(d2), densest_density(d2)) for d2 in sorted(d2s)]
 
 
 # --- the sliding witness -------------------------------------------------------

@@ -33,7 +33,6 @@ from .lattice import (
     count_independent_sets,
     fold_independent_sets,
     independent_sets,
-    most_independent,
     sq_dist,
 )
 
@@ -128,12 +127,16 @@ def _ball(ft: ForceTable) -> tuple[tuple[Site, ...], list[int], list[int], list[
     per table, so at most once per supported d2: its sites, their conflict
     masks (lattice.conflict_masks), each site's unit place[q] of the mixed
     radix of verify_forces, q its squared distance, and that radix's bases
-    and places, one per shell. Keyed by the table, so a d2 force_table
-    refuses never reaches the cache."""
+    and places, one per shell. A shell's base is the bit length of the
+    signatures of lattice.fold_independent_sets over its sites with unit 1,
+    which is one more than the largest set size. Keyed by the table, so a
+    d2 force_table refuses never reaches the cache."""
     sites = ball_sites(ft.ball_radius_sq)
     dists = [sq_dist(s, ORIGIN) for s in sites]
     conflict = conflict_masks(sites, ft.d2)
-    bases = [1 + most_independent(conflict, [i for i, q in enumerate(dists) if q == s]) for s in range(len(ft.weights))]
+    ones = [1] * len(sites)
+    bases = [fold_independent_sets(conflict, ones, [i for i, q in enumerate(dists) if q == s])[1].bit_length()
+             for s in range(len(ft.weights))]
     place = list(itertools.accumulate(reversed(bases), operator.mul, initial=1))[-2::-1]
     return sites, conflict, [place[q] for q in dists], bases, place
 
@@ -159,7 +162,7 @@ def verify_forces(d2: int) -> BallSearchReport:
     lattice.COUNT_STATES_MAX; the balls take at most 3,761 states (d2 = 8).
 
     No digit carries. base[q] is one more than the most sites of shell q
-    that an admissible pattern holds (lattice.most_independent), so
+    that an admissible pattern holds (the fold over shell q alone), so
     n[q] < base[q], and place[q] is the product of base[q'] over q' > q.
     The signature sum of n[q] * place[q] is then the mixed-radix numeral
     with digits n[q], so distinct multisets have distinct signatures and
@@ -173,7 +176,7 @@ def verify_forces(d2: int) -> BallSearchReport:
     ft = force_table(d2)
     den, shells = ft.den, range(ft.ball_radius_sq)
     _, conflict, units, bases, place = _ball(ft)
-    count, sigs = fold_independent_sets(conflict, units)
+    count, sigs = fold_independent_sets(conflict, units, range(len(conflict)))
     totals: dict[int, list[list[int]]] = {}  # total weight -> the shell counts of its patterns
     while sigs:
         sig = sigs.bit_length() - 1

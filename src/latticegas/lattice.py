@@ -153,49 +153,23 @@ def _at_most(key: Sequence[int]) -> tuple[list[int], list[int]]:
 def _covering(conflict: Sequence[int], cover: Sequence[int],
               sites: Optional[Sequence[Site]] = None) -> dict[int, tuple[int, int]]:
     """For each bit p set in some cover: the mask of the indices whose covers
-    have p, and K_p, the most of them that an independent set holds
-    (most_independent). Given the sites whose conflicts these are, K_p is
-    found once per pattern: the sites of p's indices taken relative to the
-    first, in index order. A translated pattern has the same conflicts."""
+    have p, and K_p, the most of them that an independent set holds: the
+    top set bit of fold_independent_sets over those indices with unit 1.
+    Given the sites whose conflicts these are, K_p is found once per
+    pattern: the sites of p's indices taken relative to the first, in index
+    order. A translated pattern has the same conflicts."""
     members: dict[int, list[int]] = {}
     for i, c in enumerate(cover):
         for p in _bits(c):
             members.setdefault(p, []).append(i)
-    most, out = {}, {}
+    ones, most, out = [1] * len(conflict), {}, {}
     for p, ks in members.items():
         key = tuple(ks) if sites is None else tuple(
             (y0 - x0, y1 - x1, y2 - x2) for x0, x1, x2 in [sites[ks[0]]] for y0, y1, y2 in map(sites.__getitem__, ks))
         if key not in most:
-            most[key] = most_independent(conflict, ks)
+            most[key] = fold_independent_sets(conflict, ones, ks)[1].bit_length() - 1
         out[p] = (sum(1 << k for k in ks), most[key])
     return out
-
-
-def most_independent(conflict: Sequence[int], ks: list[int]) -> int:
-    """The most of the indices ks (increasing, nonempty) that an
-    independent set holds.
-
-    The states of count_independent_sets within ks, on the conflicts as
-    they are, each carrying the largest size of a prefix reaching it; a
-    merge keeps the larger, and the empty state, whose lowest index reads
-    as -1, waits in the last slot. Each state is expanded once, in order of
-    its lowest index; more than COUNT_STATES_MAX states raise ValueError.
-    """
-    levels: dict[int, dict[int, int]] = {v: {} for v in [*ks, -1]}  # states by lowest index
-    levels[ks[0]][sum(1 << k for k in ks)] = expanded = 0
-    for v, level in zip(ks, levels.values()):  # the slot -1 comes last, and is never expanded
-        expanded = _within_budget(expanded + len(level), len(ks))
-        bit, keep = 1 << v, ~conflict[v]
-        for avail, size in level.items():
-            left_out = avail ^ bit
-            taken = left_out & keep
-            w = levels[(taken & -taken).bit_length() - 1]
-            if w.get(taken, 0) <= size:
-                w[taken] = size + 1
-            w = levels[(left_out & -left_out).bit_length() - 1]
-            if w.get(left_out, -1) < size:
-                w[left_out] = size
-    return levels[-1][0]
 
 
 def independent_sets(
@@ -296,13 +270,14 @@ def independent_sets(
     rec((1 << n) - 1, 0, 0)
 
 
-# The most states count_independent_sets or fold_independent_sets expands
-# before it refuses with ValueError. The force balls take at most 3,761. A
-# window census counts its sets across the layers (excitations.window_census):
-# its hcp windows of 3 layers take 27,140 states at squared radius 13,
-# 155,720 at 14 (0.3 s on a 2-vCPU host), 173,307 at 16, the largest
-# accepted, and 330,152 at 17; at squared radius 40 they pass 10**6 (1.7 s,
-# 79 MB).
+# The most states count_independent_sets or one fold_independent_sets expands
+# before it refuses with ValueError. That covers a window census's count, each
+# K_p fold of its search (_covering), and each shell base and ball search of
+# the forces. The force balls take at most 3,761. A window census counts its
+# sets across the layers (excitations.window_census): its hcp windows of 3
+# layers take 27,140 states at squared radius 13, 155,720 at 14 (0.3 s on a
+# 2-vCPU host), 173,307 at 16, the largest accepted, and 330,152 at 17; at
+# squared radius 40 they pass 10**6 (1.7 s, 79 MB).
 COUNT_STATES_MAX = 200_000
 
 
@@ -350,37 +325,41 @@ def count_independent_sets(conflict: Sequence[int]) -> int:
     return done + waiting[0].get(0, 0)
 
 
-def fold_independent_sets(conflict: Sequence[int], unit: Sequence[int]) -> tuple[int, int]:
-    """The number of index sets with no two members in conflict, the empty
-    set included, and the bitset of their signatures: bit s is set iff some
-    such set X has s == sum(unit[i] for i in X), the units being >= 0.
+def fold_independent_sets(conflict: Sequence[int], unit: Sequence[int],
+                          within: Sequence[int]) -> tuple[int, int]:
+    """The number of sets of the indices within (increasing) with no two
+    members in conflict, the empty set included, and the bitset of their
+    signatures: bit s is set iff some such set X has
+    s == sum(unit[i] for i in X), the units being >= 0. With unit 1 the top
+    set bit is the largest size of such a set.
 
-    The states are those of count_independent_sets, each carrying
-    [ways, sigs]: sigs has bit s set iff some prefix reaching the state has
-    signature s. Leaving v out passes both on, taking v shifts sigs up by
-    unit[v], and a merge adds the ways and ORs the sigs. A set's signature
-    is the sum over the prefixes along its path, so the empty state's
-    bitset holds every signature and no other. Expanded in order of v from
-    the slots of count_independent_sets, each state once and nothing
-    recursing; more than COUNT_STATES_MAX states raise ValueError. Counting alone is left to count_independent_sets,
+    The states are those of count_independent_sets started from the mask
+    of within, each carrying [ways, sigs]: sigs has bit s set iff some
+    prefix reaching the state has signature s. Leaving v out passes both
+    on, taking v shifts sigs up by unit[v], and a merge adds the ways and
+    ORs the sigs. A set's signature is the sum over the prefixes along its
+    path, so the empty state's bitset holds every signature and no other.
+    A state holds only indices of within, so it waits in the slot of its
+    lowest index + 1, one slot per index of within and slot 0 for the empty
+    state, and the levels are expanded in order of v over within, each
+    state once and nothing recursing; more than COUNT_STATES_MAX states
+    raise ValueError. Counting alone is left to count_independent_sets,
     which carries no sigs.
     """
-    n = len(conflict)
-    waiting: list = [{} for _ in range(n + 1)]  # states by lowest index + 1, with [ways, sigs]
-    waiting[min(n, 1)][(1 << n) - 1] = [1, 1]
+    waiting = {v + 1: {} for v in [-1, *within]}  # states by lowest index + 1, with [ways, sigs]
+    start = sum(1 << v for v in within)
+    waiting[(start & -start).bit_length()][start] = [1, 1]
     expanded = 0
-    for v in range(n):
-        level, waiting[v + 1] = waiting[v + 1], None
-        expanded = _within_budget(expanded + len(level), n)
+    for v in within:
+        level = waiting.pop(v + 1)
+        expanded = _within_budget(expanded + len(level), len(within))
         bit, keep, shift = 1 << v, ~conflict[v], unit[v]
         for avail, carried in level.items():
             ways, sigs = carried
             left_out = avail ^ bit
-            w = waiting[(left_out & -left_out).bit_length()]
-            into = w.get(left_out)
-            if into is None:
-                w[left_out] = carried  # the level is dropped, so its lists can move on
-            else:
+            # the level is dropped, so its lists can move on
+            into = waiting[(left_out & -left_out).bit_length()].setdefault(left_out, carried)
+            if into is not carried:
                 into[0] += ways
                 into[1] |= sigs
             taken = left_out & keep

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from . import __version__
 from .configs import PeriodicConfiguration, make_config
-from .families import census_marker, densest_density
-from .forces import SUPPORTED_D2
 from .lattice import Record, exact_site
+
 
 def frac_str(x: Union[int, Fraction]) -> str:
     """Lowest-terms "p/q" rendering; the denominator is always written."""
@@ -176,20 +175,6 @@ def parse_site_list(data: Any) -> list[tuple[int, int, int]]:
 def load_site_file(path: str) -> list[tuple[int, int, int]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_site_list(json.load(fh))
-
-
-# --- the density table ------------------------------------------------------------
-
-
-def table_densities(extra_l: Sequence[int] = (3,)) -> list[tuple[int, Union[int, str], Fraction]]:
-    """Rows (d2, census or cardinality marker, density), all computed.
-
-    The nine built-in thresholds always appear; extra_l appends the
-    close-packing thresholds 2l^2 for the listed l when not already
-    covered (l=1 and l=2 coincide with thresholds 2 and 8).
-    """
-    d2s = set(SUPPORTED_D2) | {2 * l * l for l in extra_l}
-    return [(d2, census_marker(d2), densest_density(d2)) for d2 in sorted(d2s)]
 
 
 # --- CSV ---------------------------------------------------------------------------

@@ -76,14 +76,14 @@ MUTANTS = [
            _t("test_lattice", "test_k_p_matches_one_fold_per_particle",
               "test_the_search_visits_exactly_the_sets_its_marginal_bound_admits")),
     Mutant("k-p-budget-dropped", "lattice.py",
-           "expanded = _within_budget(expanded + len(level), len(ks))", "expanded += len(level)",
+           "expanded = _within_budget(expanded + len(level), len(within))", "expanded += len(level)",
            _t("test_lattice", "test_a_k_p_fold_past_its_budget_raises")),
     Mutant("k-p-pattern-key-projected", "lattice.py",
            "(y0 - x0, y1 - x1, y2 - x2)", "(y0 - x0, y1 - x1, 0)",
            _t("test_lattice", "test_k_p_tells_apart_patterns_that_differ_along_any_axis")),
     Mutant("k-p-merge-keeps-the-first", "lattice.py",
-           "if w.get(taken, 0) <= size:", "if taken not in w:",
-           _t("test_lattice", "test_most_independent_is_the_largest_independent_subset_of_every_small_graph")),
+           "into[1] |= sigs << shift", "into[1] |= 0",
+           _t("test_lattice", "test_the_fold_over_a_subset_finds_its_largest_independent_subset_on_every_small_graph")),
     # the window search's marginal bound
     Mutant("marginal-test-dropped", "lattice.py",
            "todo = avail if limit is None else admitted(avail, covered, near)", "todo = avail",
@@ -115,8 +115,12 @@ MUTANTS = [
            "w = waiting[(taken & -taken).bit_length() - 1]\n                w[taken]",
            _t("test_lattice", "test_count_independent_sets_is_bounded_and_does_not_recurse")),
     Mutant("fold-initial-state-in-slot-one", "lattice.py",
-           "waiting[min(n, 1)][(1 << n) - 1] = [1, 1]", "waiting[1][(1 << n) - 1] = [1, 1]",
+           "waiting[(start & -start).bit_length()][start] = [1, 1]", "waiting[1][start] = [1, 1]",
            _t("test_lattice", "test_the_kernels_count_the_one_set_of_no_indices")),
+    Mutant("fold-starts-from-every-index", "lattice.py",
+           "start = sum(1 << v for v in within)", "start = (1 << len(conflict)) - 1",
+           _t("test_lattice", "test_the_fold_over_a_subset_finds_its_largest_independent_subset_on_every_small_graph",
+              "test_the_fold_over_a_subset_is_the_fold_of_its_renumbered_conflicts")),
     # neighbourhood checks
     Mutant("admissible-without-repeated-site-test", "lattice.py",
            "return len(set(pts)) == len(pts) and not any(conflict_masks(pts, d2))",

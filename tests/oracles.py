@@ -181,7 +181,7 @@ def covering_by_subfolds(conflict: list[int], cover: list[int]) -> dict[int, tup
     out = {}
     for p, ks in members.items():
         sub = [sum(1 << b for b, j in enumerate(ks) if conflict[k] >> j & 1) for k in ks]
-        out[p] = (sum(1 << k for k in ks), fold_independent_sets(sub, [1] * len(ks))[1].bit_length() - 1)
+        out[p] = (sum(1 << k for k in ks), fold_independent_sets(sub, [1] * len(ks), range(len(ks)))[1].bit_length() - 1)
     return out
 
 

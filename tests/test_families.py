@@ -26,6 +26,7 @@ from latticegas.families import (
     hcp_census,
     pc_census,
     sliding_witness,
+    table_densities,
 )
 from latticegas.families import _census_seeds, _count_translates
 from latticegas.lattice import oh_elements
@@ -186,6 +187,15 @@ def test_densest_densities():
     assert densest_density(32) == Fraction(1, 128)
     with pytest.raises(ValueError):
         densest_density(7)
+
+
+def test_density_table_rows():
+    rows = table_densities((3,))
+    by_d2 = {d2: (marker, dens) for d2, marker, dens in rows}
+    assert by_d2[9] == (120, Fraction(1, 20))
+    assert by_d2[4] == (COUNTABLE_MARKER, Fraction(1, 8))
+    assert by_d2[18][1] == Fraction(1, 54)
+    assert list(by_d2) == sorted(by_d2)
 
 
 @pytest.mark.parametrize("l", range(1, 7))

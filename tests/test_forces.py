@@ -19,7 +19,7 @@ from latticegas.forces import (
     verify_forces,
 )
 from latticegas import forces, lattice
-from latticegas.lattice import ball_sites, conflict_masks, fold_independent_sets, is_admissible
+from latticegas.lattice import ball_sites, conflict_masks, fold_independent_sets, is_admissible, sq_dist
 from oracles import brute_ball, conflict_masks_pairwise, force_extremes, total_force
 from reference_data import (
     EXPECTED_SIGNATURES,
@@ -132,11 +132,13 @@ def test_a_cleared_search_reproduces_the_golden_extremes():
 
 
 def test_each_ball_is_built_once_and_searched_on_every_cleared_call(monkeypatch):
+    # building a ball folds each shell once for its base; each cleared call
+    # folds the whole ball
     builds, folds = [], []
 
     def counted(kernel, log):
         def run(conflict_or_sites, *args):
-            log.append(len(conflict_or_sites))
+            log.append((len(conflict_or_sites), *map(list, args[1:])))
             return kernel(conflict_or_sites, *args)
         return run
 
@@ -148,9 +150,14 @@ def test_each_ball_is_built_once_and_searched_on_every_cleared_call(monkeypatch)
             verify_forces.cache_clear()
             verify_forces(d2)
         enumerate_ball_acs(d2)
-    sizes = [len(ball_sites(BALL_RADIUS_SQ[d2])) for d2 in SUPPORTED_D2]
-    assert builds == sizes
-    assert folds == [n for n in sizes for _ in range(2)]
+    assert builds == [(len(ball_sites(BALL_RADIUS_SQ[d2])),) for d2 in SUPPORTED_D2]
+    expected = []
+    for d2 in SUPPORTED_D2:
+        dists = [sq_dist(s, (0, 0, 0)) for s in ball_sites(BALL_RADIUS_SQ[d2])]
+        n = len(dists)
+        expected += [(n, [i for i in range(n) if dists[i] == q]) for q in range(BALL_RADIUS_SQ[d2])]
+        expected += [(n, list(range(n)))] * 2
+    assert folds == expected
     assert forces._ball.cache_info().currsize == forces._ball.cache_info().maxsize == len(SUPPORTED_D2)
 
 

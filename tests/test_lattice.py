@@ -26,7 +26,6 @@ from latticegas.lattice import (
     half_ball,
     independent_sets,
     is_admissible,
-    most_independent,
     oh_elements,
     outgrows_ball,
     rotation_elements,
@@ -204,17 +203,32 @@ def test_the_fold_matches_the_sets_visited(pts, d2, data):
     independent_sets(
         conflict, [0] * len(pts), lambda chosen, covered: sums.append(sum(unit[i] for i in chosen))
     )
-    ways, sigs = fold_independent_sets(conflict, unit)
+    ways, sigs = fold_independent_sets(conflict, unit, range(len(pts)))
     assert ways == len(sums)
     assert {s for s in range(sigs.bit_length()) if sigs >> s & 1} == set(sums)
+
+
+@given(pts=point_sets_st, d2=st.integers(1, 12), data=st.data())
+def test_the_fold_over_a_subset_is_the_fold_of_its_renumbered_conflicts(pts, d2, data):
+    # the indices outside the subset, and their conflicts, change nothing
+    n = len(pts)
+    conflict = conflict_masks(pts, d2)
+    unit = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    within = data.draw(st.one_of(st.just(range(n)), st.sets(st.integers(0, 11)).map(
+        lambda picked: sorted(i for i in picked if i < n))))
+    sub = [sum(1 << b for b, j in enumerate(within) if conflict[k] >> j & 1) for k in within]
+    assert fold_independent_sets(conflict, unit, within) == fold_independent_sets(
+        sub, [unit[k] for k in within], range(len(within)))
 
 
 def test_the_kernels_count_the_one_set_of_no_indices():
     # the initial state is then the empty one, filed in the empty state's slot
     assert count_independent_sets([]) == 1
-    assert fold_independent_sets([], []) == (1, 1)
+    assert fold_independent_sets([], [], []) == (1, 1)
+    assert fold_independent_sets([0, 0], [3, 5], []) == (1, 1)
     assert count_independent_sets([0]) == 2
-    assert fold_independent_sets([0], [3]) == (2, 0b1001)
+    assert fold_independent_sets([0], [3], [0]) == (2, 0b1001)
+    assert fold_independent_sets([0, 0], [3, 5], [1]) == (2, 0b100001)
 
 
 def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
@@ -224,7 +238,7 @@ def test_count_independent_sets_is_bounded_and_does_not_recurse(monkeypatch):
         return [1 << (i + k) if i < k else 1 << (i - k) for i in range(2 * k)]
 
     def fold(conflict):  # its signatures are the set sizes 0 .. max size
-        return fold_independent_sets(conflict, [1] * len(conflict))
+        return fold_independent_sets(conflict, [1] * len(conflict), range(len(conflict)))
 
     assert count_independent_sets(pairs(12)) == 3 ** 12
     assert fold(pairs(12)) == (3 ** 12, (1 << 13) - 1)
@@ -301,12 +315,15 @@ def test_k_p_tells_apart_patterns_that_differ_along_any_axis(axis):
     assert lattice._covering(conflict, [1, 1, 2, 2], sites) == {0: (0b0011, 1), 1: (0b1100, 2)}
 
 
-def test_most_independent_is_the_largest_independent_subset_of_every_small_graph():
+def test_the_fold_over_a_subset_finds_its_largest_independent_subset_on_every_small_graph():
     # vertex v of a graph on 5 vertices is index 2v + 1; the even indices
-    # lie outside ks and conflict with every other index
+    # lie outside ks and conflict with every other index, and their unit 6
+    # is more than any set of ks reaches, so a fold that took one in would
+    # read a largest size of 6
     pairs = list(combinations(range(5), 2))
     ks = [2 * v + 1 for v in range(5)]
     outside = sum(1 << k for k in range(0, 11, 2))
+    unit = [1 if k % 2 else 6 for k in range(11)]
     for edges in range(1 << len(pairs)):
         conflict = [((1 << 11) - 1) ^ (1 << k) if k % 2 == 0 else outside for k in range(11)]
         for e, (u, v) in enumerate(pairs):
@@ -315,7 +332,7 @@ def test_most_independent_is_the_largest_independent_subset_of_every_small_graph
                 conflict[ks[v]] |= 1 << ks[u]
         largest = max(len(c) for r in range(6) for c in combinations(range(5), r)
                       if not any(edges >> pairs.index(pair) & 1 for pair in combinations(c, 2)))
-        assert most_independent(conflict, ks) == largest
+        assert fold_independent_sets(conflict, unit, ks)[1].bit_length() - 1 == largest
 
 
 def test_a_k_p_fold_past_its_budget_raises(monkeypatch):

@@ -1,6 +1,9 @@
 """The mutant table of tests/mutants.py: every fragment is still in its
-file, and the script catches a mutant and reports a stale fragment. The
-whole table runs as a script (python3 tests/mutants.py)."""
+file, every test a mutant names is defined in its module, and the script
+catches a mutant and reports a stale fragment. The whole table runs as a
+script (python3 tests/mutants.py)."""
+
+import ast
 
 import pytest
 
@@ -10,6 +13,15 @@ import mutants
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_each_fragment_is_in_its_file_exactly_once(mutant):
     assert mutants.matches(mutant)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_each_test_a_mutant_names_is_a_function_of_its_module(mutant):
+    # a renamed test would otherwise show only as ERROR when the script runs
+    for node in mutant.tests:
+        path, name = node.split("::")
+        tree = ast.parse((mutants.ROOT / path).read_text())
+        assert name in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, node
 
 
 def test_the_script_catches_a_mutant_and_reports_a_stale_fragment():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticegas.families import COUNTABLE_MARKER, build_fcc, build_layered_d5
+from latticegas.families import build_fcc, build_layered_d5
 from latticegas.reporting import (
     ReportEnvelope,
     config_payload,
@@ -14,7 +14,6 @@ from latticegas.reporting import (
     parse_config,
     parse_site_list,
     sublattice_csv_rows,
-    table_densities,
 )
 from latticegas.sublattices import classify_classes
 from oracles import configs_equal
@@ -114,15 +113,6 @@ def test_parse_site_list_forms():
         parse_site_list({"sites": [[1, 2]]})
     with pytest.raises(ValueError):
         parse_site_list("nope")
-
-
-def test_density_table_rows():
-    rows = table_densities()
-    by_d2 = {d2: (marker, dens) for d2, marker, dens in rows}
-    assert by_d2[9] == (120, Fraction(1, 20))
-    assert by_d2[4] == (COUNTABLE_MARKER, Fraction(1, 8))
-    assert by_d2[18][1] == Fraction(1, 54)
-    assert list(by_d2) == sorted(by_d2)
 
 
 def test_sublattice_csv_shape():
