@@ -11,46 +11,29 @@ import argparse
 import sys
 from typing import Any, Callable, Optional, Sequence
 
-from .configs import close_packing_scale, density, hnf, is_admissible_config, is_perfect, shift_count
-from .excitations import (
-    classify_insertion,
-    excitation_report,
-    iia_census,
-    make_insertion,
-    window_census,
-)
-from .families import (
-    build_bcc,
-    build_cubic,
-    build_d4_family,
-    build_fcc,
-    build_layered_2l2,
-    build_layered_d5,
-    build_layered_d6_rhombic,
-    build_layered_d6_tri,
-    build_phi9,
-    build_phi10,
-    pc_census,
-    sliding_witness,
-    table_densities,
-)
-from .forces import verify_forces
-from .reporting import (
-    ReportEnvelope,
-    config_payload,
-    load_config_file,
-    load_site_file,
-    sublattice_csv_rows,
-)
-from .sublattices import (
-    Quaternion,
-    classify_classes,
-    compare_class_counts,
-    euler_rodrigues,
-    fcc_census,
-    r3_brute,
-    r3_formula,
-)
+from . import _lazy
+
+# The library names the handlers call, by the module that defines each. Only
+# the modules of the command that runs are loaded: a handler reads a name
+# through this module (_cli.verify_forces), which binds it on first use, so
+# a patch of latticegas.cli.<name> is what the handler calls. No command calls
+# is_perfect (pc check checks the hard-core rule once, then reads the density
+# identity); it stays bound for the benchmark, which traces the names it patches.
+__getattr__, __dir__ = _lazy(globals(), {
+    "configs": ("_perfect_density", "close_packing_scale", "density", "hnf", "is_admissible_config",
+                "is_perfect", "shift_count"),
+    "excitations": ("classify_insertion", "excitation_report", "iia_census", "make_insertion",
+                    "window_census"),
+    "families": ("build_bcc", "build_cubic", "build_d4_family", "build_fcc", "build_layered_2l2",
+                 "build_layered_d5", "build_layered_d6_rhombic", "build_layered_d6_tri",
+                 "build_phi9", "build_phi10", "pc_census", "sliding_witness", "table_densities"),
+    "forces": ("verify_forces",),
+    "reporting": ("ReportEnvelope", "config_payload", "load_config_file", "load_site_file",
+                  "sublattice_csv_rows"),
+    "sublattices": ("Quaternion", "classify_classes", "compare_class_counts", "euler_rodrigues",
+                    "fcc_census", "r3_brute", "r3_formula"),
+})
+_cli = sys.modules[__name__]
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -92,105 +75,114 @@ def _int_tuple(count: int) -> Callable[[str], tuple[int, ...]]:
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The command groups, in the order the usage lists them, with their help.
+_GROUPS = {
+    "forces": "force-table verification",
+    "pc": "periodic configurations",
+    "table": "summary tables",
+    "exc": "excitations over a perfect background",
+    "sublat": "cubic sublattices and their symmetry classes",
+}
+
+
+def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every group, holding only the subcommands of the group
+    that `first`, the first word of the command line, names (a command line
+    parses no other group's), or those of all groups when it names none;
+    usage, help and error text are the same either way."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--no-json", dest="json", action="store_false",
                         help="emit a plain-text rendering instead of the JSON report")
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="worker-count hint; results are identical for any value")
 
-    def command(group, name: str, handler: Callable, summary: str) -> argparse.ArgumentParser:
-        p = group.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(handler=handler)
-        return p
-
     parser = argparse.ArgumentParser(
         prog="latgas",
         description="Exact-arithmetic toolkit for dense hard-core packings on Z^3.",
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    actions = {name: sub.add_parser(name, help=text).add_subparsers(dest="action", required=True)
+               for name, text in _GROUPS.items()}
+    every = first not in actions
 
-    p_forces = sub.add_parser("forces", help="force-table verification")
-    forces_sub = p_forces.add_subparsers(dest="action", required=True)
-    p_fv = command(forces_sub, "verify", _cmd_forces_verify, "exhaustive ball search for one threshold")
-    p_fv.add_argument("--d2", type=int, required=True, help="squared exclusion distance")
+    def command(group: str, name: str, handler: Callable, summary: str) -> argparse.ArgumentParser:
+        p = actions[group].add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_pc = sub.add_parser("pc", help="periodic configurations")
-    pc_sub = p_pc.add_subparsers(dest="action", required=True)
+    if every or first == "forces":
+        p_fv = command("forces", "verify", _cmd_forces_verify, "exhaustive ball search for one threshold")
+        p_fv.add_argument("--d2", type=int, required=True, help="squared exclusion distance")
 
-    p_build = command(pc_sub, "build", _cmd_pc_build, "construct a named family member")
-    p_build.add_argument("--d2", type=int, required=True)
-    p_build.add_argument("--family", required=True, choices=_FAMILIES)
-    p_build.add_argument("--i", type=int, default=0, help="orientation index (layered and phi families)")
-    p_build.add_argument("--seq", default=None, help="layer digit word, e.g. 01 or 012")
-    p_build.add_argument("--l", type=int, default=None, help="scale parameter (cubic/fcc/bcc/2l2) or variant (phi families)")
+    if every or first == "pc":
+        p_build = command("pc", "build", _cmd_pc_build, "construct a named family member")
+        p_build.add_argument("--d2", type=int, required=True)
+        p_build.add_argument("--family", required=True, choices=_FAMILIES)
+        p_build.add_argument("--i", type=int, default=0, help="orientation index (layered and phi families)")
+        p_build.add_argument("--seq", default=None, help="layer digit word, e.g. 01 or 012")
+        p_build.add_argument("--l", type=int, default=None, help="scale parameter (cubic/fcc/bcc/2l2) or variant (phi families)")
 
-    p_check = command(pc_sub, "check", _cmd_pc_check, "admissibility and perfection check")
-    p_check.add_argument("--d2", type=int, required=True)
-    p_check.add_argument("--in", dest="in", required=True, metavar="FILE",
-                         help="configuration JSON (bare payload or a pc build report)")
+        p_check = command("pc", "check", _cmd_pc_check, "admissibility and perfection check")
+        p_check.add_argument("--d2", type=int, required=True)
+        p_check.add_argument("--in", dest="in", required=True, metavar="FILE",
+                             help="configuration JSON (bare payload or a pc build report)")
 
-    p_census = command(pc_sub, "census", _cmd_pc_census, "count distinct perfect configurations")
-    p_census.add_argument("--d2", type=int, required=True)
+        p_census = command("pc", "census", _cmd_pc_census, "count distinct perfect configurations")
+        p_census.add_argument("--d2", type=int, required=True)
 
-    p_slide = command(pc_sub, "slide", _cmd_pc_slide, "block-swap witness cost")
-    p_slide.add_argument("--l", type=int, required=True)
-    p_slide.add_argument("--n", type=int, required=True)
+        p_slide = command("pc", "slide", _cmd_pc_slide, "block-swap witness cost")
+        p_slide.add_argument("--l", type=int, required=True)
+        p_slide.add_argument("--n", type=int, required=True)
 
-    p_table = sub.add_parser("table", help="summary tables")
-    table_sub = p_table.add_subparsers(dest="action", required=True)
-    p_td = command(table_sub, "densities", _cmd_table_densities,
-                   "census and density per threshold, all computed")
-    p_td.add_argument("--lmax", type=int, default=3,
-                      help="append close-packing rows 2l^2 for l up to this bound")
+    if every or first == "table":
+        p_td = command("table", "densities", _cmd_table_densities,
+                       "census and density per threshold, all computed")
+        p_td.add_argument("--lmax", type=int, default=3,
+                          help="append close-packing rows 2l^2 for l up to this bound")
 
-    p_exc = sub.add_parser("exc", help="excitations over a perfect background")
-    exc_sub = p_exc.add_subparsers(dest="action", required=True)
+    if every or first == "exc":
+        p_cls = command("exc", "classify", _cmd_exc_classify, "type of a single insertion site")
+        p_cls.add_argument("--d2", type=int, required=True)
+        p_cls.add_argument("--pc", required=True, metavar="FILE")
+        p_cls.add_argument("--site", type=_int_tuple(3), required=True, metavar="x,y,z")
 
-    p_cls = command(exc_sub, "classify", _cmd_exc_classify, "type of a single insertion site")
-    p_cls.add_argument("--d2", type=int, required=True)
-    p_cls.add_argument("--pc", required=True, metavar="FILE")
-    p_cls.add_argument("--site", type=_int_tuple(3), required=True, metavar="x,y,z")
+        p_rep = command("exc", "report", _cmd_exc_report, "energy accounting for an insertion set")
+        p_rep.add_argument("--d2", type=int, required=True)
+        p_rep.add_argument("--pc", required=True, metavar="FILE")
+        p_rep.add_argument("--insert", required=True, metavar="FILE",
+                           help='JSON site list: [[x,y,z],...] or {"sites": [...]}')
 
-    p_rep = command(exc_sub, "report", _cmd_exc_report, "energy accounting for an insertion set")
-    p_rep.add_argument("--d2", type=int, required=True)
-    p_rep.add_argument("--pc", required=True, metavar="FILE")
-    p_rep.add_argument("--insert", required=True, metavar="FILE",
-                       help='JSON site list: [[x,y,z],...] or {"sites": [...]}')
+        p_iia = command("exc", "iia-density", _cmd_exc_iia_density,
+                        "density of lowest-type in-plane insertions")
+        p_iia.add_argument("--pc", required=True, metavar="FILE")
 
-    p_iia = command(exc_sub, "iia-density", _cmd_exc_iia_density,
-                    "density of lowest-type in-plane insertions")
-    p_iia.add_argument("--pc", required=True, metavar="FILE")
+        p_win = command("exc", "window-census", _cmd_exc_window_census,
+                        "exhaust low-energy insertion sets in a window")
+        p_win.add_argument("--d2", type=int, default=5)
+        p_win.add_argument("--layers", type=int, default=2)
+        p_win.add_argument("--radius", type=int, default=8,
+                           help="squared radius of the window ball")
+        p_win.add_argument("--pc", default=None, metavar="FILE",
+                           help="background configuration (default: the built-in layered one for d2=5)")
 
-    p_win = command(exc_sub, "window-census", _cmd_exc_window_census,
-                    "exhaust low-energy insertion sets in a window")
-    p_win.add_argument("--d2", type=int, default=5)
-    p_win.add_argument("--layers", type=int, default=2)
-    p_win.add_argument("--radius", type=int, default=8,
-                       help="squared radius of the window ball")
-    p_win.add_argument("--pc", default=None, metavar="FILE",
-                       help="background configuration (default: the built-in layered one for d2=5)")
+    if every or first == "sublat":
+        p_enum = command("sublat", "enumerate", _cmd_sublat_enumerate, "all cubic sublattices of one norm")
+        p_enum.add_argument("--ell", type=int, required=True)
+        p_enum.add_argument("--fcc", action="store_true",
+                            help="report the close-packed doublings instead of the raw list")
+        p_enum.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_sub = sub.add_parser("sublat", help="cubic sublattices and their symmetry classes")
-    sublat_sub = p_sub.add_subparsers(dest="action", required=True)
+        p_classes = command("sublat", "classes", _cmd_sublat_classes,
+                            "symmetry classes plus formula comparison")
+        p_classes.add_argument("--ell", type=int, required=True)
 
-    p_enum = command(sublat_sub, "enumerate", _cmd_sublat_enumerate, "all cubic sublattices of one norm")
-    p_enum.add_argument("--ell", type=int, required=True)
-    p_enum.add_argument("--fcc", action="store_true",
-                        help="report the close-packed doublings instead of the raw list")
-    p_enum.add_argument("--format", choices=["json", "csv"], default="json")
+        p_r3 = command("sublat", "r3", _cmd_sublat_r3, "representations of ell^2 as three squares")
+        p_r3.add_argument("--ell", type=int, required=True)
+        p_r3.add_argument("--brute", action="store_true", help="count by brute force instead of the closed form")
 
-    p_classes = command(sublat_sub, "classes", _cmd_sublat_classes,
-                        "symmetry classes plus formula comparison")
-    p_classes.add_argument("--ell", type=int, required=True)
-
-    p_r3 = command(sublat_sub, "r3", _cmd_sublat_r3, "representations of ell^2 as three squares")
-    p_r3.add_argument("--ell", type=int, required=True)
-    p_r3.add_argument("--brute", action="store_true", help="count by brute force instead of the closed form")
-
-    p_quat = command(sublat_sub, "quaternion", _cmd_sublat_quaternion,
-                     "rotation matrix and sublattice of one integer quaternion")
-    p_quat.add_argument("quaternion", type=_int_tuple(4), metavar="a,b,c,d")
+        p_quat = command("sublat", "quaternion", _cmd_sublat_quaternion,
+                         "rotation matrix and sublattice of one integer quaternion")
+        p_quat.add_argument("quaternion", type=_int_tuple(4), metavar="a,b,c,d")
 
     return parser
 
@@ -206,7 +198,7 @@ Outcome = tuple[dict[str, Any], bool]
 
 def _cmd_forces_verify(args: argparse.Namespace) -> Outcome:
     _progress(f"searching the d2={args.d2} ball exhaustively...")
-    report = verify_forces(args.d2)
+    report = _cli.verify_forces(args.d2)
     results = {
         "d2": report.d2,
         "config_count": report.config_count,
@@ -222,16 +214,16 @@ def _cmd_forces_verify(args: argparse.Namespace) -> Outcome:
 # order. --i defaults to 0, which for phi9 means axis 1. pc build refuses an
 # option its family does not take (for --i, any value but 0).
 _FAMILIES = {
-    "cubic": (build_cubic, ("l",)),
-    "fcc": (build_fcc, ("l",)),
-    "bcc": (build_bcc, ("l",)),
-    "d4": (build_d4_family, ()),
-    "d5": (build_layered_d5, ("i", "seq")),
-    "d6tri": (build_layered_d6_tri, ("i", "seq")),
-    "d6rh": (build_layered_d6_rhombic, ("i", "seq")),
-    "phi9": (lambda i, l: build_phi9(i or 1, l), ("i", "l")),
-    "phi10": (build_phi10, ("i", "l")),
-    "2l2": (build_layered_2l2, ("l", "i", "seq")),
+    "cubic": ("build_cubic", ("l",)),
+    "fcc": ("build_fcc", ("l",)),
+    "bcc": ("build_bcc", ("l",)),
+    "d4": ("build_d4_family", ()),
+    "d5": ("build_layered_d5", ("i", "seq")),
+    "d6tri": ("build_layered_d6_tri", ("i", "seq")),
+    "d6rh": ("build_layered_d6_rhombic", ("i", "seq")),
+    "phi9": ("build_phi9", ("i", "l")),
+    "phi10": ("build_phi10", ("i", "l")),
+    "2l2": ("build_layered_2l2", ("l", "i", "seq")),
 }
 
 
@@ -250,34 +242,37 @@ def _cmd_pc_build(args: argparse.Namespace) -> Outcome:
         value, taken = getattr(args, opt), opt in options
         _require(not taken or value is not None, f"--family {args.family} needs --{opt}")
         _require(taken or value == default, f"--family {args.family} does not take --{opt}")
-    pc = builder(*(getattr(args, opt) for opt in options))
+    values = [getattr(args, opt) for opt in options]
+    if args.family == "phi9":
+        values[0] = values[0] or 1
+    pc = getattr(_cli, builder)(*values)
     _require(
         pc.context_d2 in (None, args.d2),
         f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}",
     )
-    return config_payload(pc, args.d2), True
+    return _cli.config_payload(pc, args.d2), True
 
 
 def _cmd_pc_check(args: argparse.Namespace) -> Outcome:
-    pc = load_config_file(getattr(args, "in"), hard_core=False)
-    admissible = is_admissible_config(pc, args.d2)
-    perfect = admissible and is_perfect(pc, args.d2)
+    pc = _cli.load_config_file(getattr(args, "in"), hard_core=False)
+    admissible = _cli.is_admissible_config(pc, args.d2)
+    perfect = admissible and _cli._perfect_density(pc, args.d2)
     results = {
         "admissible": admissible,
         "perfect": perfect,
-        "density": density(pc),
-        "shift_count": shift_count(pc),
+        "density": _cli.density(pc),
+        "shift_count": _cli.shift_count(pc),
     }
     return results, perfect
 
 
 def _cmd_pc_census(args: argparse.Namespace) -> Outcome:
     _progress(f"enumerating perfect configurations at d2={args.d2}...")
-    return {"census": pc_census(args.d2)}, True
+    return {"census": _cli.pc_census(args.d2)}, True
 
 
 def _cmd_pc_slide(args: argparse.Namespace) -> Outcome:
-    removed = sliding_witness(args.l, args.n)
+    removed = _cli.sliding_witness(args.l, args.n)
     bound = 2 * args.l * args.l
     results = {"removed": removed, "bound": bound, "within_bound": removed <= bound}
     return results, removed <= bound
@@ -285,20 +280,20 @@ def _cmd_pc_slide(args: argparse.Namespace) -> Outcome:
 
 def _cmd_table_densities(args: argparse.Namespace) -> Outcome:
     _require_in("--lmax", args.lmax, 0, DENSITIES_MAX_LMAX)
-    return {"rows": table_densities(range(1, args.lmax + 1))}, True
+    return {"rows": _cli.table_densities(range(1, args.lmax + 1))}, True
 
 
 def _cmd_exc_classify(args: argparse.Namespace) -> Outcome:
-    pc = load_config_file(args.pc, args.d2)
-    kind = classify_insertion(pc, args.site, args.d2)
+    pc = _cli.load_config_file(args.pc, args.d2)
+    kind = _cli.classify_insertion(pc, args.site, args.d2)
     return {"site": args.site, "type": kind}, True
 
 
 def _cmd_exc_report(args: argparse.Namespace) -> Outcome:
-    pc = load_config_file(args.pc, args.d2)
-    sites = load_site_file(args.insert)
-    insertion = make_insertion(pc, args.d2, sites)
-    rep = excitation_report(pc, insertion, args.d2)
+    pc = _cli.load_config_file(args.pc, args.d2)
+    sites = _cli.load_site_file(args.insert)
+    insertion = _cli.make_insertion(pc, args.d2, sites)
+    rep = _cli.excitation_report(pc, insertion, args.d2)
     results = {
         "inserted": rep.inserted_count,
         "repelled": rep.repelled,
@@ -314,25 +309,25 @@ def _infer_layer_scale(pc) -> Optional[int]:
     d2 = pc.context_d2
     if d2 is None or d2 == 5:
         return None
-    l = close_packing_scale(d2)
+    l = _cli.close_packing_scale(d2)
     _require(l is not None, f"iia-density needs a layered configuration, got d2={d2}")
     return l
 
 
 def _cmd_exc_iia_density(args: argparse.Namespace) -> Outcome:
-    pc = load_config_file(args.pc)
-    count, dens = iia_census(pc, _infer_layer_scale(pc))
+    pc = _cli.load_config_file(args.pc)
+    count, dens = _cli.iia_census(pc, _infer_layer_scale(pc))
     return {"count": count, "density": dens}, True
 
 
 def _cmd_exc_window_census(args: argparse.Namespace) -> Outcome:
     if args.pc is not None:
-        pc = load_config_file(args.pc, args.d2)
+        pc = _cli.load_config_file(args.pc, args.d2)
     else:
         _require(args.d2 == 5, "window-census without --pc only supports --d2 5")
-        pc = build_layered_d5(0, "01")
+        pc = _cli.build_layered_d5(0, "01")
     _progress(f"scanning insertion sets (layers={args.layers}, radius={args.radius})...")
-    census = window_census(pc, args.d2, args.layers, args.radius)
+    census = _cli.window_census(pc, args.d2, args.layers, args.radius)
     results = {
         "window_sites": census.window_sites,
         "sets_scanned": census.sets_scanned,
@@ -346,7 +341,7 @@ def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
     _require(not (args.fcc and args.format == "csv"), "--fcc reports a census, which has no CSV form")
     _require_in("--ell", args.ell, 1, FACTORIZE_MAX_ELL if args.fcc else ENUMERATE_MAX_ELL)
     if args.fcc:
-        report = fcc_census(args.ell)
+        report = _cli.fcc_census(args.ell)
         results = {
             "fcc_sublattices": report.fcc_sublattices,
             "pcs_total": report.pcs_total,
@@ -354,7 +349,7 @@ def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
         }
         return results, True
     _progress(f"enumerating cubic sublattices of norm {args.ell}...")
-    classes = classify_classes(args.ell)
+    classes = _cli.classify_classes(args.ell)
     results = {
         "count": sum(cl.size for cl in classes),
         "sublattices": [
@@ -368,7 +363,7 @@ def _cmd_sublat_enumerate(args: argparse.Namespace) -> Outcome:
 
 def _cmd_sublat_classes(args: argparse.Namespace) -> Outcome:
     _require_in("--ell", args.ell, 1, ENUMERATE_MAX_ELL)
-    cmp = compare_class_counts(args.ell)
+    cmp = _cli.compare_class_counts(args.ell)
     results = {
         "classes": [
             {
@@ -388,19 +383,19 @@ def _cmd_sublat_classes(args: argparse.Namespace) -> Outcome:
 
 def _cmd_sublat_r3(args: argparse.Namespace) -> Outcome:
     _require_in("--ell", args.ell, 1, R3_BRUTE_MAX_ELL if args.brute else FACTORIZE_MAX_ELL)
-    value = r3_brute(args.ell * args.ell) if args.brute else r3_formula(args.ell)
+    value = _cli.r3_brute(args.ell * args.ell) if args.brute else _cli.r3_formula(args.ell)
     results = {"ell": args.ell, "r3": value, "method": "brute" if args.brute else "formula"}
     return results, True
 
 
 def _cmd_sublat_quaternion(args: argparse.Namespace) -> Outcome:
-    q = Quaternion(*args.quaternion)
-    rows = euler_rodrigues(q)
+    q = _cli.Quaternion(*args.quaternion)
+    rows = _cli.euler_rodrigues(q)
     results = {
         "quaternion": args.quaternion,
         "norm_sq": q.norm_sq,
         "matrix": rows,
-        "sublattice_basis": hnf(rows),
+        "sublattice_basis": _cli.hnf(rows),
     }
     return results, True
 
@@ -411,7 +406,7 @@ def run(argv: Sequence[str]) -> int:
     The report is the JSON envelope, its --no-json text, or, for
     `sublat enumerate --format csv`, one CSV row per sublattice entry.
     """
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
@@ -423,9 +418,9 @@ def run(argv: Sequence[str]) -> int:
     try:
         results, verified = args.handler(args)
         if getattr(args, "format", None) == "csv":
-            sys.stdout.write("\n".join(sublattice_csv_rows(results["sublattices"])) + "\n")
+            sys.stdout.write("\n".join(_cli.sublattice_csv_rows(results["sublattices"])) + "\n")
         else:
-            report = ReportEnvelope(tuple(argv), inputs, results)
+            report = _cli.ReportEnvelope(tuple(argv), inputs, results)
             sys.stdout.write(report.to_json() if args.json else report.to_text())
     except (ValueError, OSError) as exc:  # UnsupportedThresholdError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

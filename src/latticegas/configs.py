@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .forces import normalization_constant
+import latticegas  # _perfect_density reads normalization_constant through it: forces loads on first use
+
 from .lattice import Record, Site, SignedPermutation, ball_sites, exact_site, half_ball, outgrows_ball
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
@@ -269,9 +270,15 @@ def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:
     Raises (rather than returning False) if the configuration is not even
     admissible for d2.
     """
-    c = Fraction(1) if d2 == 1 else normalization_constant(d2)
+    perfect = _perfect_density(pc, d2)
     if not is_admissible_config(pc, d2):
         raise ValueError(f"configuration is not d2={d2} admissible; perfection undefined")
+    return perfect
+
+
+def _perfect_density(pc: PeriodicConfiguration, d2: int) -> bool:
+    """is_perfect of a configuration already known to be d2-admissible."""
+    c = Fraction(1) if d2 == 1 else latticegas.normalization_constant(d2)
     return density(pc) == 1 / c
 
 

@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+import latticegas  # the census and density readers reach forces and sublattices through it
+
 from .configs import (
     MAIN_DIAGONALS,
     NON_MAIN_DIAGONALS,
@@ -29,9 +31,7 @@ from .configs import (
     is_perfect,
     make_config,
 )
-from .forces import SUPPORTED_D2, normalization_constant
 from .lattice import Site, oh_elements
-from .sublattices import fcc_census
 
 COUNTABLE_MARKER = "ℵ₀"  # countable-infinity marker for continuum rows
 
@@ -387,8 +387,8 @@ def densest_density(d2: int) -> Fraction:
     configs.is_perfect); at d2 = 2*l^2 the close-packed l-sublattice and its
     layered sibling both have density 1/(2*l^3).
     """
-    if d2 in SUPPORTED_D2:
-        return 1 / normalization_constant(d2)
+    if d2 in latticegas.SUPPORTED_D2:
+        return 1 / latticegas.normalization_constant(d2)
     l = close_packing_scale(d2)
     if l is not None:
         return Fraction(1, 2 * l**3)
@@ -397,13 +397,13 @@ def densest_density(d2: int) -> Fraction:
 
 def census_marker(d2: int) -> Union[int, str]:
     """Census size, or the countable marker for infinite families."""
-    if d2 in SUPPORTED_D2:
+    if d2 in latticegas.SUPPORTED_D2:
         return pc_census(d2)
     l = close_packing_scale(d2)
     if l is not None:
         if l % 3 == 0:
             return COUNTABLE_MARKER
-        return fcc_census(l).pcs_total  # type: ignore[return-value]
+        return latticegas.fcc_census(l).pcs_total  # type: ignore[return-value]
     raise ValueError(f"no census known for d2={d2}")
 
 
@@ -414,7 +414,7 @@ def table_densities(extra_l: Sequence[int]) -> list[tuple[int, Union[int, str], 
     close-packing thresholds 2l^2 for the listed l when not already
     covered (l=1 and l=2 coincide with thresholds 2 and 8).
     """
-    d2s = set(SUPPORTED_D2) | {2 * l * l for l in extra_l}
+    d2s = set(latticegas.SUPPORTED_D2) | {2 * l * l for l in extra_l}
     return [(d2, census_marker(d2), densest_density(d2)) for d2 in sorted(d2s)]
 
 

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Union
 
-from . import __version__
-from .configs import PeriodicConfiguration, make_config
+import latticegas  # parse_config reads make_config through it: configs loads on first use
+
 from .lattice import Record, exact_site
+
+if TYPE_CHECKING:
+    from .configs import PeriodicConfiguration
 
 
 def frac_str(x: Union[int, Fraction]) -> str:
@@ -58,7 +61,7 @@ class ReportEnvelope(Record):
     def body(self) -> dict[str, Any]:
         return {
             "command": list(self.command),
-            "version": __version__,
+            "version": latticegas.__version__,
             "provenance": "computed",
             "inputs": jsonable(self.inputs),
             "results": jsonable(self.results),
@@ -133,7 +136,7 @@ def parse_config(
         _json_int(ctx, "d2")
     if d2 is None:
         d2 = ctx
-    return make_config(
+    return latticegas.make_config(
         [_int_triple(row, "basis row") for row in basis],
         [_int_triple(o, "offset") for o in offsets],
         d2 if hard_core else None,

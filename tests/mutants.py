@@ -197,6 +197,18 @@ MUTANTS = [
     Mutant("contour-weights-of-xi-added", "excitations.py",
            "((1, eta), (-1, xi))", "((1, eta), (1, xi))",
            _t("test_excitations", "test_peierls_known_slacks")),
+    # what a command loads and calls
+    Mutant("init-imports-a-module-eagerly", "__init__.py",
+           '__version__ = "0.1.0"\n', '__version__ = "0.1.0"\n\nfrom . import families  # noqa: E402\n',
+           _t("test_hygiene", "test_a_command_loads_only_the_modules_it_runs")),
+    Mutant("handler-bypasses-the-cli-attribute", "cli.py",
+           "report = _cli.verify_forces(args.d2)",
+           'report = __import__("latticegas.forces").forces.verify_forces(args.d2)',
+           _t("test_cli", "test_each_traced_name_is_called_through_the_cli_attribute")),
+    Mutant("pc-check-checks-twice", "cli.py",
+           "perfect = admissible and _cli._perfect_density(pc, args.d2)",
+           "perfect = admissible and _cli.is_perfect(pc, args.d2)",
+           _t("test_cli", "test_pc_check_checks_the_hard_core_rule_once")),
     # equivalent mutants
     Mutant("deficit-filter-by-table-length", "excitations.py",
            "if q < rsq:", "if q < len(w):",

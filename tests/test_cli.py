@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from latticegas import cli, excitations, sublattices
+from latticegas import cli, configs, excitations, sublattices
 from latticegas.cli import run
 from latticegas.configs import PeriodicConfiguration
 from latticegas.families import (
@@ -24,6 +24,7 @@ from latticegas.families import (
 from latticegas.reporting import config_payload
 from latticegas.sublattices import r3_formula
 from test_configs import _supercell_without_one
+from test_hygiene import cli_wrapped
 
 
 def run_capture(capsys, argv):
@@ -52,19 +53,93 @@ BENCH_FILES = {
 }
 
 
-def test_the_bench_command_set_prints_its_recorded_bytes(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def bench_set(tmp_path, monkeypatch):
+    """The recorded outcome (exit code, stdout bytes) of each command of the
+    benchmark's set, with its input files in the working directory."""
     expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
-    assert len(expected) == 37
     for name, (kind, text) in BENCH_FILES.items():
         (tmp_path / name).write_text(expected[text]["stdout"] if kind == "build" else text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    mismatched = []
-    for line, recorded in expected.items():
-        code = run(line.split())
-        out = capsys.readouterr().out.encode("utf-8")
-        if (code, out) != (recorded["exit"], recorded["stdout"].encode("utf-8")):
-            mismatched.append(line)
-    assert mismatched == []
+    return {line: (rec["exit"], rec["stdout"].encode("utf-8")) for line, rec in expected.items()}
+
+
+def run_bytes(capsys, line):
+    code = run(line.split())
+    return code, capsys.readouterr().out.encode("utf-8")
+
+
+def test_the_bench_command_set_prints_its_recorded_bytes(bench_set, capsys):
+    assert len(bench_set) == 37
+    assert [line for line, recorded in bench_set.items() if run_bytes(capsys, line) != recorded] == []
+
+
+# A command of the benchmark's set that calls each name the benchmark patches
+# on latticegas.cli to trace it (perfbench's CLI_WRAPPED). No command calls
+# is_perfect: pc check checks the hard-core rule once, then reads the density
+# identity.
+TRACED_COMMANDS = {
+    "load_config_file": "pc check --d2 5 --in hcp.json",
+    "load_site_file": "exc report --d2 5 --pc hcp.json --insert ins5.json",
+    "verify_forces": "forces verify --d2 2",
+    "is_perfect": None,
+    "pc_census": "pc census --d2 5",
+    "excitation_report": "exc report --d2 6 --pc tri.json --insert ins6.json",
+    "window_census": "exc window-census --layers 1 --radius 12",
+    "classify_classes": "sublat enumerate --ell 5",
+    "fcc_census": "sublat enumerate --ell 7 --fcc",
+    "table_densities": "table densities",
+}
+
+
+def test_each_traced_name_is_called_through_the_cli_attribute(bench_set, monkeypatch, capsys):
+    assert TRACED_COMMANDS.keys() == cli_wrapped().keys()
+    for name, line in TRACED_COMMANDS.items():
+        real, calls = getattr(cli, name), []
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+            if line is None:
+                for every in bench_set:
+                    run_bytes(capsys, every)
+            else:
+                assert run_bytes(capsys, line) == bench_set[line]
+        assert len(calls) == (line is not None), name
+
+
+def test_pc_check_checks_the_hard_core_rule_once(bench_set, monkeypatch, capsys):
+    checks = []
+
+    def counted(pc, d2, real=configs.is_admissible_config):
+        checks.append(d2)
+        return real(pc, d2)
+
+    monkeypatch.setattr(configs, "is_admissible_config", counted)
+    monkeypatch.setattr(cli, "is_admissible_config", counted)
+    lines = [line for line in bench_set if line.startswith("pc check")]
+    for line in lines:
+        assert run_bytes(capsys, line) == bench_set[line]
+    assert len(lines) == 4 and checks == [int(line.split()[3]) for line in lines]
+
+
+def parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("group", cli._GROUPS)
+def test_the_parser_of_one_group_prints_what_the_full_parser_prints(group, capsys):
+    recorded = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
+    actions = sorted({line.split()[1] for line in recorded if line.split()[0] == group})
+    argvs = [[group], [group, "-h"], [group, "nope"],
+             *([group, action, *rest] for action in actions for rest in (["-h"], ["--nope"]))]
+    for argv in argvs:
+        assert parse_outcome(cli._build_parser(group), argv, capsys) == \
+            parse_outcome(cli._build_parser(), argv, capsys), argv
+    # and it holds no subcommand of another group
+    other = next(line.split()[:2] for line in recorded if line.split()[0] != group)
+    assert parse_outcome(cli._build_parser(group), [*other, "-h"], capsys)[0] == 2
 
 
 def test_forces_verify_reports_unit_maximum(capsys):

@@ -4,16 +4,15 @@ defines is referenced by the package, by the benchmark (perfbench/) or
 by the README's Public API list (a re-export from `__init__.py` is not a
 reference, and neither is a test: a member only tests call belongs in
 tests/oracles.py), and importing
-the CLI loads nothing outside the standard library, nor dataclasses or inspect.
-The package binds exactly the names of that list, and every package name
-the benchmark uses is on it.
+the CLI loads nothing outside the standard library, nor dataclasses or inspect;
+a command loads only the modules of the package that it runs.
+The package binds exactly the names of that list, on first use, and every
+package name the benchmark uses is on it.
 The line counter (tests/line_count.py) is checked on a snippet.
-
-`__init__.py` is exempt from the unused-import check, since its imports are
-the public re-exports.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -75,7 +74,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)
@@ -173,11 +172,30 @@ def test_checker_does_not_count_a_reexport_as_a_use():
 
 
 def test_the_package_binds_exactly_the_readme_public_api():
+    # the names are bound on first use, so vars() holds only those read so far:
+    # dir() lists them all, and reading each one gives its module's object
     public = {
-        name for name, value in vars(latticegas).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(latticegas)
+        if not name.startswith("_") and not isinstance(getattr(latticegas, name), types.ModuleType)
     }
-    assert public == public_api()
+    assert public == public_api() == set(latticegas.__all__)
+    modules = [importlib.import_module(f"latticegas.{p.stem}") for p in MODULES if p.stem != "__main__"]
+    for name in public:
+        assert any(vars(m).get(name) is getattr(latticegas, name) for m in modules), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        latticegas.no_such_name
+    assert not hasattr(latticegas, "hnf") and not hasattr(latticegas.cli, "gamma1")
+
+
+def cli_wrapped() -> dict[str, str]:
+    """perfbench's CLI_WRAPPED: the names it patches on latticegas.cli to
+    trace them, each with its span's name."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(n.value) for n in tree.body
+        if isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_WRAPPED" for t in n.targets)
+    )
 
 
 def test_the_benchmark_uses_only_names_the_package_binds():
@@ -195,13 +213,7 @@ def test_the_benchmark_uses_only_names_the_package_binds():
     }
     missing = sorted((used | builders) - public_api())
     assert not missing, f"the benchmark uses names off the README's Public API list: {missing}"
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    wrapped = next(
-        ast.literal_eval(n.value) for n in tree.body
-        if isinstance(n, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "CLI_WRAPPED" for t in n.targets)
-    )
-    unbound = sorted(name for name in wrapped if not hasattr(latticegas.cli, name))
+    unbound = sorted(name for name in cli_wrapped() if not hasattr(latticegas.cli, name))
     assert not unbound, f"CLI_WRAPPED names latticegas.cli does not bind: {unbound}"
 
 
@@ -209,24 +221,41 @@ IMPORT_PROBE = """
 import json, sys
 before = set(sys.modules)
 import latticegas.cli
-print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+added = set(sys.modules) - before
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = latticegas.cli.run(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps({
+    "added": sorted({name.split(".")[0] for name in added}),
+    "code": code,
+    "package": sorted(name.removeprefix("latticegas.") for name in sys.modules if name.startswith("latticegas.")),
+}))
 """
 
 
-def cli_import_adds() -> set[str]:
-    """Top-level names of the modules that importing latticegas.cli loads in a
-    fresh interpreter; those the interpreter loaded before it (site hooks) are
-    not counted."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+def probe(argv: tuple[str, ...] = (), cwd=None) -> dict:
+    """Run IMPORT_PROBE in a fresh interpreter: the top-level names of the
+    modules that importing latticegas.cli loads there ("added"; those the
+    interpreter loaded before it, site hooks, are not counted), then, given
+    an argv, the exit code of that command ("code") and every module of the
+    package loaded once it has run ("package")."""
+    # the package this process imported, which a mutant's run puts on the path
+    src = pathlib.Path(latticegas.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    return set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def cli_import_adds() -> set[str]:
+    return set(probe()["added"])
 
 
 def test_cli_import_loads_only_the_standard_library():
@@ -236,6 +265,27 @@ def test_cli_import_loads_only_the_standard_library():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 9 ms of import
     assert cli_import_adds() & {"dataclasses", "inspect"} == set()
+
+
+# The modules of the package one command of each group loads, besides those
+# every command loads: a command loads only the modules it runs.
+EVERY_COMMAND_LOADS = {"cli", "lattice", "reporting"}
+COMMAND_LOADS = [
+    ("forces verify --d2 2", {"forces"}),
+    ("pc check --d2 5 --in hcp.json", {"configs", "forces"}),
+    ("pc build --d2 5 --family d5 --seq 01", {"configs", "families"}),
+    ("table densities", {"configs", "families", "forces"}),
+    ("exc classify --d2 5 --pc hcp.json --site 0,2,1", {"configs", "excitations", "forces"}),
+    ("sublat classes --ell 9", {"configs", "sublattices"}),
+]
+
+
+@pytest.mark.parametrize("line, loads", COMMAND_LOADS, ids=[line for line, _ in COMMAND_LOADS])
+def test_a_command_loads_only_the_modules_it_runs(line, loads, tmp_path):
+    hcp = {"basis": [[1, 1, 4], [0, 3, 3], [0, 0, 6]], "offsets": [[0, 0, 0], [0, 1, 2]], "d2": 5}
+    (tmp_path / "hcp.json").write_text(json.dumps(hcp), encoding="utf-8")
+    ran = probe(line.split(), tmp_path)
+    assert (ran["code"], ran["package"]) == (0, sorted(EVERY_COMMAND_LOADS | loads))
 
 
 LINE_COUNT_SAMPLE = '''"""Module docstring,
