@@ -20,7 +20,7 @@ from . import _lazy
 # is_perfect (pc check checks the hard-core rule once, then reads the density
 # identity); it stays bound for the benchmark, which traces the names it patches.
 __getattr__, __dir__ = _lazy(globals(), {
-    "configs": ("_perfect_density", "close_packing_scale", "density", "hnf", "is_admissible_config",
+    "configs": ("_perfect_density", "close_packing_scale", "density", "is_admissible_config",
                 "is_perfect", "shift_count"),
     "excitations": ("classify_insertion", "excitation_report", "iia_census", "make_insertion",
                     "window_census"),
@@ -28,6 +28,7 @@ __getattr__, __dir__ = _lazy(globals(), {
                  "build_layered_d5", "build_layered_d6_rhombic", "build_layered_d6_tri",
                  "build_phi9", "build_phi10", "pc_census", "sliding_witness", "table_densities"),
     "forces": ("verify_forces",),
+    "lattice": ("hnf",),
     "reporting": ("ReportEnvelope", "config_payload", "load_config_file", "load_site_file",
                   "sublattice_csv_rows"),
     "sublattices": ("Quaternion", "classify_classes", "compare_class_counts", "euler_rodrigues",

@@ -15,53 +15,12 @@ from typing import Iterable, Optional, Sequence
 
 import latticegas  # _perfect_density reads normalization_constant through it: forces loads on first use
 
-from .lattice import Record, Site, SignedPermutation, ball_sites, exact_site, half_ball, outgrows_ball
-
-Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
+from .lattice import Matrix, Record, Site, SignedPermutation, ball_sites, exact_site, half_ball, hnf, outgrows_ball
 
 # Main space diagonals (1, s2(i), s3(i)) and the non-main diagonals used by
 # the layered mesh families.
 MAIN_DIAGONALS: tuple[Site, ...] = ((1, 1, 1), (1, -1, 1), (1, -1, -1), (1, 1, -1))
 NON_MAIN_DIAGONALS: tuple[Site, ...] = ((1, 1, 0), (-1, 1, 0), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))
-
-
-def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
-    """Row-style Hermite Normal Form of a rank-3 generating set.
-
-    Result is upper triangular with positive diagonal; entries above each
-    pivot are reduced into [0, pivot). Raises on rank deficiency and on a
-    generator that is not a triple of integers.
-    """
-    rows = [exact_site(g, "generator") for g in generators]
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[list[int]] = []
-    for col in range(3):
-        while True:
-            cand = [r for r in work if r[col] != 0]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda r: abs(r[col]))
-            base = cand[0]
-            for r in cand[1:]:
-                q = r[col] // base[col]
-                for t in range(3):
-                    r[t] -= q * base[t]
-        cand = [r for r in work if r[col] != 0]
-        if not cand:
-            raise ValueError("generators do not span a rank-3 lattice")
-        p = cand[0]
-        work.remove(p)
-        if p[col] < 0:
-            p = [-x for x in p]
-        pivots.append(p)
-        work = [r for r in work if any(r)]
-    # reduce entries above each pivot
-    for i in (1, 2):
-        for j in range(i):
-            q = pivots[j][i] // pivots[i][i]
-            for t in range(3):
-                pivots[j][t] -= q * pivots[i][t]
-    return tuple(tuple(r) for r in pivots)  # type: ignore[return-value]
 
 
 def close_packing_scale(d2: int) -> Optional[int]:
@@ -89,8 +48,9 @@ class PeriodicConfiguration(Record):
 
     make_config checks context_d2 once: None, or an int whose hard-core rule
     the cell obeys. transform and canonicalize pass it on unchecked, since
-    each derived cell is the same point set or an isometric image of it. A
-    configuration built directly, as only the tests do, is outside that promise.
+    each derived cell is the same point set or an isometric image of it, and
+    is_perfect trusts it instead of checking the rule again. A configuration
+    built directly, as only the tests do, is outside that promise.
     """
 
     basis: Matrix
@@ -193,27 +153,21 @@ def make_config(basis_rows: Iterable[Sequence[int]], offsets: Iterable[Sequence[
 
 
 def is_admissible_config(pc: PeriodicConfiguration, d2: int) -> bool:
-    """No two occupied sites closer than sqrt(d2). Always true for d2 <= 1.
+    """No two occupied sites closer than sqrt(d2). Always true for d2 <= 1,
+    where lattice.half_ball(d2) is empty.
 
-    Above the crossover (lattice.outgrows_ball) the residue of o + b is
-    looked up for every offset o and every b of lattice.half_ball(d2). The
-    half ball suffices: a close pair of occupied sites has its upper site
-    at b above its lower one, a translate of an offset o, so the residue of
-    o + b is an offset. Conversely such a hit is a pair at squared distance
-    |b|^2 < d2, even where o + b reduces to o itself (a lattice vector
-    shorter than sqrt(d2)). Below it, the open d2-ball of each offset must
-    hold no occupied site but the offset (occupied_near): every occupied
-    pair is a translate of one with an offset in it.
+    The residue of o + b is looked up for every offset o and every b of
+    half_ball(d2). The half ball suffices: a close pair of occupied sites
+    has its upper site at b above its lower one, a translate of an offset
+    o, so the residue of o + b is an offset. Conversely such a hit is a
+    pair at squared distance |b|^2 < d2, even where o + b reduces to o
+    itself (a lattice vector shorter than sqrt(d2)).
     """
-    if d2 <= 1:
-        return True
-    if outgrows_ball(len(pc.offsets), d2, 4):
-        basis, occupied, half = pc.basis, pc._occupied, half_ball(d2)
-        return not any(
-            _reduce_site((o0 + b0, o1 + b1, o2 + b2), basis) in occupied
-            for o0, o1, o2 in pc.offsets for b0, b1, b2 in half
-        )
-    return all(pc.occupied_near(o, d2) == [o] for o in pc.offsets)
+    basis, occupied, half = pc.basis, pc._occupied, half_ball(d2)
+    return not any(
+        _reduce_site((o0 + b0, o1 + b1, o2 + b2), basis) in occupied
+        for o0, o1, o2 in pc.offsets for b0, b1, b2 in half
+    )
 
 
 def density(pc: PeriodicConfiguration) -> Fraction:
@@ -269,16 +223,23 @@ def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:
     sites get exactly 1 iff len(offsets) * C == det, i.e. density == 1/C.
     Raises (rather than returning False) if the configuration is not even
     admissible for d2.
+
+    The admissibility check is skipped when pc.context_d2 >= d2: make_config
+    checked the cell at its context, _config passes a context only to the
+    same point set or an isometric image of it, and a cell admissible at D
+    is admissible at every d2 <= D. A background built by a constructor is
+    thus checked once, however many reports read it.
     """
     perfect = _perfect_density(pc, d2)
-    if not is_admissible_config(pc, d2):
+    trusted = pc.context_d2 is not None and pc.context_d2 >= d2
+    if not trusted and not is_admissible_config(pc, d2):
         raise ValueError(f"configuration is not d2={d2} admissible; perfection undefined")
     return perfect
 
 
 def _perfect_density(pc: PeriodicConfiguration, d2: int) -> bool:
     """is_perfect of a configuration already known to be d2-admissible."""
-    c = Fraction(1) if d2 == 1 else latticegas.normalization_constant(d2)
+    c = Fraction(1) if d2 == 1 and type(d2) is int else latticegas.normalization_constant(d2)
     return density(pc) == 1 / c
 
 

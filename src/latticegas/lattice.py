@@ -1,5 +1,6 @@
-"""Integer lattice geometry: sites, balls, admissible sets, signed permutations,
-and Record, the frozen value-type base of every result class in the package.
+"""Integer lattice geometry: sites, Hermite normal forms, balls, admissible
+sets, signed permutations, and Record, the frozen value-type base of every
+result class in the package.
 
 Everything here is exact integer arithmetic on Z^3. A "ball" is the set of
 lattice sites strictly closer (in squared Euclidean distance) to its center
@@ -17,6 +18,7 @@ from operator import attrgetter, index
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Site = tuple[int, int, int]
+Matrix = tuple[Site, Site, Site]
 
 ORIGIN: Site = (0, 0, 0)
 
@@ -37,6 +39,45 @@ def exact_site(entry: Sequence, what: str) -> Site:
 def sq_dist(a: Site, b: Site) -> int:
     """Squared Euclidean distance between two sites."""
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
+
+
+def hnf(generators: Iterable[Sequence[int]]) -> Matrix:
+    """Row-style Hermite Normal Form of a rank-3 generating set.
+
+    Result is upper triangular with positive diagonal; entries above each
+    pivot are reduced into [0, pivot). Raises on rank deficiency and on a
+    generator that is not a triple of integers.
+    """
+    rows = [exact_site(g, "generator") for g in generators]
+    work = [list(r) for r in rows if any(r)]
+    pivots: list[list[int]] = []
+    for col in range(3):
+        while True:
+            cand = [r for r in work if r[col] != 0]
+            if len(cand) <= 1:
+                break
+            cand.sort(key=lambda r: abs(r[col]))
+            base = cand[0]
+            for r in cand[1:]:
+                q = r[col] // base[col]
+                for t in range(3):
+                    r[t] -= q * base[t]
+        cand = [r for r in work if r[col] != 0]
+        if not cand:
+            raise ValueError("generators do not span a rank-3 lattice")
+        p = cand[0]
+        work.remove(p)
+        if p[col] < 0:
+            p = [-x for x in p]
+        pivots.append(p)
+        work = [r for r in work if any(r)]
+    # reduce entries above each pivot
+    for i in (1, 2):
+        for j in range(i):
+            q = pivots[j][i] // pivots[i][i]
+            for t in range(3):
+                pivots[j][t] -= q * pivots[i][t]
+    return tuple(tuple(r) for r in pivots)  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=None)
@@ -76,11 +117,10 @@ def outgrows_ball(n: int, bound_sq: int, share: int) -> bool:
     two paths. Above it a lookup per site of the ball, or of its half when
     only a yes or no is asked, beats a loop over every site or offset;
     below SMALL_INPUT the fixed cost of an index outweighs any loop. Each
-    query has its own share, measured (see CHANGES.md): is_admissible
-    compares pairs or asks conflict_masks (share 4),
+    of the two queries has its own share, measured (see CHANGES.md):
+    is_admissible compares pairs or asks conflict_masks (share 4), and
     PeriodicConfiguration.occupied_near walks a box from every offset or
-    reduces the whole ball (share 1), and configs.is_admissible_config
-    walks occupied_near or reduces every offset's half ball (share 4).
+    reduces the whole ball (share 1).
 
     A ball of bound d2 >= 1 holds at least d2 sites (it holds the cube of
     side 2 * isqrt((d2 - 1) // 3) + 1), so the first test is implied by the

@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .configs import Matrix, hnf
-from .lattice import Record, Site, SignedPermutation, rotation_elements
+from .lattice import Matrix, Record, Site, SignedPermutation, hnf, rotation_elements
 
 
 # --- quaternions and the integer rotation matrix -------------------------------

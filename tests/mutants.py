@@ -155,7 +155,7 @@ MUTANTS = [
     Mutant("canonical-drops-the-context", "configs.py",
            "list(pc.basis) + [d], pc.offsets, pc.context_d2)", "list(pc.basis) + [d], pc.offsets)",
            _t("test_configs", "test_canonical_form_matches_the_difference_scan_on_every_constructor")),
-    # the context: checked once by make_config, inherited by derived cells
+    # the context: checked once by make_config, inherited by derived cells, trusted by is_perfect
     Mutant("context-type-unchecked", "configs.py",
            "if context_d2 is not None and type(context_d2) is not int:", "if False:",
            _t("test_configs", "test_a_context_that_is_not_exactly_an_int_is_refused")),
@@ -173,6 +173,12 @@ MUTANTS = [
     Mutant("transform-checks-its-image", "configs.py",
            "return _config(map(g.apply", "return make_config(map(g.apply",
            _t("test_configs", "test_derived_cells_are_not_checked_again")),
+    Mutant("perfect-trusts-a-lower-context", "configs.py",
+           "and pc.context_d2 >= d2\n", "and pc.context_d2 >= 0\n",
+           _t("test_configs", "test_perfection_undefined_below_the_packing_distance")),
+    Mutant("perfect-trusts-a-missing-context", "configs.py",
+           "trusted = pc.context_d2 is not None and", "trusted = pc.context_d2 is None or",
+           _t("test_configs", "test_a_background_built_at_its_threshold_is_not_checked_again")),
     Mutant("stack-checks-the-long-cell", "families.py",
            "cell = canonicalize(make_config([u, v, period], offsets))",
            "cell = canonicalize(make_config([u, v, period], offsets, context_d2=d2))",

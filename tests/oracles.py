@@ -63,7 +63,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from latticegas.configs import MAIN_DIAGONALS, Matrix, PeriodicConfiguration, canonicalize, hnf, make_config
+from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration, canonicalize, make_config
 from latticegas.excitations import (
     InsertionType,
     WindowCensus,
@@ -74,7 +74,7 @@ from latticegas.excitations import (
     reduce_insertions,
 )
 from latticegas.forces import BALL_RADIUS_SQ, FORCE_TABLES, peierls_gap
-from latticegas.lattice import _bits, fold_independent_sets, independent_sets, oh_elements
+from latticegas.lattice import Matrix, _bits, fold_independent_sets, hnf, independent_sets, oh_elements
 from latticegas.sublattices import (
     Quaternion,
     SublatticeClass,

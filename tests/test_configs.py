@@ -13,17 +13,16 @@ from latticegas.configs import (
     PeriodicConfiguration,
     canonicalize,
     density,
-    hnf,
     is_admissible_config,
     is_perfect,
     is_saturated,
     make_config,
     shift_count,
 )
-from latticegas.excitations import RemovalSet, make_insertion
+from latticegas.excitations import RemovalSet, excitation_report, gamma1, make_insertion, peierls_check
 from latticegas.families import build_bcc, build_cubic, build_fcc, build_layered_d5
 from latticegas.forces import SUPPORTED_D2
-from latticegas.lattice import ball_sites, oh_elements, outgrows_ball
+from latticegas.lattice import ball_sites, hnf, oh_elements
 from oracles import (
     admissible_by_scan,
     box_admissible,
@@ -269,6 +268,16 @@ def test_perfection_undefined_below_the_packing_distance():
         is_perfect(build_fcc(1), 3)
 
 
+@pytest.mark.parametrize("d2", [1.0, Fraction(1), True, 2.0], ids=repr)
+def test_perfection_at_a_threshold_that_is_not_exactly_an_int_is_refused(d2):
+    # 1.0, Fraction(1) and True equal 1, where the force is the occupation
+    # indicator; none is taken as 1, on a cell whose context is trusted
+    # (fcc-1 at 2) or on one that is checked (Z^3)
+    for pc in (build_fcc(1), build_cubic(1)):
+        with pytest.raises(ValueError, match="no repelling-force table"):
+            is_perfect(pc, d2)
+
+
 def test_sparse_config_is_not_perfect():
     thin = make_config([(4, 0, 0), (0, 4, 0), (0, 0, 4)], [(0, 0, 0)], context_d2=2)
     assert not is_perfect(thin, 2)
@@ -353,6 +362,25 @@ def test_perfection_matches_the_scan_on_every_constructor(d2, build):
     assert not is_perfect(holed, d2) and not perfect_by_scan(holed, d2)
 
 
+@pytest.mark.parametrize("build", [lambda: build_fcc(2), lambda: build_layered_d5(0, "01"), lambda: build_bcc(4)],
+                         ids=["fcc-2", "hcp-01", "bcc-4"])
+def test_perfection_matches_the_scan_whatever_the_context(build):
+    """A constructor's cell, whose context_d2 is its threshold (None for
+    bcc), and the same cell built with no context, at every threshold: the
+    trusted check and the checked one agree with the scan where the cell
+    obeys the threshold, and both raise where it does not."""
+    pc = build()
+    bare = make_config(pc.basis, pc.offsets)
+    for d2 in (1,) + SUPPORTED_D2:
+        if admissible_by_scan(bare, d2):
+            want = perfect_by_scan(bare, d2)
+            assert is_perfect(bare, d2) == want and is_perfect(pc, d2) == want, d2
+            continue
+        for cell in (pc, bare):
+            with pytest.raises(ValueError, match="perfection undefined"):
+                is_perfect(cell, d2)
+
+
 @pytest.mark.parametrize(
     "d2, build",
     [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
@@ -385,8 +413,9 @@ def _occupied_by_scan(pc, center, radius_sq):
 
 
 def _check_both_paths(pc, d2, paths):
-    """is_admissible_config and occupied_near against the scans, with the
-    crossover left to decide (None) or forced to either path."""
+    """is_admissible_config, which has one path, and occupied_near against
+    the scans, with occupied_near's crossover left to decide (None) or
+    forced to either path."""
     want = admissible_by_scan(pc, d2)
     probes = [(pc.offsets[0], d2), ((3, -2, 5), d2), ((1, 1, 0), 2 * d2 + 1)]
     for forced in paths:
@@ -407,11 +436,10 @@ def _check_both_paths(pc, d2, paths):
 def test_both_neighbourhood_paths_match_the_scans_on_every_supercell(d2, build):
     """Each constructor's cell and its 2x2x2 and 4x4x4 supercells, each also
     with its first offset removed and with an offset planted at squared
-    distance 1 from it. The cell stays on the box walk and every 4x4x4
-    supercell takes the residue lookup; the smaller cells are also run on
-    both paths forced."""
+    distance 1 from it. is_admissible_config is checked on every cell, and
+    occupied_near with its crossover left to decide; on the smaller cells
+    occupied_near is also run on both of its paths forced."""
     pc = build()
-    assert not outgrows_ball(len(pc.offsets), d2, 4)
     for k in (1, 2, 4):
         rows, offsets = _supercell(pc, k)
         first = offsets[0]
@@ -421,8 +449,6 @@ def test_both_neighbourhood_paths_match_the_scans_on_every_supercell(d2, build):
             variants.append((offsets[1:], True))
         for offs, admissible in variants:
             cell = make_config(rows, offs)
-            if k != 2:
-                assert outgrows_ball(len(cell.offsets), d2, 4) is (k == 4)
             paths = (None,) if k == 4 else (None, False, True)
             assert _check_both_paths(cell, d2, paths) is admissible
             if k == 1 and box_side(cell) <= 12:  # a pairwise walk of a 2-period box
@@ -433,8 +459,8 @@ def test_both_neighbourhood_paths_match_the_scans_on_every_supercell(d2, build):
 def large_cells(draw):
     """An admissible configuration (admissible_configs), its 2x2x2 or 3x3x3
     supercell (up to 162 offsets), and maybe its first offset removed or one
-    offset planted at a drawn site near the cell: cells on both sides of the
-    crossover, admissible or not."""
+    offset planted at a drawn site near the cell: cells on both sides of
+    occupied_near's crossover, admissible or not."""
     pc, d2 = draw(admissible_configs())
     rows, offsets = _supercell(pc, draw(st.sampled_from((2, 3))))
     change = draw(st.sampled_from(("none", "hole", "plant")))
@@ -564,6 +590,27 @@ def test_derived_cells_are_not_checked_again(monkeypatch):
     checked.clear()
     assert shift_count(full) == 18 and shift_count(holed) == holed.det
     assert checked == []
+
+
+def test_a_background_built_at_its_threshold_is_not_checked_again(monkeypatch):
+    """Reports over the hcp cell, which make_config checked at context_d2 5,
+    trust that check; is_perfect on a cell with no context, or a lower one,
+    checks once, and raises on an inadmissible cell."""
+    hcp = build_layered_d5(0, "01")
+    insertion, removal = make_insertion(hcp, 5, [(0, 2, 1)]), gamma1(hcp, 5)
+    bare, lower = make_config(hcp.basis, hcp.offsets), make_config(hcp.basis, hcp.offsets, 2)
+    fcc = build_fcc(1)
+    checked = _counted_checks(monkeypatch)
+    assert hcp.context_d2 == 5 and excitation_report(hcp, insertion, 5).background_perfect
+    assert peierls_check(hcp, insertion, 5)[0] and peierls_check(hcp, removal=removal, d2=5)[0]
+    assert checked == []
+    assert is_perfect(bare, 5) and is_perfect(lower, 5)
+    assert checked == [(2, 5), (2, 5)]
+    checked.clear()
+    for cell in (fcc, make_config(fcc.basis, fcc.offsets)):
+        with pytest.raises(ValueError, match="not d2=3 admissible"):
+            is_perfect(cell, 3)
+    assert checked == [(1, 3), (1, 3)]
 
 
 small_rows = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=3, max_size=3).filter(det3)

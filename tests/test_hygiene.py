@@ -276,7 +276,8 @@ COMMAND_LOADS = [
     ("pc build --d2 5 --family d5 --seq 01", {"configs", "families"}),
     ("table densities", {"configs", "families", "forces"}),
     ("exc classify --d2 5 --pc hcp.json --site 0,2,1", {"configs", "excitations", "forces"}),
-    ("sublat classes --ell 9", {"configs", "sublattices"}),
+    ("sublat classes --ell 9", {"sublattices"}),
+    ("sublat quaternion 1,1,0,0", {"sublattices"}),
 ]
 
 

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latticegas import sublattices
-from latticegas.configs import hnf
 from latticegas.families import pc_census
 from latticegas.sublattices import (
     Quaternion,
@@ -27,7 +26,7 @@ from latticegas.sublattices import (
     s2_hat,
     s2_tilde,
 )
-from latticegas.lattice import oh_elements, rotation_elements
+from latticegas.lattice import hnf, oh_elements, rotation_elements
 from latticegas.sublattices import _cubic_keys, _key, _orbit
 from oracles import (
     classify_by_hnf,
