@@ -247,10 +247,8 @@ def _cmd_pc_build(args: argparse.Namespace) -> Outcome:
     if args.family == "phi9":
         values[0] = values[0] or 1
     pc = getattr(_cli, builder)(*values)
-    _require(
-        pc.context_d2 in (None, args.d2),
-        f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}",
-    )
+    _require(pc.context_d2 == args.d2,
+             f"--family {args.family} builds a d2={pc.context_d2} configuration, not d2={args.d2}")
     return _cli.config_payload(pc, args.d2), True
 
 

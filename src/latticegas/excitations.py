@@ -2,8 +2,8 @@
 
 Energies are exact integers, excesses exact rationals. The force sums
 behind them run on the integer weights of forces.ForceTable (f(q) * den),
-so an excess is the integer deficit den - sum of weights, and a Fraction
-is built once per reported excess. The classification
+so an excess is the integer deficit den - sum of weights, read off as a
+Fraction from one table per force table (_excess_fractions). The classification
 of single insertions (types I, IIa, IIb, IIc) applies to the layered
 families whose occupied sites form triangular meshes stacked along a main
 diagonal; it is detected from the configuration itself, never assumed.
@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .configs import MAIN_DIAGONALS, PeriodicConfiguration, close_packing_scale, is_perfect
-from .forces import ForceTable, force_table, normalization_constant, peierls_gap
+from .forces import SUPPORTED_D2, ForceTable, force_table, normalization_constant, peierls_gap
 from .lattice import (
     ORIGIN,
     Record,
@@ -131,6 +132,16 @@ class ExcitationReport(Record, uncompared=("excesses",)):
     background_perfect: bool = True
 
 
+@lru_cache(maxsize=len(SUPPORTED_D2))
+def _excess_fractions(ft: ForceTable) -> tuple[Fraction, ...]:
+    """Fraction(k, den) for k = 0..den, built once per table (keyed like
+    forces._ball). A report asks no other deficit, on any background: the
+    weights are >= 0, and the inserted sites that weigh on a particle y are
+    pairwise admissible sites of y's ball, so verify_forces bounds their sum
+    by fstar * den = den (the golden files pin fstar = 1 at every d2)."""
+    return tuple(Fraction(k, ft.den) for k in range(ft.den + 1))
+
+
 def _excitation_sets(
     pc: PeriodicConfiguration,
     insertion: Optional[InsertionSet],
@@ -171,11 +182,12 @@ def excitation_report(
     put on it, den - sum of w[|x - y|^2] over them in integer weights. A
     force table is supported below ball_radius_sq <= d2, so every nonzero
     weight links an inserted site x to a particle that x repels: the sum
-    runs over the neighbour lists the repelled set was read from.
+    runs over the neighbour lists the repelled set was read from, one fetch
+    per inserted site, which also types a single insertion (_classify).
     """
     d2, ft, xi, eta = _excitation_sets(pc, insertion, d2, removal)
     eta_sorted = tuple(sorted(eta))
-    den, w, rsq = ft.den, ft.weights, ft.ball_radius_sq
+    den, w, rsq, excess = ft.den, ft.weights, ft.ball_radius_sq, _excess_fractions(ft)
     deficits = dict.fromkeys(eta_sorted, den)  # den * excess of each repelled site
     for (x0, x1, x2), ys in xi.items():
         for y in ys:
@@ -187,13 +199,12 @@ def excitation_report(
     if perfect:
         assert sum(deficits.values()) == energy * den, "excess identity violated"
         assert min(deficits.values(), default=0) >= 0, "negative excess on perfect background"
-    single = insertion is not None and removal is None and len(xi) == 1
     return ExcitationReport(
         inserted_count=len(xi),
         repelled=eta_sorted,
         energy=energy,
-        excesses={y: Fraction(d, den) for y, d in deficits.items()},
-        type=_insertion_type(pc, insertion.sites[0], d2) if single else None,
+        excesses={y: excess[d] for y, d in deficits.items()},
+        type=_insertion_type(pc, *next(iter(xi.items())), d2) if removal is None and len(xi) == 1 else None,
         background_perfect=perfect,
     )
 
@@ -224,17 +235,16 @@ def _detect_layering(pc: PeriodicConfiguration, d2: int) -> tuple[Site, int, int
 
 def classify_insertion(pc: PeriodicConfiguration, site: Site, d2: int) -> str:
     """Type of the single insertion at `site` into a layered configuration."""
-    return _classify(pc, site, d2, _detect_layering(pc, d2))
+    return _classify(pc, site, pc.occupied_near(site, d2), _detect_layering(pc, d2))
 
 
-def _classify(pc: PeriodicConfiguration, site: Site, d2: int, layering: tuple[Site, int, int]) -> str:
-    """classify_insertion on a layering _detect_layering has found, which
-    reads every offset: a census of many sites finds it once."""
+def _classify(pc: PeriodicConfiguration, site: Site, eta: list[Site], layering: tuple[Site, int, int]) -> str:
+    """classify_insertion on eta, the particles `site` repels, and on a layering
+    _detect_layering found, which reads every offset: a census finds it once."""
     e, h, edge_sq = layering
     if pc.contains(site):
         raise ValueError(f"site {site} is occupied")
     level = _dot(site, e)
-    eta = pc.occupied_near(site, d2)
     by_level: dict[int, list[Site]] = {}
     for y in eta:
         by_level.setdefault(_dot(y, e), []).append(y)
@@ -275,13 +285,12 @@ def _classify(pc: PeriodicConfiguration, site: Site, d2: int, layering: tuple[Si
     return InsertionType.IIC
 
 
-def _insertion_type(
-    pc: PeriodicConfiguration, site: Site, d2: int, layering: Optional[tuple[Site, int, int]] = None
-) -> Optional[str]:
-    """classify_insertion's type, or None for a site it rejects (say, a
-    vacancy of an imperfect background, or any site of an unlayered one)."""
+def _insertion_type(pc: PeriodicConfiguration, site: Site, eta: list[Site], d2: int,
+                    layering: Optional[tuple[Site, int, int]] = None) -> Optional[str]:
+    """_classify's type, or None for a site it rejects (say, a vacancy of an
+    imperfect background, or any site of an unlayered one)."""
     try:
-        return _classify(pc, site, d2, layering or _detect_layering(pc, d2))
+        return _classify(pc, site, eta, layering or _detect_layering(pc, d2))
     except ValueError:
         return None
 
@@ -301,7 +310,7 @@ def iia_census(
         raise ValueError("in-plane triangle centers are integral only when 3 divides l")
     layering = e, h, _ = _detect_layering(pc, d2)
     count = sum(1 for x in pc.reached(d2) if _dot(x, e) % h == 0 and not pc.contains(x)
-                and _insertion_type(pc, x, d2, layering) == InsertionType.IIA)
+                and _insertion_type(pc, x, pc.occupied_near(x, d2), d2, layering) == InsertionType.IIA)
     return count, Fraction(count, pc.det)
 
 
@@ -321,7 +330,7 @@ def reduce_insertions(
     sites = list(insertion.sites)
     near = _repelled_by(pc, insertion, d2)
     while sites:
-        if len(sites) == 1 and _insertion_type(pc, sites[0], d2) == InsertionType.IIA:
+        if len(sites) == 1 and _insertion_type(pc, sites[0], near[sites[0]], d2) == InsertionType.IIA:
             break
         repellers: dict[Site, list[Site]] = {}
         for x in sites:
@@ -557,5 +566,6 @@ def window_census(
         window_sites=len(window),
         sets_scanned=sets,
         low_energy_terminal=tuple(uniq),
-        all_terminal_iia=all(len(s) == 1 and _insertion_type(pc, s[0], d2) == InsertionType.IIA for s in uniq),
+        all_terminal_iia=all(len(s) == 1 and _insertion_type(pc, s[0], pc.occupied_near(s[0], d2), d2)
+                             == InsertionType.IIA for s in uniq),
     )

@@ -2,7 +2,8 @@
 table, and sliding.
 
 Each builder returns a canonicalized PeriodicConfiguration whose context_d2
-is set when the family is tied to a specific exclusion threshold. The four
+is its family's threshold, for the cubic, fcc and bcc lattices the squared
+distance of their nearest pairs (l^2, 2 l^2, and 3 h^2 at cube side 2h). The four
 layered families (d5, the d6 triangular and rhombic stacks, and 2l2) are
 one construction, built by _stack: a mesh repeated level by level along a
 diagonal, level k shifted by (k * step + label) / den. It checks that every
@@ -100,7 +101,7 @@ def _layer_digits(word: str, family: str, labels: int) -> tuple[int, ...]:
 def build_cubic(l: int) -> PeriodicConfiguration:
     if l < 1:
         raise ValueError("side must be >= 1")
-    return make_config([(l, 0, 0), (0, l, 0), (0, 0, l)], [(0, 0, 0)])
+    return make_config([(l, 0, 0), (0, l, 0), (0, 0, l)], [(0, 0, 0)], context_d2=l * l)
 
 
 def build_fcc(l: int) -> PeriodicConfiguration:
@@ -116,7 +117,7 @@ def build_bcc(side: int) -> PeriodicConfiguration:
     if side < 2 or side % 2:
         raise ValueError("side must be even and >= 2")
     h = side // 2
-    return make_config([(side, 0, 0), (0, side, 0), (h, h, h)], [(0, 0, 0)])
+    return make_config([(side, 0, 0), (0, side, 0), (h, h, h)], [(0, 0, 0)], context_d2=3 * h * h)
 
 
 # --- the layered families -----------------------------------------------------

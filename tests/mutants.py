@@ -179,6 +179,12 @@ MUTANTS = [
     Mutant("perfect-trusts-a-missing-context", "configs.py",
            "trusted = pc.context_d2 is not None and", "trusted = pc.context_d2 is None or",
            _t("test_configs", "test_a_background_built_at_its_threshold_is_not_checked_again")),
+    Mutant("bcc-built-without-its-context", "families.py",
+           "[(0, 0, 0)], context_d2=3 * h * h)", "[(0, 0, 0)])",
+           _t("test_configs", "test_a_background_built_at_its_threshold_is_not_checked_again")),
+    Mutant("cubic-built-without-its-context", "families.py",
+           "[(0, 0, 0)], context_d2=l * l)", "[(0, 0, 0)])",
+           _t("test_configs", "test_a_background_built_at_its_threshold_is_not_checked_again")),
     Mutant("stack-checks-the-long-cell", "families.py",
            "cell = canonicalize(make_config([u, v, period], offsets))",
            "cell = canonicalize(make_config([u, v, period], offsets, context_d2=d2))",
@@ -200,6 +206,13 @@ MUTANTS = [
            "for (x0, x1, x2), ys in xi.items():",
            "for (x0, x1, x2), ys in ((x, pc.occupied_near(x, d2)) for x in xi):",
            _t("test_excitations", "test_the_excess_bookkeeping_fetches_each_inserted_sites_neighbours_once")),
+    Mutant("classify-fetches-the-neighbours-again", "excitations.py",
+           "_insertion_type(pc, *next(iter(xi.items())), d2)",
+           "_insertion_type(pc, insertion.sites[0], pc.occupied_near(insertion.sites[0], d2), d2)",
+           _t("test_excitations", "test_the_excess_bookkeeping_fetches_each_inserted_sites_neighbours_once")),
+    Mutant("excess-table-one-short", "excitations.py",
+           "for k in range(ft.den + 1))", "for k in range(ft.den))",
+           _t("test_excitations", "test_the_excess_table_matches_the_fraction_oracle")),
     Mutant("contour-weights-of-xi-added", "excitations.py",
            "((1, eta), (-1, xi))", "((1, eta), (1, xi))",
            _t("test_excitations", "test_peierls_known_slacks")),

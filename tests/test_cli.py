@@ -532,13 +532,17 @@ def test_window_census_refuses_a_window_above_the_limit(capsys, monkeypatch):
     assert "more than 200000 states" in err
 
 
-def test_build_refuses_a_threshold_the_family_does_not_have(capsys):
-    code, out, err = run_capture(capsys, ["pc", "build", "--d2", "4", "--family", "fcc", "--l", "1"])
+@pytest.mark.parametrize("family, l, d2, other", [
+    ("fcc", 1, 2, 4), ("bcc", 2, 3, 2), ("bcc", 4, 12, 3), ("cubic", 1, 1, 2), ("cubic", 2, 4, 12)])
+def test_build_refuses_a_threshold_the_family_does_not_have(capsys, family, l, d2, other):
+    """fcc of scale l builds at 2 l^2 only, bcc of side l at 3 (l/2)^2 and cubic of side l at l^2."""
+    head = ["pc", "build", "--family", family, "--l", str(l), "--d2"]
+    code, out, err = run_capture(capsys, head + [str(other)])
     assert code == 2
     assert out == ""
-    assert "d2=2" in err
-    code, _, _ = run_capture(capsys, ["pc", "build", "--d2", "2", "--family", "fcc", "--l", "1"])
-    assert code == 0
+    assert f"builds a d2={d2} configuration, not d2={other}" in err
+    code, body = run_json(capsys, head + [str(d2)])
+    assert code == 0 and body["results"]["d2"] == d2
 
 
 # Each family of pc build: its options with a valid value, the --d2 to build

@@ -594,15 +594,21 @@ def test_derived_cells_are_not_checked_again(monkeypatch):
 
 def test_a_background_built_at_its_threshold_is_not_checked_again(monkeypatch):
     """Reports over the hcp cell, which make_config checked at context_d2 5,
-    trust that check; is_perfect on a cell with no context, or a lower one,
+    trust that check, as do reports over the bcc and cubic cells at their
+    thresholds; is_perfect on a cell with no context, or a lower one,
     checks once, and raises on an inadmissible cell."""
     hcp = build_layered_d5(0, "01")
     insertion, removal = make_insertion(hcp, 5, [(0, 2, 1)]), gamma1(hcp, 5)
     bare, lower = make_config(hcp.basis, hcp.offsets), make_config(hcp.basis, hcp.offsets, 2)
     fcc = build_fcc(1)
+    others = [(build_bcc(2), 3), (build_bcc(4), 12), (build_cubic(2), 4), (build_cubic(3), 9)]
     checked = _counted_checks(monkeypatch)
     assert hcp.context_d2 == 5 and excitation_report(hcp, insertion, 5).background_perfect
     assert peierls_check(hcp, insertion, 5)[0] and peierls_check(hcp, removal=removal, d2=5)[0]
+    assert checked == []
+    for pc, d2 in others:
+        excitation_report(pc, make_insertion(pc, d2, [(1, 0, 0)]), d2)
+        excitation_report(pc, removal=gamma1(pc, d2), d2=d2)
     assert checked == []
     assert is_perfect(bare, 5) and is_perfect(lower, 5)
     assert checked == [(2, 5), (2, 5)]

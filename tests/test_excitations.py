@@ -1,6 +1,7 @@
 """Excitations over a perfect background: typing, energy, reduction, the
 defect-size bound, and the bounded-window census."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -290,10 +291,42 @@ def test_excesses_over_an_imperfect_background_match_the_fraction_oracle():
     assert not rep.background_perfect
 
 
+def _seeded_insertion(pc, d2, vacant, rng):
+    """1 to 3 distinct sites drawn from vacant, drawn again until they are
+    pairwise admissible."""
+    while True:
+        sites = rng.sample(vacant, rng.randint(1, 3))
+        if all(sq_dist(s, t) >= d2 for s, t in itertools.combinations(sites, 2)):
+            return sites
+
+
+def test_the_excess_table_matches_the_fraction_oracle():
+    """Each excess read from the table of excitations._excess_fractions is
+    the one the oracle adds up in Fractions: seeded 1-3-site insertions on
+    the nine backgrounds of the benchmark and around the hole of the holed
+    hcp supercell, and a removal-only report on each background, whose
+    every deficit is den."""
+    rng = random.Random(31)
+    hole = HCP.offsets[0]
+    cases = [(pc, d2, VACANT[d2]) for d2, pc in BACKGROUNDS.items()]
+    cases.append((HOLED, 5, [s for s in oracles.brute_ball(13, hole) if not HOLED.contains(s)]))
+    for pc, d2, vacant in cases:
+        for _ in range(20):
+            sites = _seeded_insertion(pc, d2, vacant, rng)
+            rep = excitation_report(pc, make_insertion(pc, d2, sites), d2)
+            assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(pc, d2, sites)
+    for d2, pc in BACKGROUNDS.items():
+        removal = RemovalSet(pc, d2, tuple(OCCUPIED[d2][:4]))
+        rep = excitation_report(pc, removal=removal)
+        assert (rep.excesses, rep.energy) == oracles.excesses_by_fractions(pc, d2, (), removal.sites)
+        assert set(rep.excesses.values()) == {1} and rep.energy == 4
+
+
 def test_the_excess_bookkeeping_fetches_each_inserted_sites_neighbours_once(monkeypatch):
     """On the 4x4x4 hcp supercell, whose admissibility check asks no
     neighbour list, a report and the repelled set each ask one per
-    inserted site."""
+    inserted site. A one-site report over hcp reads its type from that
+    same list, and the type is classify_insertion's."""
     pc = make_config(*_supercell(HCP, 4))
     sites = _spread_insertion(pc, 5, 40, random.Random(2))
     insertion = make_insertion(pc, 5, sites)
@@ -311,6 +344,11 @@ def test_the_excess_bookkeeping_fetches_each_inserted_sites_neighbours_once(monk
     rep = excitation_report(pc, insertion, 5, gamma1(pc, 5))
     assert centers == list(insertion.sites)
     assert set(rep.repelled) == set(repelled) | {pc.offsets[0]}
+    for site in ((0, 2, 1), (0, 0, 1)):
+        centers.clear()
+        rep = excitation_report(HCP, make_insertion(HCP, 5, [site]), 5)
+        assert centers == [site]
+        assert rep.type == classify_insertion(HCP, site, 5)
 
 
 FCC1 = build_fcc(1)
