@@ -221,7 +221,9 @@ def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:
     where the force is the occupation indicator). verify_forces proves no
     site of an admissible configuration gets more than fstar = 1, so all det
     sites get exactly 1 iff len(offsets) * C == det, i.e. density == 1/C.
-    Raises (rather than returning False) if the configuration is not even
+    With C = p / q that is len(offsets) * p == det * q, read in integers
+    (_perfect_density): cross-multiplying needs no reduced form. Raises
+    (rather than returning False) if the configuration is not even
     admissible for d2.
 
     The admissibility check is skipped when pc.context_d2 >= d2: make_config
@@ -238,9 +240,15 @@ def is_perfect(pc: PeriodicConfiguration, d2: int) -> bool:
 
 
 def _perfect_density(pc: PeriodicConfiguration, d2: int) -> bool:
-    """is_perfect of a configuration already known to be d2-admissible."""
-    c = Fraction(1) if d2 == 1 and type(d2) is int else latticegas.normalization_constant(d2)
-    return density(pc) == 1 / c
+    """is_perfect of a configuration already known to be d2-admissible:
+    len(offsets) * p == det * q in integers, C = p / q, or len(offsets) ==
+    det at the int d2 = 1 (1.0, Fraction(1) and True reach
+    normalization_constant, which refuses them). No Fraction is built."""
+    n = len(pc.offsets)
+    if d2 == 1 and type(d2) is int:
+        return n == pc.det
+    c = latticegas.normalization_constant(d2)
+    return n * c.numerator == pc.det * c.denominator
 
 
 def is_saturated(pc: PeriodicConfiguration, d2: int) -> bool:

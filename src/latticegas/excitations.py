@@ -102,8 +102,9 @@ def _repelled_by(pc: PeriodicConfiguration, insertion: InsertionSet, d2: int) ->
     """Each inserted site's occupied sites strictly within distance sqrt(d2),
     one occupied_near call per site. An insertion made over another
     configuration, or at another threshold, is refused: its sites need not
-    be vacant or admissible here."""
-    if insertion.pc != pc or insertion.d2 != d2:
+    be vacant or admissible here. The background of an insertion is most
+    often this very object, so identity is tried before equality."""
+    if (insertion.pc is not pc and insertion.pc != pc) or insertion.d2 != d2:
         raise ValueError(f"the insertion was not made over this configuration at d2={d2}")
     return {x: pc.occupied_near(x, d2) for x in insertion.sites}
 
@@ -199,13 +200,15 @@ def excitation_report(
     if perfect:
         assert sum(deficits.values()) == energy * den, "excess identity violated"
         assert min(deficits.values(), default=0) >= 0, "negative excess on perfect background"
+    # inserted_count, repelled, energy, excesses, type and background_perfect,
+    # positionally, so Record.__init__ skips its keyword binding (_bind)
     return ExcitationReport(
-        inserted_count=len(xi),
-        repelled=eta_sorted,
-        energy=energy,
-        excesses={y: excess[d] for y, d in deficits.items()},
-        type=_insertion_type(pc, *next(iter(xi.items())), d2) if removal is None and len(xi) == 1 else None,
-        background_perfect=perfect,
+        len(xi),
+        eta_sorted,
+        energy,
+        {y: excess[d] for y, d in deficits.items()},
+        _insertion_type(pc, *next(iter(xi.items())), d2) if removal is None and len(xi) == 1 else None,
+        perfect,
     )
 
 

@@ -195,6 +195,10 @@ def verify_forces(d2: int) -> BallSearchReport:
     )
 
 
+@lru_cache(maxsize=None)
 def peierls_gap(d2: int) -> Fraction:
-    """1 minus the second largest total force; the energy cost per deficient site."""
+    """1 minus the second largest total force; the energy cost per deficient
+    site. Built once per d2, like normalization_constant: verify_forces's
+    cache_clear leaves it cached, and peierls_gap.cache_clear too makes the
+    next call search the ball again."""
     return Fraction(1) - verify_forces(d2).second_max

@@ -189,6 +189,31 @@ MUTANTS = [
            "cell = canonicalize(make_config([u, v, period], offsets))",
            "cell = canonicalize(make_config([u, v, period], offsets, context_d2=d2))",
            _t("test_configs", "test_a_layered_build_checks_the_hard_core_rule_on_its_canonical_cell")),
+    # the density identity in integers
+    Mutant("perfect-identity-numerator-and-denominator-swapped", "configs.py",
+           "return n * c.numerator == pc.det * c.denominator", "return n * c.denominator == pc.det * c.numerator",
+           _t("test_configs", "test_the_integer_density_identity_matches_the_fraction_oracle")),
+    Mutant("perfect-shortcut-at-one-type-unchecked", "configs.py",
+           "if d2 == 1 and type(d2) is int:\n        return n == pc.det", "if d2 == 1:\n        return n == pc.det",
+           _t("test_configs", "test_the_integer_density_identity_of_z3_at_one_matches_the_fraction_oracle",
+              "test_perfection_at_a_threshold_that_is_not_exactly_an_int_is_refused")),
+    Mutant("perfect-identity-in-fractions", "configs.py",
+           "return n * c.numerator == pc.det * c.denominator", "return density(pc) == 1 / c",
+           _t("test_excitations", "test_a_report_over_a_trusted_background_builds_no_density_and_binds_no_keywords")),
+    Mutant("gap-not-cached", "forces.py",
+           "@lru_cache(maxsize=None)\ndef peierls_gap", "def peierls_gap",
+           _t("test_forces", "test_each_ball_is_built_once_and_searched_on_every_cleared_call")),
+    # the report: positional, over a background compared by identity first
+    Mutant("report-energy-and-count-swapped", "excitations.py",
+           "len(xi),\n        eta_sorted,\n        energy,", "energy,\n        eta_sorted,\n        len(xi),",
+           _t("test_excitations", "test_a_report_over_a_trusted_background_builds_no_density_and_binds_no_keywords",
+              "test_lowest_insertion_on_hcp")),
+    Mutant("report-binds-a-keyword", "excitations.py",
+           "        perfect,\n    )", "        background_perfect=perfect,\n    )",
+           _t("test_excitations", "test_a_report_over_a_trusted_background_builds_no_density_and_binds_no_keywords")),
+    Mutant("background-compared-by-identity-only", "excitations.py",
+           "(insertion.pc is not pc and insertion.pc != pc)", "insertion.pc is not pc",
+           _t("test_excitations", "test_a_report_over_a_trusted_background_builds_no_density_and_binds_no_keywords")),
     # excesses and the contour bound
     Mutant("deficit-weights-added", "excitations.py",
            "deficits[y] -= w[q]", "deficits[y] += w[q]",

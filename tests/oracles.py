@@ -41,6 +41,8 @@ The force sums have Fraction twins: the library sums the integer weights
 of forces.force_table, while excesses_by_fractions, peierls_by_fractions,
 perfect_by_scan, force_extremes and total_force add Fractions read from
 the literal forces.FORCE_TABLES, one site at a time, on cube-scanned balls.
+The density identity has one too: the library cross-multiplies integers,
+while perfect_by_density compares density(pc) with 1 / C as Fractions.
 quaternions_of_norm lists the integer quaternions of one norm from the
 package's sphere points.
 
@@ -63,7 +65,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration, canonicalize, make_config
+from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration, canonicalize, density, make_config
 from latticegas.excitations import (
     InsertionType,
     WindowCensus,
@@ -73,7 +75,7 @@ from latticegas.excitations import (
     make_insertion,
     reduce_insertions,
 )
-from latticegas.forces import BALL_RADIUS_SQ, FORCE_TABLES, peierls_gap
+from latticegas.forces import BALL_RADIUS_SQ, FORCE_TABLES, normalization_constant, peierls_gap
 from latticegas.lattice import Matrix, _bits, fold_independent_sets, hnf, independent_sets, oh_elements
 from latticegas.sublattices import (
     Quaternion,
@@ -378,6 +380,14 @@ def perfect_by_scan(pc: PeriodicConfiguration, d2: int) -> bool:
         if total != 1:
             return False
     return True
+
+
+def perfect_by_density(pc: PeriodicConfiguration, d2: int) -> bool:
+    """The density identity in Fractions: density(pc) == 1 / C, C being
+    normalization_constant(d2), or 1 at the int d2 = 1, where the force is
+    the occupation indicator. The configuration is assumed d2-admissible."""
+    c = Fraction(1) if d2 == 1 and type(d2) is int else normalization_constant(d2)
+    return density(pc) == 1 / c
 
 
 def _sq(a: Site, b: Site) -> int:

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +33,7 @@ from oracles import (
     configs_equal,
     det3,
     naive_density,
+    perfect_by_density,
     perfect_by_scan,
     reduce_by_rows,
     saturated_by_scan,
@@ -98,6 +99,48 @@ def test_hnf_is_canonical_form_of_the_same_lattice(rows):
 def test_hnf_rejects_rank_deficient_generators():
     with pytest.raises(ValueError):
         hnf([(1, 0, 0), (2, 0, 0), (3, 0, 0)])
+
+
+def _minor_gcd(rows) -> int:
+    """The gcd of the 3x3 minors of the rows: the index in Z^3 of the lattice
+    they span, and 0 when they span less than rank 3."""
+    return math.gcd(*(det3(m) for m in combinations(rows, 3)))
+
+
+@st.composite
+def generator_lists(draw):
+    """One to six generators, as canonicalize (four) and
+    sublattices._cubic_keys (six) pass them: zero rows, rows drawn again and
+    rows drawn again negated among them, in any order."""
+    rows = [draw(row) for _ in range(draw(st.integers(1, 6)))]
+    again = st.tuples(st.sampled_from(rows), st.sampled_from((1, -1))).map(lambda t: tuple(t[1] * x for x in t[0]))
+    extra = st.lists(st.one_of(st.just((0, 0, 0)), again), max_size=6 - len(rows))
+    return draw(st.permutations(rows + draw(extra)))
+
+
+@given(rows=generator_lists())
+@example(rows=[(1, 1, 0), (1, -1, 0), (0, 1, 1), (1, 0, 1)])
+@example(rows=[(3, 0, 0), (0, 3, 0), (0, 0, 3), (-3, 0, 0), (0, 0, 0), (0, 3, 0)])
+@example(rows=[(1, 0, 0), (2, 0, 0), (0, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 2, 0)])
+def test_hnf_of_one_to_six_generators_spans_their_lattice(rows):
+    """Membership both ways: every generator lies in the lattice of the HNF
+    rows (their adjugate), and every HNF row in the generators' lattice,
+    since adding it leaves the gcd of the 3x3 minors, the index, unchanged.
+    The HNF's determinant is that index, hnf is idempotent, and generators
+    of rank below 3 are refused."""
+    index = _minor_gcd(rows)
+    if index == 0:
+        with pytest.raises(ValueError, match="rank-3"):
+            hnf(rows)
+        return
+    h = hnf(rows)
+    assert h[1][0] == h[2][0] == h[2][1] == 0
+    assert h[0][0] > 0 and h[1][1] > 0 and h[2][2] > 0
+    assert 0 <= h[0][1] < h[1][1] and 0 <= h[0][2] < h[2][2] and 0 <= h[1][2] < h[2][2]
+    assert det3(h) == index
+    assert all(_in_lattice(r, h) for r in rows)
+    assert all(_minor_gcd(list(rows) + [r]) == index for r in h)
+    assert hnf(h) == h
 
 
 def test_make_config_reduces_and_dedupes_offsets():
@@ -379,6 +422,47 @@ def test_perfection_matches_the_scan_whatever_the_context(build):
         for cell in (pc, bare):
             with pytest.raises(ValueError, match="perfection undefined"):
                 is_perfect(cell, d2)
+
+
+@pytest.mark.parametrize(
+    "d2, build",
+    [(d2, build) for d2, entries in CONSTRUCTORS.items() for _, build in entries],
+    ids=[f"{d2}-{label}" for d2, entries in CONSTRUCTORS.items() for label, _ in entries],
+)
+def test_the_integer_density_identity_matches_the_fraction_oracle(d2, build):
+    """_perfect_density and is_perfect against the identity in Fractions on
+    the constructor's cell, its 2x2x2 supercell and that supercell less its
+    first offset, all three at the cell's context, at every threshold up to
+    that context. Each obeys the hard-core rule there, so is_perfect reads
+    the identity; the cell is perfect at its own threshold only."""
+    pc = build()
+    rows, offsets = _supercell(pc, 2)
+    cells = [pc, make_config(rows, offsets, pc.context_d2), make_config(rows, offsets[1:], pc.context_d2)]
+    thresholds = [t for t in (1,) + SUPPORTED_D2 if t <= pc.context_d2]
+    for t in thresholds:
+        for cell in cells:
+            want = perfect_by_density(cell, t)
+            assert configs._perfect_density(cell, t) is want and is_perfect(cell, t) is want, (t, cell)
+    assert [t for t in thresholds if perfect_by_density(pc, t)] == [d2]
+    assert [perfect_by_density(cell, d2) for cell in cells] == [True, True, False]
+
+
+def test_the_integer_density_identity_of_z3_at_one_matches_the_fraction_oracle():
+    """Z^3 at d2 = 1, where the identity is len(offsets) == det: the cell and
+    its 2x2x2 supercell are perfect, the supercell less one offset is not,
+    with the context 1 trusted or with none. A threshold equal to 1 that is
+    not exactly an int is refused by both the library and the oracle."""
+    z3 = build_cubic(1)
+    rows, offsets = _supercell(z3, 2)
+    for context in (1, None):
+        cells = [make_config(z3.basis, z3.offsets, context), make_config(rows, offsets, context),
+                 make_config(rows, offsets[1:], context)]
+        got = [(configs._perfect_density(cell, 1), is_perfect(cell, 1)) for cell in cells]
+        assert got == [(perfect_by_density(cell, 1),) * 2 for cell in cells] == [(True, True)] * 2 + [(False, False)]
+    for d2 in (1.0, Fraction(1), True):
+        for decide in (configs._perfect_density, is_perfect, perfect_by_density):
+            with pytest.raises(ValueError, match="no repelling-force table"):
+                decide(z3, d2)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticegas import excitations
+from latticegas import configs, excitations
 from latticegas.configs import MAIN_DIAGONALS, PeriodicConfiguration, is_perfect, make_config
 from latticegas.excitations import (
     InsertionSet,
@@ -354,6 +354,32 @@ def test_the_excess_bookkeeping_fetches_each_inserted_sites_neighbours_once(monk
 FCC1 = build_fcc(1)
 FCC2 = build_fcc(2)
 HCP_02 = build_layered_d5(0, "02")
+
+
+def test_a_report_over_a_trusted_background_builds_no_density_and_binds_no_keywords(monkeypatch):
+    """A one-site and a three-site report over hcp, whose context 5 is
+    trusted, read perfection in integers, so configs.density is never
+    called, and build the report positionally, so Record._bind is never
+    called. The background is compared by identity first: an insertion made
+    over an equal but distinct cell is still accepted, and one made over
+    another cell is still refused."""
+    one = make_insertion(HCP, 5, [(0, 2, 1)])
+    three = make_insertion(HCP, 5, [(-2, -2, -1), (-2, -2, 2), (-2, 0, -2)])
+    twin = make_config(HCP.basis, HCP.offsets, 5)
+    over_twin = make_insertion(twin, 5, [(0, 2, 1)])
+    assert twin == HCP and twin is not HCP
+    calls = []
+    density, bind = configs.density, lattice.Record._bind
+    monkeypatch.setattr(configs, "density", lambda pc: calls.append("density") or density(pc))
+    monkeypatch.setattr(lattice.Record, "_bind", lambda self, *args: calls.append("_bind") or bind(self, *args))
+    reports = [excitation_report(HCP, insertion, 5) for insertion in (one, three)]
+    assert calls == []
+    assert [(r.inserted_count, r.energy, len(r.repelled), r.background_perfect) for r in reports] == [
+        (1, 2, 3, True), (3, 8, 11, True)]
+    assert excitation_report(HCP, over_twin, 5) == reports[0]
+    assert calls == []
+    with pytest.raises(ValueError, match="insertion was not made over this configuration"):
+        excitation_report(HCP, make_insertion(HCP_02, 5, [(0, 0, 1)]), 5)
 
 
 @pytest.mark.parametrize("pc,insertion,d2,removal,refusal", [

@@ -133,7 +133,7 @@ def test_a_cleared_search_reproduces_the_golden_extremes():
 
 def test_each_ball_is_built_once_and_searched_on_every_cleared_call(monkeypatch):
     # building a ball folds each shell once for its base; each cleared call
-    # folds the whole ball
+    # folds the whole ball, and the gap, cached apart, hides no search
     builds, folds = [], []
 
     def counted(kernel, log):
@@ -159,6 +159,17 @@ def test_each_ball_is_built_once_and_searched_on_every_cleared_call(monkeypatch)
         expected += [(n, list(range(n)))] * 2
     assert folds == expected
     assert forces._ball.cache_info().currsize == forces._ball.cache_info().maxsize == len(SUPPORTED_D2)
+    # with both caches cleared the gap searches once; a cached gap searches
+    # nothing, and a cleared verify_forces still searches again
+    folds.clear()
+    peierls_gap.cache_clear()
+    for d2 in SUPPORTED_D2:
+        verify_forces.cache_clear()
+        assert peierls_gap(d2) == 1 - verify_forces(d2).second_max
+        verify_forces.cache_clear()
+        assert peierls_gap(d2) is peierls_gap(d2)
+        verify_forces(d2)
+    assert folds == [(n, list(range(n))) for d2 in SUPPORTED_D2 for n in [len(ball_sites(BALL_RADIUS_SQ[d2]))] * 2]
 
 
 def test_the_ball_search_obeys_the_state_budget(monkeypatch):
