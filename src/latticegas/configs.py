@@ -113,7 +113,22 @@ class PeriodicConfiguration(Record):
         in lexicographic order. Above the crossover (lattice.outgrows_ball)
         each site center + b of the ball is reduced and looked up, and the
         lexicographic ball keeps its hits sorted; below it the ball's
-        bounding box is walked from every offset (occupied_in_box).
+        columns are walked from every offset.
+
+        The walk is exact. With r1 = radius_sq - 1, the site center +
+        (dx, dy, dz) is in the ball iff dx^2 + dy^2 + dz^2 <= r1, that is
+        iff |dx| <= isqrt(r1), |dy| <= ry = isqrt(r1 - dx^2) and |dz| <=
+        rz = isqrt(r1 - dx^2 - dy^2), since |t| <= isqrt(m) iff t^2 <= m
+        for integers. The translates o + c0 b0 + c1 b1 + c2 b2 of an offset
+        o, b0 = (a, b01, b02), b1 = (0, d, b12), b2 = (0, 0, f), have dx in
+        one residue class mod a; c0 fixes dy's class mod d, carried as
+        + b01 per step of dx; and c0, c1 fix dz's class mod f, carried as
+        + b02 and + b12. Each range starts at its first member of the
+        class, so every site emitted is in the ball and occupied, and every
+        such site is emitted once: the basis is triangular, and distinct
+        offsets are distinct residues. An offset's sites come out with dx,
+        then dy, then dz increasing, in lexicographic order; several
+        offsets are merged by one sort.
         """
         if radius_sq < 1:
             return []
@@ -122,11 +137,33 @@ class PeriodicConfiguration(Record):
             basis, occupied = self.basis, self._occupied
             ball = [(cx + b0, cy + b1, cz + b2) for b0, b1, b2 in ball_sites(radius_sq)]
             return [s for s in ball if _reduce_site(s, basis) in occupied]
-        r = math.isqrt(radius_sq - 1)
-        box = self.occupied_in_box((cx - r, cy - r, cz - r), (cx + r, cy + r, cz + r))
-        return sorted(
-            s for s in box if (s[0] - cx) ** 2 + (s[1] - cy) ** 2 + (s[2] - cz) ** 2 < radius_sq
-        )
+        (a, b01, b02), (_, d, b12), (_, _, f) = self.basis
+        r1 = radius_sq - 1
+        r = math.isqrt(r1)
+        out: list[Site] = []
+        for o0, o1, o2 in self.offsets:
+            dx = (o0 - cx + r) % a - r
+            q = (dx + cx - o0) // a
+            y = o1 + q * b01 - cy  # dy and dz of the translate with c1 = c2 = 0
+            z = o2 + q * b02 - cz
+            while dx <= r:
+                rx = r1 - dx * dx
+                ry = math.isqrt(rx)
+                dy = (y + ry) % d - ry
+                zy = z + (dy - y) // d * b12
+                x = cx + dx
+                while dy <= ry:
+                    rz = math.isqrt(rx - dy * dy)
+                    for dz in range((zy + rz) % f - rz, rz + 1, f):
+                        out.append((x, cy + dy, cz + dz))
+                    dy += d
+                    zy += b12
+                dx += a
+                y += b01
+                z += b02
+        if len(self.offsets) > 1:
+            out.sort()
+        return out
 
     def transform(self, g: SignedPermutation) -> "PeriodicConfiguration":
         """Image under a signed permutation, re-normalized to HNF."""

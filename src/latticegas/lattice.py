@@ -119,8 +119,13 @@ def outgrows_ball(n: int, bound_sq: int, share: int) -> bool:
     below SMALL_INPUT the fixed cost of an index outweighs any loop. Each
     of the two queries has its own share, measured (see CHANGES.md):
     is_admissible compares pairs or asks conflict_masks (share 4), and
-    PeriodicConfiguration.occupied_near walks a box from every offset or
-    reduces the whole ball (share 1).
+    PeriodicConfiguration.occupied_near walks the ball's columns from every
+    offset or reduces the whole ball (share 1). A walk costs each offset
+    about one step per column of the ball in its residue class, so cells
+    of the same size but other shapes cross over apart. Over the cells
+    measured, shares 1 to 3 lost about as much time to the slower path, and
+    share 4 twice that: it sends the 64-offset bcc-4 supercell to the
+    lookup, which takes twice as long as its walk there.
 
     A ball of bound d2 >= 1 holds at least d2 sites (it holds the cube of
     side 2 * isqrt((d2 - 1) // 3) + 1), so the first test is implied by the

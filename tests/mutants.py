@@ -135,6 +135,15 @@ MUTANTS = [
     Mutant("occupied-near-lookup-ball-short", "configs.py",
            "for b0, b1, b2 in ball_sites(radius_sq)]", "for b0, b1, b2 in ball_sites(radius_sq - 1)]",
            _t("test_configs", "test_both_neighbourhood_paths_match_the_scans_on_every_supercell")),
+    Mutant("occupied-near-column-not-narrowed", "configs.py",
+           "rz = math.isqrt(rx - dy * dy)", "rz = ry",
+           _t("test_configs", "test_both_lookup_paths_match_the_scan_on_drawn_hnf_bases")),
+    Mutant("occupied-near-offsets-not-sorted", "configs.py",
+           "        if len(self.offsets) > 1:\n            out.sort()\n", "",
+           _t("test_configs", "test_both_lookup_paths_match_the_scan_on_drawn_hnf_bases")),
+    Mutant("occupied-near-without-the-b12-step", "configs.py",
+           "                    zy += b12\n", "",
+           _t("test_configs", "test_both_lookup_paths_match_the_scan_on_drawn_hnf_bases")),
     Mutant("residue-without-the-b12-term", "configs.py",
            "(x2 - q0 * b02 - q1 * b12) % f", "(x2 - q0 * b02) % f",
            _t("test_configs", "test_the_closed_form_residue_matches_the_row_by_row_reduction")),

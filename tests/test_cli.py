@@ -296,18 +296,6 @@ def _refuse(*args):
     raise AssertionError("the refused work ran")
 
 
-_occupied_in_box = PeriodicConfiguration.occupied_in_box
-
-
-def _refuse_window_lookups(pc, lo, hi):
-    """occupied_in_box for the background's admissibility check, which asks
-    about the cube around one of its own offsets; any other box is window
-    work."""
-    r = (hi[0] - lo[0]) // 2
-    around = [(tuple(c - r for c in o), tuple(c + r for c in o)) for o in pc.offsets]
-    return _occupied_in_box(pc, lo, hi) if (tuple(lo), tuple(hi)) in around else _refuse()
-
-
 def bounded(argv, limit, module, name, stand_in=None, accepted=None, refusal=_refuse, id=None):
     """A bounded argument: the argv with {} for its value, its limit, the work
     it bounds (module, name), replaced by refusal while a value above the
@@ -333,8 +321,7 @@ BOUNDED_ARGUMENTS = [
     bounded(["table", "densities", "--lmax", "{}"], cli.DENSITIES_MAX_LMAX,
             sublattices, "factorize", id="densities"),
     bounded(["exc", "window-census", "--layers", "3", "--radius", "{}"], excitations.WINDOW_SITES_MAX,
-            PeriodicConfiguration, "occupied_in_box", accepted=10, refusal=_refuse_window_lookups,
-            id="window-census"),
+            PeriodicConfiguration, "occupied_in_box", accepted=10, id="window-census"),
 ]
 
 

@@ -563,6 +563,37 @@ def test_admissibility_and_lookups_of_large_cells_match_the_scans(case, center, 
     assert pc.occupied_near(center, radius_sq) == _occupied_by_scan(pc, center, radius_sq)
 
 
+@st.composite
+def hnf_configs(draw):
+    """A configuration on an HNF basis drawn directly, with 1-4 offsets. Half
+    the bases are skewed as phi10's and hcp's are: a = d = 1, f up to 30 and
+    b12 != 0; the others have each diagonal entry in 1..6. The entries above
+    the diagonal are reduced under their column's pivot, as hnf leaves them."""
+    if draw(st.booleans()):
+        a, d, f = 1, 1, draw(st.integers(2, 30))
+        b12 = draw(st.integers(1, f - 1))
+    else:
+        a, d, f = (draw(st.integers(1, 6)) for _ in range(3))
+        b12 = draw(st.integers(0, f - 1))
+    basis = ((a, draw(st.integers(0, d - 1)), draw(st.integers(0, f - 1))), (0, d, b12), (0, 0, f))
+    pc = make_config(basis, draw(st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=4)))
+    assert pc.basis == basis
+    return pc
+
+
+@settings(max_examples=200)
+@given(hnf_configs(), st.tuples(entry, entry, entry), st.integers(0, 20))
+@example(make_config([(1, 0, 23), (0, 1, 17), (0, 0, 26)], [(0, 0, 0)]), (4, -3, 9), 10)
+def test_both_lookup_paths_match_the_scan_on_drawn_hnf_bases(pc, center, radius_sq):
+    """occupied_near, on its column walk and on its ball lookup forced,
+    against the cube scan: the same sites in the same order."""
+    want = _occupied_by_scan(pc, center, radius_sq)
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(configs, "outgrows_ball", lambda *args, forced=forced: forced)
+            assert pc.occupied_near(center, radius_sq) == want
+
+
 def _counted_reductions(monkeypatch) -> list:
     """The sites configs._reduce_site is called on from now on."""
     reductions = []
@@ -578,15 +609,15 @@ def _counted_reductions(monkeypatch) -> list:
 
 def test_admissibility_of_a_large_cell_reduces_each_offset_once_per_half_ball_site(monkeypatch):
     """The 3,456-offset hcp supercell: at most n * |ball| / 2 reductions,
-    and no box walk."""
+    and no neighbour lookup."""
     rows, offsets = _supercell(build_layered_d5(0, "01"), 12)
     pc = make_config(rows, offsets)
 
-    def walked(*args):
-        raise AssertionError("the box walk ran")
+    def looked_up(*args):
+        raise AssertionError("a neighbour lookup ran")
 
     reductions = _counted_reductions(monkeypatch)
-    monkeypatch.setattr(PeriodicConfiguration, "occupied_in_box", walked)
+    monkeypatch.setattr(PeriodicConfiguration, "occupied_near", looked_up)
     assert len(pc.offsets) == 3456
     assert is_admissible_config(pc, 5)
     assert len(reductions) <= len(pc.offsets) * len(ball_sites(5)) // 2
