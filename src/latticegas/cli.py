@@ -41,8 +41,9 @@ VERIFICATION_FAILURE = 1
 
 # The largest --ell or --lmax each command accepts; a larger one is refused
 # before any work with exit code 2. Times are on a 2-vCPU host.
-# `sublat r3 --brute` scans a sphere with O(ell^2) isqrt calls: about 0.6 s
-# at ell = 1000, 2 s at 2000 and 27 s at 8000.
+# `sublat r3 --brute` scans one 48th of a sphere with about 0.22 ell^2 isqrt
+# calls: about 0.15 s at ell = 1000, 0.26 s at 2000 and 2.6 s at 8000, process
+# start included.
 R3_BRUTE_MAX_ELL = 2000
 # The closed forms (`sublat r3`, `sublat enumerate --fcc`) factorize ell by
 # trial division, O(sqrt(ell)): 0.1 s for a prime near 10^12, 1 s near 10^14.

@@ -7,12 +7,17 @@ t * ER(z), the Euler-Rodrigues matrix of an integer quaternion z of
 squared norm l/t scaled by t (see _cubic_keys for the proof). Classes are
 the orbits of keys under the 24 rotations, which give the same orbits as
 all 48 point symmetries (see _orbit), and the Hermite normal form is
-computed only for the bases this module returns. The all-pairs sphere scan
-and the HNF-based partition are kept as test oracles (tests/oracles.py).
+computed only for the bases this module returns. The points of a sphere
+come from one 48th of it (_sphere_points). The whole-disc sphere scan, the
+all-pairs scan for orthogonal triples and the HNF-based partition are kept
+as test oracles (tests/oracles.py).
 The number of cubic l-sublattices needs no enumeration: it is the sum of
 Dedekind's psi over the odd divisors of l, from the factorization of l
 (see fcc_census for the proof), and the enumeration is its test oracle.
-factorize divides by trial, so its cost grows as sqrt(l).
+factorize divides by trial, so its cost grows as sqrt(l). The counts,
+the enumeration, the classification and the census take l or n exactly as
+an int (_exact): a bool, a float or a Fraction is refused with a
+ValueError that names the argument, never truncated or counted as 1.
 
 Each predicted 4-, 6-, 8- or 12-element class is generated from one
 template basis per parameter choice, as the rotation orbit of its key
@@ -65,41 +70,65 @@ def euler_rodrigues(z: Quaternion) -> Matrix:
 # --- counting lattice points on spheres -----------------------------------------
 
 
+def _exact(name: str, value: int, least: int) -> int:
+    """value, which must be exactly an int (a bool, float or Fraction is refused) >= least."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
+def _signs(v: int) -> tuple[int, ...]:
+    return (v, -v) if v else (0,)
+
+
 def _sphere_points(n: int) -> list[Site]:
-    """All integer (x, y, z) with x^2 + y^2 + z^2 = n, by a two-loop isqrt scan."""
+    """All integer (x, y, z) with x^2 + y^2 + z^2 = n, each once, from the
+    points with 0 <= x <= y <= z.
+
+    That domain is scanned exactly: 3x^2 <= n, so x <= isqrt(n // 3); y runs
+    from x while 2y^2 <= n - x^2, which is y <= z; z is the isqrt of what is
+    left, a hit when it squares back. Sorting the absolute values of any
+    point of the sphere gives one domain point, so the hits' orbits under
+    the 48 signed permutations cover the sphere, and distinct hits have
+    disjoint orbits. A hit's orbit is its distinct orderings (a set of the
+    six, which merges repeated values) times a sign on each nonzero
+    coordinate; two of these points differ in their ordered absolute values
+    or in a sign, so none is listed twice.
+
+    The scan makes one isqrt per x and one per (x, y) with 0 <= x <= y and
+    x^2 + 2y^2 <= n, a region of area (pi/2 - atan(sqrt(2))) n / (2 sqrt(2)),
+    about 0.22 n; a scan of the whole (x, y) disc makes about pi n.
+    """
     out = []
-    top = math.isqrt(n)
-    for x in range(-top, top + 1):
+    for x in range(math.isqrt(n // 3) + 1):
         rem1 = n - x * x
-        ymax = math.isqrt(rem1)
-        for y in range(-ymax, ymax + 1):
+        for y in range(x, math.isqrt(rem1 // 2) + 1):
             rem2 = rem1 - y * y
             z = math.isqrt(rem2)
             if z * z == rem2:
-                out.append((x, y, z))
-                if z:
-                    out.append((x, y, -z))
+                out += [
+                    (p, q, r)
+                    for a, b, c in {(x, y, z), (x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)}
+                    for p in _signs(a)
+                    for q in _signs(b)
+                    for r in _signs(c)
+                ]
     return out
 
 
 def quadruples(l: int) -> list[Site]:
     """All integer (m, n, k) with m^2 + n^2 + k^2 = l^2."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    return sorted(_sphere_points(l * l))
+    return sorted(_sphere_points(_exact("l", l, 1) ** 2))
 
 
 def r3_brute(n: int) -> int:
     """Number of integer triples with squared norm n, by direct scan."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return len(_sphere_points(n))
+    return len(_sphere_points(_exact("n", n, 0)))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime-exponent pairs by trial division."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _exact("n", n, 1)
     out = []
     p = 2
     while p * p <= n:
@@ -118,7 +147,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def r3_formula(l: int) -> int:
     """Closed-form count of integer triples with squared norm l^2."""
     total = 6
-    for p, rho in factorize(l):
+    for p, rho in factorize(_exact("l", l, 1)):
         if p == 2:
             continue
         term = (p ** (rho + 1) - 1) // (p - 1)
@@ -221,8 +250,7 @@ def _cubic_keys(l: int) -> set[frozenset[Site]]:
     A = (l/k) ER(w) is integral only if k | l. With t = l/k, L is spanned
     by the rows of t * ER(w), with N(w) = l/t.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    _exact("l", l, 1)
     return {
         _key([(t * r0, t * r1, t * r2) for r0, r1, r2 in euler_rodrigues(Quaternion(a, b, c, d))])
         for t in range(1, l + 1)
@@ -414,7 +442,7 @@ def fcc_census(l: int) -> FccCensus:
     lattices. The enumeration len(_cubic_keys(l)) is the test oracle.
     """
     count = 1
-    for p, r in factorize(l):
+    for p, r in factorize(_exact("l", l, 1)):
         if p > 2:
             count *= 1 + (p + 1) * (p**r - 1) // (p - 1)
     if l % 3 == 0:

@@ -250,6 +250,22 @@ MUTANTS = [
     Mutant("contour-weights-of-xi-added", "excitations.py",
            "((1, eta), (-1, xi))", "((1, eta), (1, xi))",
            _t("test_excitations", "test_peierls_known_slacks")),
+    # the sphere points and the sublattice boundary
+    Mutant("sphere-x-bound-one-short", "sublattices.py",
+           "range(math.isqrt(n // 3) + 1)", "range(math.isqrt(n // 3))",
+           _t("test_sublattices", "test_sphere_points_are_the_disc_scans_each_once")),
+    Mutant("sphere-y-bound-one-short", "sublattices.py",
+           "range(x, math.isqrt(rem1 // 2) + 1)", "range(x, math.isqrt(rem1 // 2))",
+           _t("test_sublattices", "test_sphere_points_are_the_disc_scans_each_once")),
+    Mutant("sphere-sign-of-z-dropped", "sublattices.py",
+           "for r in _signs(c)", "for r in (c,)",
+           _t("test_sublattices", "test_sphere_points_are_the_disc_scans_each_once")),
+    Mutant("sphere-y-from-zero", "sublattices.py",
+           "range(x, math.isqrt(rem1 // 2) + 1)", "range(0, math.isqrt(rem1 // 2) + 1)",
+           _t("test_sublattices", "test_sphere_points_are_the_disc_scans_each_once")),
+    Mutant("sublattice-norm-type-unchecked", "sublattices.py",
+           "if type(value) is not int or value < least:", "if value < least:",
+           _t("test_sublattices", "test_a_norm_that_is_not_exactly_an_int_at_least_its_floor_is_refused")),
     # what a command loads and calls
     Mutant("init-imports-a-module-eagerly", "__init__.py",
            '__version__ = "0.1.0"\n', '__version__ = "0.1.0"\n\nfrom . import families  # noqa: E402\n',

@@ -43,8 +43,10 @@ perfect_by_scan, force_extremes and total_force add Fractions read from
 the literal forces.FORCE_TABLES, one site at a time, on cube-scanned balls.
 The density identity has one too: the library cross-multiplies integers,
 while perfect_by_density compares density(pc) with 1 / C as Fractions.
-quaternions_of_norm lists the integer quaternions of one norm from the
-package's sphere points.
+The sphere points have a scan twin: the library expands the points of
+one 48th of the sphere by their signed permutations, while
+sphere_points_by_scan tries every (x, y) of the whole disc, and
+quaternions_of_norm lists the integer quaternions of one norm from it.
 
 Some helpers only the tests need live here, not in the package: the
 translate and canonical key of a configuration, the quaternion conjugate
@@ -80,7 +82,6 @@ from latticegas.lattice import Matrix, _bits, fold_independent_sets, hnf, indepe
 from latticegas.sublattices import (
     Quaternion,
     SublatticeClass,
-    _sphere_points,
     predicted_class_bases,
 )
 
@@ -598,12 +599,30 @@ def sliding_witness_by_scan(l: int, n: int) -> int:
     return len(removed)
 
 
+def sphere_points_by_scan(n: int) -> list[Site]:
+    """All integer (x, y, z) with x^2 + y^2 + z^2 = n, by a two-loop isqrt
+    scan of the whole (x, y) disc: about pi * n isqrt calls."""
+    out = []
+    top = math.isqrt(n)
+    for x in range(-top, top + 1):
+        rem1 = n - x * x
+        ymax = math.isqrt(rem1)
+        for y in range(-ymax, ymax + 1):
+            rem2 = rem1 - y * y
+            z = math.isqrt(rem2)
+            if z * z == rem2:
+                out.append((x, y, z))
+                if z:
+                    out.append((x, y, -z))
+    return out
+
+
 def quaternions_of_norm(l: int) -> list[Quaternion]:
     """All integer quaternions of squared norm l."""
     if l < 1:
         raise ValueError("l must be >= 1")
     top = math.isqrt(l)
-    return [Quaternion(a, *p) for a in range(-top, top + 1) for p in _sphere_points(l - a * a)]
+    return [Quaternion(a, *p) for a in range(-top, top + 1) for p in sphere_points_by_scan(l - a * a)]
 
 
 def conjugate(q: Quaternion) -> Quaternion:

@@ -2,10 +2,12 @@
 symmetry classes, and the close-packed doubling."""
 
 import math
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticegas import sublattices
@@ -27,7 +29,7 @@ from latticegas.sublattices import (
     s2_tilde,
 )
 from latticegas.lattice import hnf, oh_elements, rotation_elements
-from latticegas.sublattices import _cubic_keys, _key, _orbit
+from latticegas.sublattices import _cubic_keys, _key, _orbit, _sphere_points, factorize
 from oracles import (
     classify_by_hnf,
     conjugate,
@@ -40,6 +42,7 @@ from oracles import (
     quaternion_product,
     quaternions_of_norm,
     r3_naive,
+    sphere_points_by_scan,
 )
 from reference_data import CLASS_HISTOGRAMS, MISMATCH_LS, STABILIZER_ORDERS
 
@@ -125,6 +128,63 @@ def test_conjugation_gives_the_norm():
     q = Quaternion(2, -1, 3, 0)
     prod = quaternion_product(q, conjugate(q))
     assert (prod.a, prod.b, prod.c, prod.d) == (q.norm_sq, 0, 0, 0)
+
+
+def assert_sphere_points_match_the_disc_scan(n):
+    points = _sphere_points(n)
+    assert len(points) == len(set(points)), n
+    assert set(points) == set(sphere_points_by_scan(n)), n
+
+
+def test_sphere_points_are_the_disc_scans_each_once():
+    for n in (*range(3001), 45**2, 105**2, 225**2):
+        assert_sphere_points_match_the_disc_scan(n)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 20_000))
+def test_sphere_points_are_the_disc_scans_each_once_on_drawn_norms(n):
+    assert_sphere_points_match_the_disc_scan(n)
+
+
+def test_quadruples_sort_the_disc_scan():
+    for l in range(1, 61):
+        assert quadruples(l) == sorted(sphere_points_by_scan(l * l)), l
+
+
+def test_the_sphere_scan_takes_one_isqrt_per_point_of_a_48th_of_the_disc(monkeypatch):
+    calls = []
+
+    class CountingMath:
+        @staticmethod
+        def isqrt(v):
+            calls.append(v)
+            return math.isqrt(v)
+
+    monkeypatch.setattr(sublattices, "math", CountingMath)
+    points = _sphere_points(225**2)
+    monkeypatch.undo()
+    assert len(points) == r3_formula(225)
+    # 11,292 calls; the scan of the whole (x, y) disc makes 159,485
+    assert len(calls) <= 12_000
+
+
+@pytest.mark.parametrize("call, name, least", [
+    pytest.param(quadruples, "l", 1, id="quadruples"),
+    pytest.param(r3_brute, "n", 0, id="r3_brute"),
+    pytest.param(r3_formula, "l", 1, id="r3_formula"),
+    pytest.param(factorize, "n", 1, id="factorize"),
+    pytest.param(fcc_census, "l", 1, id="fcc_census"),
+    pytest.param(classify_classes, "l", 1, id="classify_classes"),
+    pytest.param(compare_class_counts, "l", 1, id="compare_class_counts"),
+    pytest.param(enumerate_cubic_sublattices, "l", 1, id="enumerate_cubic_sublattices"),
+])
+def test_a_norm_that_is_not_exactly_an_int_at_least_its_floor_is_refused(call, name, least):
+    for value in (2.0, 1.0, True, False, Fraction(2), "2", None, least - 1, -5):
+        message = f"^{name} must be an int >= {least}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+    call(least)
 
 
 def test_quadruples_count_matches_r3():
@@ -285,6 +345,7 @@ def test_quaternions_of_norm():
 def test_fcc_census_joins_the_pc_census():
     assert fcc_census(1).pcs_total == 2 == pc_census(2)
     assert fcc_census(2).pcs_total == 16 == pc_census(8)
+    assert type(fcc_census(2).pcs_total) is int
     assert fcc_census(4).pcs_total == 128
     flagged = fcc_census(3)
     assert flagged.flagged_layered_continuum
